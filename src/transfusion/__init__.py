@@ -2,260 +2,31 @@
 
 Angles live in Q/Z as fractions and phases in cyclotomic fields, so every
 identity the test suite checks is literal equality, never a floating
-tolerance.
+tolerance. The top level exports the names of the README's example and the
+fusion-table pipeline; everything else is imported from its module.
 """
 
 from .cochains import (
-    Cochain,
-    Poly2,
-    bockstein_lift,
     coboundary_solve,
-    commutator_pairing,
-    cup_one_cochains,
-    delta,
-    dual_cochains,
-    group_cochain,
     inverse_transgression,
-    is_cocycle,
     parse_poly,
-    poly_str,
     poly_to_cocycle,
-    product_homotopy,
-    pullback,
-    random_cochain,
-    read_cochain,
     shuffle_transgression,
-    sq1,
-    sq1_preimage,
-    write_cochain,
-    zero_cochain,
 )
-from .cyclotomic import (
-    Cyclotomic,
-    as_cyclotomic,
-    identity_matrix,
-    kron,
-    mat_add,
-    mat_eq,
-    mat_mul,
-    mat_scale,
-    mat_trace,
-    matrix_rank,
-    phase,
-    row_reduce,
-    solve_linear,
-)
-from .fusion import (
-    CharacterSolver,
-    FusionError,
-    KClass,
-    TwistContext,
-    TwistedBundle,
-    basis_bundles,
-    bundle_violation,
-    character,
-    integer_coefficients,
-    kclass_add,
-    kclass_eq,
-    kclass_keys,
-    kclass_star,
-    kclass_sub,
-    make_context,
-    regular_bundle,
-    star,
-    structure_constants,
-    trace_table,
-    unit_bundle,
-    untwisted_star,
-    validate_bundle,
-)
-from .groupoids import (
-    FiberedProduct,
-    FiniteGroupoid,
-    GroupoidHom,
-    GroupoidValidationError,
-    SectorGroupoid,
-    action_groupoid,
-    connected_components,
-    discrete_groupoid,
-    evaluation_hom,
-    fibered_product,
-    full_subgroupoid,
-    groupoids_isomorphic,
-    hom_compose,
-    homs_equal,
-    identity_middle_component,
-    inertia,
-    k_sectors,
-    make_groupoid,
-    make_hom,
-    nerve,
-    nerve_size,
-    point_groupoid,
-    sector_decomposition,
-    sector_rotation,
-    sector_triple_product,
-    unit_embedding,
-    vertex_group,
-)
-from .groups import (
-    ConjugacyPartition,
-    FiniteGroup,
-    GroupValidationError,
-    Subgroup,
-    all_subgroups,
-    centralizer,
-    conjugacy_classes,
-    construct_group,
-    cyclic,
-    dihedral,
-    direct_product,
-    elementary_abelian,
-    from_table,
-    groups_isomorphic,
-    load_group_lines,
-    parse_group_spec,
-    subgroup_as_group,
-    subgroup_generated,
-    symmetric,
-)
-from .projrep import (
-    BasisError,
-    CocycleError,
-    TwistedAlgebra,
-    TwoCocycleGroup,
-    abelian_projective_irreps,
-    center_dimension,
-    cocycle_from_cochain,
-    group_irreducibles,
-    linear_characters,
-    make_twisted_algebra,
-    normalize_cocycle,
-    tau_regular_classes,
-    twisted_rank,
-)
-from .smith import smith_normal_form, solve_mod1
+from .fusion import fusion_table
+from .groupoids import inertia, point_groupoid
+from .groups import elementary_abelian
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisError",
-    "CharacterSolver",
-    "Cochain",
-    "CocycleError",
-    "ConjugacyPartition",
-    "Cyclotomic",
-    "FiberedProduct",
-    "FiniteGroup",
-    "FiniteGroupoid",
-    "FusionError",
-    "GroupValidationError",
-    "GroupoidHom",
-    "GroupoidValidationError",
-    "KClass",
-    "Poly2",
-    "SectorGroupoid",
-    "Subgroup",
-    "TwistContext",
-    "TwistedAlgebra",
-    "TwistedBundle",
-    "TwoCocycleGroup",
-    "abelian_projective_irreps",
-    "action_groupoid",
-    "all_subgroups",
-    "as_cyclotomic",
-    "basis_bundles",
-    "bockstein_lift",
-    "bundle_violation",
-    "centralizer",
-    "center_dimension",
-    "character",
     "coboundary_solve",
-    "cocycle_from_cochain",
-    "commutator_pairing",
-    "conjugacy_classes",
-    "connected_components",
-    "construct_group",
-    "cup_one_cochains",
-    "cyclic",
-    "delta",
-    "dihedral",
-    "direct_product",
-    "discrete_groupoid",
-    "dual_cochains",
     "elementary_abelian",
-    "evaluation_hom",
-    "fibered_product",
-    "from_table",
-    "full_subgroupoid",
-    "group_cochain",
-    "group_irreducibles",
-    "groupoids_isomorphic",
-    "groups_isomorphic",
-    "hom_compose",
-    "homs_equal",
-    "identity_matrix",
-    "identity_middle_component",
+    "fusion_table",
     "inertia",
-    "integer_coefficients",
     "inverse_transgression",
-    "is_cocycle",
-    "k_sectors",
-    "kclass_add",
-    "kclass_eq",
-    "kclass_keys",
-    "kclass_star",
-    "kclass_sub",
-    "kron",
-    "linear_characters",
-    "load_group_lines",
-    "make_context",
-    "make_groupoid",
-    "make_hom",
-    "make_twisted_algebra",
-    "mat_add",
-    "mat_eq",
-    "mat_mul",
-    "mat_scale",
-    "mat_trace",
-    "matrix_rank",
-    "nerve",
-    "nerve_size",
-    "normalize_cocycle",
-    "parse_group_spec",
     "parse_poly",
-    "phase",
     "point_groupoid",
-    "poly_str",
     "poly_to_cocycle",
-    "product_homotopy",
-    "pullback",
-    "random_cochain",
-    "read_cochain",
-    "regular_bundle",
-    "row_reduce",
-    "sector_decomposition",
-    "sector_rotation",
-    "sector_triple_product",
     "shuffle_transgression",
-    "smith_normal_form",
-    "solve_linear",
-    "solve_mod1",
-    "sq1",
-    "sq1_preimage",
-    "star",
-    "structure_constants",
-    "subgroup_as_group",
-    "subgroup_generated",
-    "symmetric",
-    "tau_regular_classes",
-    "trace_table",
-    "twisted_rank",
-    "unit_bundle",
-    "unit_embedding",
-    "untwisted_star",
-    "validate_bundle",
-    "vertex_group",
-    "write_cochain",
-    "zero_cochain",
 ]

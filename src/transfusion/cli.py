@@ -41,21 +41,7 @@ from .cochains import (
     write_cochain,
     zero_cochain,
 )
-from .cyclotomic import as_cyclotomic
-from .fusion import (
-    CharacterSolver,
-    FusionError,
-    TwistContext,
-    basis_bundles,
-    bundle_violation,
-    character,
-    integer_coefficients,
-    kclass_eq,
-    make_context,
-    star,
-    trace_table,
-    unit_bundle,
-)
+from .fusion import FusionError, basis_bundles, fusion_table, make_context
 from .groupoids import (
     evaluation_hom,
     inertia,
@@ -466,69 +452,7 @@ def cmd_transgress(args) -> Report:
     return report
 
 
-# fusion-table: basis, products, integer constants, ring checks
-
-_FUSION_STATE: Dict[str, object] = {}
-
-
-def _pair_product(task: Tuple[int, int]) -> Tuple[int, int, Dict[str, object]]:
-    i, j = task
-    basis = _FUSION_STATE["basis"]
-    solver = _FUSION_STATE["solver"]
-
-    def one(a: int, b: int) -> Dict[str, object]:
-        prod = star(basis[a], basis[b])
-        viol = bundle_violation(prod)
-        if viol is not None:
-            return {"violation": f"{viol[0]} at {viol[1]}", "table": None}
-        tab = trace_table(prod)
-        coeffs, bad = solver.expand(tab)
-        if coeffs is None:
-            return {"violation": None, "coeffs": None, "residual": [list(k) for k in bad], "table": tab}
-        return {"violation": None, "coeffs": integer_coefficients(coeffs), "table": tab}
-
-    rec: Dict[str, object] = {"ij": one(i, j)}
-    if i != j:
-        rec["ji"] = one(j, i)
-        ti, tj = rec["ij"]["table"], rec["ji"]["table"]
-        rec["commutes"] = (
-            ti is not None and tj is not None and all(ti[k] == tj[k] for k in ti)
-        )
-    else:
-        rec["commutes"] = rec["ij"]["table"] is not None
-    rec["ij"].pop("table", None)
-    if "ji" in rec:
-        rec["ji"].pop("table", None)
-    return i, j, rec
-
-
-def _associativity_violation(nmat) -> Optional[Tuple[int, int, int]]:
-    """First (i, j, k) where the two bracketed integer expansions differ."""
-    n = len(nmat)
-    for i in range(n):
-        for j in range(n):
-            row_ij = nmat[i][j]
-            for k in range(n):
-                lhs = [0] * n
-                for m in range(n):
-                    c = row_ij[m]
-                    if c:
-                        rm = nmat[m][k]
-                        for l in range(n):
-                            if rm[l]:
-                                lhs[l] += c * rm[l]
-                rhs = [0] * n
-                row_jk = nmat[j][k]
-                for m in range(n):
-                    c = row_jk[m]
-                    if c:
-                        rm = nmat[i][m]
-                        for l in range(n):
-                            if rm[l]:
-                                rhs[l] += c * rm[l]
-                if lhs != rhs:
-                    return (i, j, k)
-    return None
+# fusion-table: renders the library's fusion table
 
 
 def cmd_fusion_table(args) -> Report:
@@ -571,80 +495,54 @@ def cmd_fusion_table(args) -> Report:
         basis_data.append({"index": k, "support": list(supp), "dims": list(v.dims)})
     report.data["basis"] = basis_data
 
-    chars = [character(v) for v in basis]
-    solver = CharacterSolver(ctx, chars)
-    unit_char = character(unit_bundle(ctx))
-    unit_idx = [k for k, c in enumerate(chars) if kclass_eq(c, unit_char)]
-
-    global _FUSION_STATE
-    _FUSION_STATE = {"basis": basis, "solver": solver}
-    tasks = [(i, j) for i in range(n) for j in range(i, n)]
-    workers = max(1, args.workers)
-    if workers > 1:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_pair_product, tasks)
-    else:
-        results = [_pair_product(t) for t in tasks]
-
-    nmat: List[List[Optional[Tuple[int, ...]]]] = [[None] * n for _ in range(n)]
-    violations = []
-    residuals = []
-    non_commuting = []
-    for i, j, rec in results:
-        for key, (a, b) in (("ij", (i, j)),) + ((("ji", (j, i)),) if i != j else ()):
-            side = rec[key]
-            if side["violation"] is not None:
-                violations.append((a, b, side["violation"]))
-            elif side["coeffs"] is None:
-                residuals.append((a, b, side["residual"]))
-            else:
-                nmat[a][b] = tuple(side["coeffs"])
-        if not rec["commutes"]:
-            non_commuting.append((i, j))
-
+    table = fusion_table(ctx, basis, workers=args.workers)
     n_products = n * n
-    if violations:
-        a, b, msg = violations[0]
+    if table.invalid:
+        a, b, kind, witness = table.invalid[0]
         report.check(
             "product-validity",
             False,
-            f"{len(violations)} of {n_products} products invalid, first ({a},{b}): {msg}",
+            f"{len(table.invalid)} of {n_products} products invalid,"
+            f" first ({a},{b}): {kind} at {witness}",
             witness={"pair": [a, b]},
         )
     else:
         report.check("product-validity", True, f"all {n_products} products validated")
-    if residuals:
-        a, b, bad = residuals[0]
-        report.check(
-            "integer-expansion",
-            False,
-            f"{len(residuals)} products outside the basis span,"
-            f" first ({a},{b}) with residual at {len(bad)} keys, first key {tuple(bad[0])}",
-            witness={"pair": [a, b], "residual-keys": bad[:8]},
-        )
-    elif violations:
+    if table.outside_span or table.non_integer:
+        parts = []
+        witness = None
+        if table.outside_span:
+            a, b, bad = table.outside_span[0]
+            parts.append(
+                f"{len(table.outside_span)} products outside the basis span,"
+                f" first ({a},{b}) with residual at {len(bad)} keys, first key {bad[0]}"
+            )
+            witness = {"pair": [a, b], "residual-keys": [list(k) for k in bad[:8]]}
+        if table.non_integer:
+            a, b = table.non_integer[0]
+            parts.append(
+                f"{len(table.non_integer)} products with non-integer coefficients,"
+                f" first ({a},{b})"
+            )
+            witness = witness or {"pair": [a, b]}
+        report.check("integer-expansion", False, "; ".join(parts), witness=witness)
+    elif table.invalid:
         report.check("integer-expansion", False, "skipped; invalid products above")
     else:
-        ok = all(nmat[i][j] is not None for i in range(n) for j in range(n))
-        report.check(
-            "integer-expansion",
-            ok,
-            f"all {n_products} products expand integrally" if ok else "internal gap",
-        )
+        report.check("integer-expansion", True, f"all {n_products} products expand integrally")
 
-    table_ready = not violations and not residuals
-    if table_ready:
-        if non_commuting:
-            i, j = non_commuting[0]
+    if table.complete():
+        if table.non_commuting:
+            i, j = table.non_commuting[0]
             report.check(
                 "commutativity",
                 False,
-                f"{len(non_commuting)} pairs differ, first ({i},{j})",
+                f"{len(table.non_commuting)} pairs differ, first ({i},{j})",
                 witness={"pair": [i, j]},
             )
         else:
-            report.check("commutativity", True, f"{len(tasks)} unordered pairs")
-        aw = _associativity_violation(nmat)
+            report.check("commutativity", True, f"{n * (n + 1) // 2} unordered pairs")
+        aw = table.nonassociative
         if aw is None:
             report.check("associativity", True, f"all {n**3} triples")
         else:
@@ -654,13 +552,9 @@ def cmd_fusion_table(args) -> Report:
                 f"first failing triple {aw}",
                 witness={"triple": list(aw)},
             )
-        if len(unit_idx) == 1:
-            u = unit_idx[0]
-            unit_ok = all(
-                nmat[u][j] == tuple(1 if m == j else 0 for m in range(n))
-                and nmat[j][u] == tuple(1 if m == j else 0 for m in range(n))
-                for j in range(n)
-            )
+        if len(table.unit_candidates) == 1:
+            u = table.unit_candidates[0]
+            unit_ok = table.is_unit(u)
             report.check(
                 "unit-row",
                 unit_ok,
@@ -669,14 +563,15 @@ def cmd_fusion_table(args) -> Report:
             report.data["unit-index"] = u
         else:
             report.check(
-                "unit-row", False, f"{len(unit_idx)} basis characters match the unit"
+                "unit-row", False, f"{len(table.unit_candidates)} basis characters match the unit"
             )
+        constants = table.constants
         report.body.append("table rows (i j -> coefficients):")
         for i in range(n):
             for j in range(n):
-                report.body.append(f"{i} {j} -> {' '.join(map(str, nmat[i][j]))}")
+                report.body.append(f"{i} {j} -> {' '.join(map(str, constants[i][j]))}")
         report.data["constants"] = [
-            [list(nmat[i][j]) for j in range(n)] for i in range(n)
+            [list(constants[i][j]) for j in range(n)] for i in range(n)
         ]
     else:
         report.check("commutativity", False, "skipped; table incomplete")

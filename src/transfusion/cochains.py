@@ -83,10 +83,6 @@ class Cochain:
     def __neg__(self):
         return Cochain(self.groupoid, self.degree, {k: -v for k, v in self.table.items()})
 
-    def scale(self, c) -> "Cochain":
-        c = Fraction(c)
-        return Cochain(self.groupoid, self.degree, {k: c * v for k, v in self.table.items()})
-
     def __eq__(self, other):
         if not isinstance(other, Cochain):
             return NotImplemented

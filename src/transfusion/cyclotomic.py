@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -324,12 +324,6 @@ def mat_mul(a, b):
             new.append(acc)
         out.append(tuple(new))
     return tuple(out)
-
-
-def mat_add(a, b):
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
 
 
 def mat_scale(c, a):

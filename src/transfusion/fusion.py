@@ -20,6 +20,7 @@ R(a) @ R(b).
 from __future__ import annotations
 
 import math
+import multiprocessing
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -616,8 +617,8 @@ def basis_bundles(ctx: TwistContext) -> List[TwistedBundle]:
         if w is not None:
             raise AssertionError(f"constructed basis bundle invalid: {w[0]} at {w[1]}")
     keys = kclass_keys(ctx)
-    chars = [character(v) for v in out]
-    rows = [[c.table[k] for k in keys] for c in chars]
+    tables = [trace_table(v) for v in out]
+    rows = [[t[k] for k in keys] for t in tables]
     if matrix_rank(rows) != len(out):
         raise BasisError("basis characters are linearly dependent")
     return out
@@ -711,34 +712,165 @@ def integer_coefficients(coeffs: Sequence[Cyclotomic]) -> Optional[List[int]]:
     return out
 
 
-def structure_constants(
-    ctx: TwistContext, basis: Sequence[TwistedBundle]
-) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """Integer expansion of every pairwise product over the basis.
+def associativity_violation(
+    constants: Sequence[Sequence[Sequence[int]]],
+) -> Optional[Tuple[int, int, int]]:
+    """First (i, j, k) where the two bracketed integer expansions differ.
 
-    Entry [i][j][k] is the multiplicity of basis[k] in basis[i] * basis[j].
-    Products are computed at the bundle level, characters solved exactly
-    over the cyclotomics; a product outside the span, or a non-integer
-    coefficient, raises FusionError.
+    constants[i][j][m] is the multiplicity of basis m in basis i * basis j.
+    """
+    n = len(constants)
+    for i in range(n):
+        for j in range(n):
+            row_ij = constants[i][j]
+            for k in range(n):
+                lhs = [0] * n
+                for m in range(n):
+                    c = row_ij[m]
+                    if c:
+                        rm = constants[m][k]
+                        for l in range(n):
+                            if rm[l]:
+                                lhs[l] += c * rm[l]
+                rhs = [0] * n
+                row_jk = constants[j][k]
+                for m in range(n):
+                    c = row_jk[m]
+                    if c:
+                        rm = constants[i][m]
+                        for l in range(n):
+                            if rm[l]:
+                                rhs[l] += c * rm[l]
+                if lhs != rhs:
+                    return (i, j, k)
+    return None
+
+
+@dataclass
+class FusionTable:
+    """Integer structure constants of a basis, and every check that failed.
+
+    constants[i][j][k] is the multiplicity of basis[k] in basis[i] *
+    basis[j]; constants[i][j] is None when that product failed. The failure
+    lists run in pair order ((0,0), (0,1), (1,0), (0,2), (2,0), ...):
+    invalid holds (i, j, kind, witness) from bundle_violation, outside_span
+    (i, j, keys where the expansion misses the character), non_integer
+    (i, j) for products in the span with a coefficient that is not an
+    integer. non_commuting holds the pairs i < j whose two valid products
+    have different characters. nonassociative is the first failing triple
+    of a complete table. unit_candidates are the basis indices whose
+    character equals the unit bundle's.
+    """
+
+    constants: Tuple[Tuple[Optional[Tuple[int, ...]], ...], ...]
+    unit_candidates: List[int]
+    invalid: List[Tuple[int, int, str, tuple]] = field(default_factory=list)
+    outside_span: List[Tuple[int, int, List[Tuple[int, int]]]] = field(default_factory=list)
+    non_integer: List[Tuple[int, int]] = field(default_factory=list)
+    non_commuting: List[Tuple[int, int]] = field(default_factory=list)
+    nonassociative: Optional[Tuple[int, int, int]] = None
+
+    def complete(self) -> bool:
+        """Whether every product is valid and expands integrally."""
+        return not (self.invalid or self.outside_span or self.non_integer)
+
+    def is_unit(self, u: int) -> bool:
+        """Whether basis[u] multiplies every basis element to itself on
+        both sides; meaningful on a complete table."""
+        n = len(self.constants)
+        for j in range(n):
+            e_j = tuple(1 if m == j else 0 for m in range(n))
+            if self.constants[u][j] != e_j or self.constants[j][u] != e_j:
+                return False
+        return True
+
+
+def _product(basis, solver, a: int, b: int):
+    """Outcome (violation, integer coefficients, residual keys) of one
+    product, and its trace table when valid. At most one outcome entry is
+    set; none is when the product lies in the span with a coefficient that
+    is not an integer.
+    """
+    prod = star(basis[a], basis[b])
+    viol = bundle_violation(prod)
+    if viol is not None:
+        return (viol, None, None), None
+    tab = trace_table(prod)
+    coeffs, bad = solver.expand(tab)
+    if coeffs is None:
+        return (None, None, bad), tab
+    return (None, integer_coefficients(coeffs), None), tab
+
+
+def _pair(basis, solver, i: int, j: int):
+    """((a, b), outcome) for both orders of the pair i <= j, and whether
+    their characters agree."""
+    ij, tab_ij = _product(basis, solver, i, j)
+    if i == j:
+        return [((i, j), ij)], True
+    ji, tab_ji = _product(basis, solver, j, i)
+    commutes = tab_ij is None or tab_ji is None or all(
+        tab_ij[k] == tab_ji[k] for k in tab_ij
+    )
+    return [((i, j), ij), ((j, i), ji)], commutes
+
+
+# a fork worker's basis and solver, set by the pool initializer in the
+# worker process only; the fork hands them over without pickling
+_worker_args: tuple = ()
+
+
+def _init_worker(basis, solver) -> None:
+    global _worker_args
+    _worker_args = (basis, solver)
+
+
+def _worker_pair(task: Tuple[int, int]):
+    return _pair(*_worker_args, *task)
+
+
+def fusion_table(
+    ctx: TwistContext, basis: Sequence[TwistedBundle], workers: int = 1
+) -> FusionTable:
+    """Multiply every ordered pair of basis bundles and expand the products.
+
+    Each product is validated at the bundle level and its character solved
+    exactly over the basis characters. A product that is invalid, outside
+    the span or non-integral is recorded, never raised. Commutativity is
+    compared on characters; associativity and the unit are checked on the
+    integer table. With workers > 1 the unordered pairs are spread over a
+    fork pool; the result does not depend on the worker count.
     """
     chars = [character(v) for v in basis]
     solver = CharacterSolver(ctx, chars)
-    out = []
-    for i, va in enumerate(basis):
-        row_out = []
-        for j, vb in enumerate(basis):
-            prod = character(star(va, vb))
-            coeffs, bad = solver.expand(prod.table)
-            if coeffs is None:
-                raise FusionError(
-                    f"product of basis {i} and {j} is not in the basis span; "
-                    f"residual at {len(bad)} keys, first at {bad[0]}"
-                )
-            ints = integer_coefficients(coeffs)
-            if ints is None:
-                raise FusionError(
-                    f"product of basis {i} and {j} has non-integer coefficients"
-                )
-            row_out.append(tuple(ints))
-        out.append(tuple(row_out))
-    return tuple(out)
+    unit_char = character(unit_bundle(ctx))
+    unit_candidates = [k for k, c in enumerate(chars) if kclass_eq(c, unit_char)]
+
+    n = len(basis)
+    tasks = [(i, j) for i in range(n) for j in range(i, n)]
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(
+            workers, initializer=_init_worker, initargs=(basis, solver)
+        ) as pool:
+            results = pool.map(_worker_pair, tasks)
+    else:
+        results = [_pair(basis, solver, i, j) for i, j in tasks]
+
+    constants: List[List[Optional[Tuple[int, ...]]]] = [[None] * n for _ in range(n)]
+    table = FusionTable(constants=(), unit_candidates=unit_candidates)
+    for (i, j), (sides, commutes) in zip(tasks, results):
+        for (a, b), (viol, ints, bad) in sides:
+            if viol is not None:
+                table.invalid.append((a, b, viol[0], viol[1]))
+            elif bad is not None:
+                table.outside_span.append((a, b, bad))
+            elif ints is None:
+                table.non_integer.append((a, b))
+            else:
+                constants[a][b] = tuple(ints)
+        if not commutes:
+            table.non_commuting.append((i, j))
+    table.constants = tuple(tuple(row) for row in constants)
+    if table.complete():
+        table.nonassociative = associativity_violation(table.constants)
+    return table

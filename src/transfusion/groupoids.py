@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from .groups import (
     FiniteGroup,
@@ -49,12 +49,6 @@ class FiniteGroupoid:
     @property
     def n_arrows(self) -> int:
         return len(self.source)
-
-    def compose2(self, a: int, b: int) -> int:
-        return self.compose[(a, b)]
-
-    def is_loop(self, a: int) -> bool:
-        return self.source[a] == self.target[a]
 
     def is_identity_arrow(self, a: int) -> bool:
         return self.identity[self.source[a]] == a

@@ -43,9 +43,6 @@ class FiniteGroup:
         """v^-1 g v."""
         return self.mult[self.mult[self.inv[v]][g]][v]
 
-    def commute(self, a: int, b: int) -> bool:
-        return self.mult[a][b] == self.mult[b][a]
-
     def element_order(self, g: int) -> int:
         n = 1
         x = g

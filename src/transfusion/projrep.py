@@ -21,14 +21,12 @@ from .cochains import Cochain, coboundary_solve, group_cochain
 from .cyclotomic import (
     Cyclotomic,
     as_cyclotomic,
-    identity_matrix,
     mat_eq,
     mat_mul,
     mat_scale,
     mat_trace,
     matrix_rank,
     phase,
-    solve_linear,
 )
 from .groups import (
     FiniteGroup,
@@ -167,10 +165,6 @@ def make_twisted_algebra(tc: TwoCocycleGroup) -> TwistedAlgebra:
         for v in row:
             conductor = math.lcm(conductor, v.denominator)
     return TwistedAlgebra(cocycle=tc, conductor=conductor)
-
-
-def product_phase(alg: TwistedAlgebra, g: int, h: int) -> Cyclotomic:
-    return phase(alg.cocycle.value(g, h))
 
 
 def center_dimension(alg: TwistedAlgebra) -> int:

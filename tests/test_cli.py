@@ -3,8 +3,6 @@ import re
 import subprocess
 import sys
 
-import pytest
-
 from transfusion.cli import main
 from transfusion.cochains import read_cochain, shuffle_transgression
 from transfusion.groupoids import point_groupoid
@@ -208,6 +206,32 @@ def test_fusion_table_deterministic_across_worker_counts(capsys):
     _, out1 = run_main(capsys, *args, "--workers", "1")
     _, out2 = run_main(capsys, *args, "--workers", "2")
     assert out1 == out2
+
+
+def test_fusion_table_reports_non_integer_products(monkeypatch, capsys):
+    # a basis whose first line is doubled: sign * sign is half of it
+    from transfusion import cli
+    from transfusion.cyclotomic import identity_matrix
+    from transfusion.fusion import TwistedBundle, basis_bundles
+
+    def doubled_basis(ctx):
+        basis = basis_bundles(ctx)
+        maps = {(0, 0): identity_matrix(2), (0, 1): identity_matrix(2)}
+        return [TwistedBundle(context=ctx, dims=(2, 0), maps=maps)] + basis[1:]
+
+    monkeypatch.setattr(cli, "basis_bundles", doubled_basis)
+    args = ["fusion-table", "--group", "cyclic:2", "--zero"]
+    code, out = run_main(capsys, *args, "--workers", "1")
+    assert code == 1
+    assert (
+        "check integer-expansion: FAIL (3 products with non-integer"
+        " coefficients, first (1,1))" in out
+    )
+    assert "check product-validity: pass" in out
+    assert "check unit-row: FAIL (skipped; table incomplete)" in out
+    assert "result: fail" in out
+    code2, out2 = run_main(capsys, *args, "--workers", "2")
+    assert code2 == 1 and out2 == out
 
 
 def test_group_file_specs(tmp_path, capsys):

@@ -14,12 +14,13 @@ from transfusion.cochains import (
     random_cochain,
     zero_cochain,
 )
-from transfusion.cyclotomic import as_cyclotomic, mat_trace, phase
+from transfusion.cyclotomic import as_cyclotomic, identity_matrix, mat_trace, phase
 from transfusion.fusion import (
-    FusionError,
+    associativity_violation,
     basis_bundles,
     bundle_violation,
     character,
+    fusion_table,
     kclass_add,
     kclass_eq,
     kclass_keys,
@@ -28,7 +29,6 @@ from transfusion.fusion import (
     make_context,
     regular_bundle,
     star,
-    structure_constants,
     TwistedBundle,
     unit_bundle,
     untwisted_star,
@@ -245,7 +245,7 @@ def test_structure_constants_untwisted_frozen():
     ctx = z2_context()
     basis = basis_bundles(ctx)
     assert len(basis) == 4
-    sc = structure_constants(ctx, basis)
+    sc = fusion_table(ctx, basis).constants
     for i in range(4):
         for j in range(4):
             row = sc[i][j]
@@ -256,7 +256,7 @@ def test_structure_constants_untwisted_frozen():
     ctx3 = s3_context()
     basis3 = basis_bundles(ctx3)
     assert len(basis3) == 8
-    sc3 = structure_constants(ctx3, basis3)
+    sc3 = fusion_table(ctx3, basis3).constants
     dims = [v.total_dim() for v in basis3]
     unit = unit_bundle(ctx3)
     cu = character(unit)
@@ -271,6 +271,48 @@ def test_structure_constants_untwisted_frozen():
             # grading: total dimension is multiplicative
             assert sum(c * dims[k] for k, c in enumerate(row)) == dims[i] * dims[j]
         assert sc3[e][i] == tuple(1 if k == i else 0 for k in range(8))
+
+
+def test_fusion_table_reports_non_integer_coefficients():
+    # the trivial line over the identity doubled: sign * sign is then half
+    # of basis 0, which must come back as a failure, not an exception
+    ctx = z2_context()
+    basis = basis_bundles(ctx)
+    doubled = TwistedBundle(
+        context=ctx,
+        dims=(2, 0),
+        maps={(0, 0): identity_matrix(2), (0, 1): identity_matrix(2)},
+    )
+    assert validate_bundle(doubled)
+    table = fusion_table(ctx, [doubled] + basis[1:])
+    assert (1, 1) in table.non_integer
+    assert table.constants[1][1] is None
+    assert not table.invalid and not table.outside_span
+    assert not table.complete()
+    assert table.constants[0][1] == (0, 2, 0, 0)
+
+
+def test_fusion_table_reports_products_outside_the_span():
+    # without the trivial line over the identity, the squares land on it
+    ctx = z2_context()
+    table = fusion_table(ctx, basis_bundles(ctx)[1:])
+    outside = {(a, b): keys for a, b, keys in table.outside_span}
+    assert set(outside) == {(0, 0), (1, 1), (2, 2)}
+    for keys in outside.values():
+        assert keys and all(k in kclass_keys(ctx) for k in keys)
+    assert table.unit_candidates == []
+    assert not table.invalid and not table.non_integer
+    assert not table.complete() and table.nonassociative is None
+    assert table.constants[1][2] == (1, 0, 0)
+
+
+def test_associativity_violation_finds_the_first_triple():
+    # e0 e0 = e0, e0 e1 = e1, e1 e0 = 0, e1 e1 = e1: the first triple whose
+    # two bracketings differ is (1, 0, 1)
+    table = (((1, 0), (0, 1)), ((0, 0), (0, 1)))
+    assert associativity_violation(table) == (1, 0, 1)
+    group_ring = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
+    assert associativity_violation(group_ring) is None
 
 
 def test_twisted_nonabelian_basis_refused():

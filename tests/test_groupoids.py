@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from transfusion.groups import cyclic, dihedral, elementary_abelian, symmetric

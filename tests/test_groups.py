@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from transfusion.groups import (
-    ConjugacyPartition,
     GroupValidationError,
     all_subgroups,
     centralizer,
