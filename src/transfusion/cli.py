@@ -591,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--group",
             required=True,
-            help="compact spec (cyclic:4, elemab:2,3, symmetric:3,"
+            help="compact spec (cyclic:4, elemab:2,3, symmetric:3, dihedral:4,"
             " product:cyclic:2,cyclic:4) or @path to a group file",
         )
 

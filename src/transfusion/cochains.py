@@ -628,6 +628,8 @@ def read_cochain(lines: Iterable[str], gpd: FiniteGroupoid) -> Cochain:
         if "/" not in toks[-1]:
             raise ValueError(f"value must be p/q, got {toks[-1]!r}")
         num, den = toks[-1].split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {ln!r}")
         val = Fraction(int(num), int(den))
         if degree == 0:
             if not 0 <= key[0] < gpd.n_objects:

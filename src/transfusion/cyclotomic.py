@@ -4,6 +4,11 @@ An element is a polynomial in zeta_N with Fraction coefficients, reduced
 modulo the N-th cyclotomic polynomial. Binary operations promote both sides
 to the lcm conductor. This is enough field theory for unit-circle phases,
 characters, and the small exact linear algebra the fusion checks need.
+
+Bundle maps are monomial matrices of roots of unity and live in
+MonomialMatrix: a permutation plus integer exponents mod N, so composing,
+tensoring and comparing them is integer arithmetic. Dense tuples of
+Cyclotomic rows are kept for linear algebra only.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -240,7 +245,7 @@ class Cyclotomic:
         return Cyclotomic(n, big)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -299,45 +304,28 @@ def matrix(rows) -> Tuple[Tuple[Cyclotomic, ...], ...]:
     return tuple(tuple(as_cyclotomic(x) for x in row) for row in rows)
 
 
-def identity_matrix(n: int) -> Tuple[Tuple[Cyclotomic, ...], ...]:
-    one = Cyclotomic.from_rational(1)
-    zero = Cyclotomic.from_rational(0)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
 def mat_mul(a, b):
+    """Dense product of cyclotomic matrices; only products of two nonzero
+    entries are formed."""
     if not a or not b:
         return ()
     inner = len(b)
     assert all(len(row) == inner for row in a)
-    cols = len(b[0])
+    cols = [
+        [(k, b[k][j]) for k in range(inner) if not b[k][j].is_zero()]
+        for j in range(len(b[0]))
+    ]
     out = []
     for row in a:
         new = []
-        for j in range(cols):
+        for col in cols:
             acc = Cyclotomic.from_rational(0)
-            for k in range(inner):
-                if not row[k].is_zero():
-                    acc = acc + row[k] * b[k][j]
+            for k, y in col:
+                x = row[k]
+                if not x.is_zero():
+                    acc = acc + x * y
             new.append(acc)
         out.append(tuple(new))
-    return tuple(out)
-
-
-def mat_scale(c, a):
-    c = as_cyclotomic(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def kron(a, b):
-    if not a or not b:
-        return ()
-    out = []
-    for ra in a:
-        for rb in b:
-            out.append(tuple(x * y for x in ra for y in rb))
     return tuple(out)
 
 
@@ -348,16 +336,171 @@ def mat_trace(a) -> Cyclotomic:
     return acc
 
 
-def mat_eq(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
+@lru_cache(maxsize=64)
+def _root_exponents(m: int) -> Dict[Tuple[Fraction, ...], int]:
+    """Coefficient tuple at conductor m of zeta_m^k, mapped to k."""
+    return {phase(Fraction(k, m)).key_at(m): k for k in range(m)}
+
+
+class MonomialMatrix:
+    """A square matrix with one root of unity in each row and column.
+
+    Row i holds zeta_N^exps[i] in column perm[i], where N is the modulus.
+    Matrices act on row vectors, so a @ b is "a then b". Two matrices with
+    different moduli meet at the lcm of the two, as cyclotomic numbers
+    meet at the lcm of their conductors.
+    """
+
+    __slots__ = ("perm", "exps", "modulus")
+
+    def __init__(self, perm: Sequence[int], exps: Sequence[int], modulus: int):
+        perm = tuple(perm)
+        if sorted(perm) != list(range(len(perm))):
+            raise ValueError(f"{perm} is not a permutation")
+        if len(exps) != len(perm) or modulus < 1:
+            raise ValueError("need one exponent per row and a positive modulus")
+        self.perm = perm
+        self.exps = tuple(e % modulus for e in exps)
+        self.modulus = modulus
+
+    @staticmethod
+    def _derived(
+        perm: Tuple[int, ...], exps: Sequence[int], modulus: int
+    ) -> "MonomialMatrix":
+        """Result of an operation on valid matrices: perm is a permutation
+        by construction, so only the exponents are reduced."""
+        out = object.__new__(MonomialMatrix)
+        out.perm = perm
+        out.exps = tuple(e % modulus for e in exps)
+        out.modulus = modulus
+        return out
+
+    @staticmethod
+    def identity(n: int) -> "MonomialMatrix":
+        return MonomialMatrix(range(n), (0,) * n, 1)
+
+    @staticmethod
+    def from_angles(perm: Sequence[int], angles: Sequence[Rat]) -> "MonomialMatrix":
+        """Row i to column perm[i] with entry exp(2 pi i angles[i])."""
+        fr = [Fraction(a) % 1 for a in angles]
+        m = 1
+        for a in fr:
+            m = lcm(m, a.denominator)
+        return MonomialMatrix(perm, [a.numerator * (m // a.denominator) for a in fr], m)
+
+    @staticmethod
+    def from_dense(rows) -> "MonomialMatrix":
+        """The monomial form of a dense square matrix; ValueError unless each
+        row and column has exactly one nonzero entry and it is a root of
+        unity."""
+        rows = matrix(rows)
+        n = len(rows)
+        perm = []
+        angles = []
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+            cols = [j for j, x in enumerate(row) if not x.is_zero()]
+            if len(cols) != 1:
+                raise ValueError(f"row {i} has {len(cols)} nonzero entries")
+            x = row[cols[0]]
+            m = x.conductor if x.conductor % 2 == 0 else 2 * x.conductor
+            k = _root_exponents(m).get(x.key_at(m))
+            if k is None:
+                raise ValueError(f"entry {x!r} in row {i} is not a root of unity")
+            perm.append(cols[0])
+            angles.append(Fraction(k, m))
+        if len(set(perm)) != n:
+            raise ValueError("two rows have their nonzero entry in the same column")
+        return MonomialMatrix.from_angles(perm, angles)
+
+    def __len__(self) -> int:
+        return len(self.perm)
+
+    def exps_at(self, m: int) -> Tuple[int, ...]:
+        """Exponents over the modulus m, a multiple of this one."""
+        if m == self.modulus:
+            return self.exps
+        if m % self.modulus:
+            raise ValueError(f"cannot lift modulus {self.modulus} into {m}")
+        step = m // self.modulus
+        return tuple(e * step for e in self.exps)
+
+    def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
+        if len(self) != len(other):
+            raise ValueError("monomial matrices of different sizes")
+        m = lcm(self.modulus, other.modulus)
+        ea, eb = self.exps_at(m), other.exps_at(m)
+        pb = other.perm
+        return MonomialMatrix._derived(
+            tuple(pb[p] for p in self.perm),
+            [e + eb[p] for e, p in zip(ea, self.perm)],
+            m,
+        )
+
+    def kron(self, other: "MonomialMatrix") -> "MonomialMatrix":
+        """Kronecker product: row i*len(other) + k pairs row i with row k."""
+        m = lcm(self.modulus, other.modulus)
+        ea, eb = self.exps_at(m), other.exps_at(m)
+        nb = len(other)
+        return MonomialMatrix._derived(
+            tuple(p * nb + q for p in self.perm for q in other.perm),
+            [x + y for x in ea for y in eb],
+            m,
+        )
+
+    def scale(self, angle: Rat) -> "MonomialMatrix":
+        """This matrix times exp(2 pi i angle)."""
+        m = lcm(self.modulus, angle.denominator)
+        shift = angle.numerator * (m // angle.denominator)
+        return MonomialMatrix._derived(self.perm, [e + shift for e in self.exps_at(m)], m)
+
+    @staticmethod
+    def stack(blocks: Sequence[Tuple[int, "MonomialMatrix"]]) -> "MonomialMatrix":
+        """Block matrix whose k-th band of rows is blocks[k][1], placed at
+        column offset blocks[k][0]."""
+        m = 1
+        for _, b in blocks:
+            m = lcm(m, b.modulus)
+        perm: List[int] = []
+        exps: List[int] = []
+        for c0, b in blocks:
+            perm.extend(c0 + p for p in b.perm)
+            exps.extend(b.exps_at(m))
+        return MonomialMatrix(perm, exps, m)
+
+    def __eq__(self, other):
+        if not isinstance(other, MonomialMatrix):
+            return NotImplemented
+        if self.perm != other.perm:
             return False
-        for x, y in zip(ra, rb):
-            if x != y:
-                return False
-    return True
+        m = lcm(self.modulus, other.modulus)
+        return self.exps_at(m) == other.exps_at(m)
+
+    __hash__ = None
+
+    def trace(self) -> Cyclotomic:
+        """Sum of the diagonal, from a count vector over Z/N."""
+        m = self.modulus
+        counts = [0] * m
+        for i, (p, e) in enumerate(zip(self.perm, self.exps)):
+            if p == i:
+                counts[e] += 1
+        out = Cyclotomic(m, counts)
+        return Cyclotomic.from_rational(out.coeffs[0]) if out.is_rational() else out
+
+    def dense(self) -> Tuple[Tuple[Cyclotomic, ...], ...]:
+        zero = Cyclotomic.from_rational(0)
+        n = len(self)
+        rows = []
+        for p, e in zip(self.perm, self.exps):
+            row = [zero] * n
+            row[p] = phase(Fraction(e, self.modulus))
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def __repr__(self):
+        return f"MonomialMatrix(perm={self.perm}, exps={self.exps}, modulus={self.modulus})"
 
 
 def row_reduce(rows: Sequence[Sequence[Cyclotomic]]):

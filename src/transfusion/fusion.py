@@ -14,7 +14,8 @@ and forces the sign of the correction phase; make_context verifies it
 before anything else runs.
 
 Matrices act on row vectors throughout, so a path "a then b" multiplies as
-R(a) @ R(b).
+R(a) @ R(b). Every bundle map is a MonomialMatrix: a permutation with a
+root of unity in each row.
 """
 
 from __future__ import annotations
@@ -36,13 +37,9 @@ from .cochains import (
 )
 from .cyclotomic import (
     Cyclotomic,
+    MonomialMatrix,
     as_cyclotomic,
-    identity_matrix,
-    kron,
-    mat_eq,
     mat_mul,
-    mat_scale,
-    mat_trace,
     matrix_rank,
     phase,
     row_reduce,
@@ -71,9 +68,6 @@ from .projrep import (
 # a seeded sample instead of the full nerve
 FULL_SWEEP_CAP = 2_000_000
 SAMPLE_SWEEPS = 2000
-
-Matrix = Tuple[Tuple[Cyclotomic, ...], ...]
-
 
 class FusionError(RuntimeError):
     pass
@@ -234,16 +228,16 @@ def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
 class TwistedBundle:
     """Vector spaces graded by group elements with conjugation maps.
 
-    dims[g] is the fiber dimension over g. maps[(g, u)] is the matrix of
-    the map from the fiber over g to the fiber over u^-1 g u, present for
-    every g with a nonzero fiber and every u. The composite of the maps for
+    dims[g] is the fiber dimension over g. maps[(g, u)] is the monomial
+    matrix of the map from the fiber over g to the fiber over u^-1 g u,
+    present for every g with a nonzero fiber and every u. The composite of the maps for
     u1 and u2 must equal the map for u1*u2 times the phase of
     tau(g; u1, u2).
     """
 
     context: TwistContext
     dims: Tuple[int, ...]
-    maps: Dict[Tuple[int, int], Matrix] = field(repr=False)
+    maps: Dict[Tuple[int, int], MonomialMatrix] = field(repr=False)
 
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -270,10 +264,10 @@ def bundle_violation(v: TwistedBundle) -> Optional[Tuple[str, tuple]]:
         return ("map-keys", (tuple(sorted(missing))[:3], tuple(sorted(extra))[:3]))
     for (g, u), mat in v.maps.items():
         h = group.conjugate(g, u)
-        if len(mat) != v.dims[g] or any(len(row) != v.dims[h] for row in mat):
+        if len(mat) != v.dims[g] or len(mat) != v.dims[h]:
             return ("matrix-shape", (g, u))
     for g in range(n):
-        if v.dims[g] and not mat_eq(v.maps[(g, 0)], identity_matrix(v.dims[g])):
+        if v.dims[g] and v.maps[(g, 0)] != MonomialMatrix.identity(v.dims[g]):
             return ("identity-map", (g,))
     for g in range(n):
         if not v.dims[g]:
@@ -282,12 +276,9 @@ def bundle_violation(v: TwistedBundle) -> Optional[Tuple[str, tuple]]:
             h = group.conjugate(g, u1)
             left = v.maps[(g, u1)]
             for u2 in range(n):
-                lhs = mat_mul(left, v.maps[(h, u2)])
-                rhs = mat_scale(
-                    phase(ctx.tau_value(g, u1, u2)),
-                    v.maps[(g, group.mult[u1][u2])],
-                )
-                if not mat_eq(lhs, rhs):
+                lhs = left @ v.maps[(h, u2)]
+                rhs = v.maps[(g, group.mult[u1][u2])].scale(ctx.tau_value(g, u1, u2))
+                if lhs != rhs:
                     return ("composition", (g, u1, u2))
     return None
 
@@ -307,7 +298,8 @@ def unit_bundle(ctx: TwistContext) -> TwistedBundle:
     n = ctx.group.order
     dims = tuple(1 if g == 0 else 0 for g in range(n))
     maps = {
-        (0, u): ((phase(ctx.mu_value(0, 0, u)),),) for u in range(n)
+        (0, u): MonomialMatrix.from_angles((0,), (ctx.mu_value(0, 0, u),))
+        for u in range(n)
     }
     return TwistedBundle(context=ctx, dims=dims, maps=maps)
 
@@ -321,16 +313,14 @@ def regular_bundle(ctx: TwistContext) -> TwistedBundle:
         raise ValueError("regular bundle needs a normalized context")
     group = ctx.group
     n = group.order
-    zero = as_cyclotomic(0)
     dims = tuple(n if g == 0 else 0 for g in range(n))
-    maps = {}
-    for u in range(n):
-        rows = []
-        for h in range(n):
-            row = [zero] * n
-            row[group.mult[h][u]] = phase(ctx.tau_value(0, h, u))
-            rows.append(tuple(row))
-        maps[(0, u)] = tuple(rows)
+    maps = {
+        (0, u): MonomialMatrix.from_angles(
+            [group.mult[h][u] for h in range(n)],
+            [ctx.tau_value(0, h, u) for h in range(n)],
+        )
+        for u in range(n)
+    }
     return TwistedBundle(context=ctx, dims=dims, maps=maps)
 
 
@@ -361,27 +351,18 @@ def star(a: TwistedBundle, b: TwistedBundle) -> TwistedBundle:
             offsets[g][(g1, g2)] = dims[g]
             pairs[g].append((g1, g2))
             dims[g] += a.dims[g1] * b.dims[g2]
-    zero = as_cyclotomic(0)
-    maps: Dict[Tuple[int, int], Matrix] = {}
+    maps: Dict[Tuple[int, int], MonomialMatrix] = {}
     for g in range(n):
         if not dims[g]:
             continue
         for u in range(n):
             h = group.conjugate(g, u)
-            rows = [[zero] * dims[h] for _ in range(dims[g])]
+            blocks = []
             for g1, g2 in pairs[g]:
-                h1 = group.conjugate(g1, u)
-                h2 = group.conjugate(g2, u)
-                block = kron(a.maps[(g1, u)], b.maps[(g2, u)])
-                c = phase(-ctx.mu_value(g1, g2, u))
-                r0 = offsets[g][(g1, g2)]
-                c0 = offsets[h][(h1, h2)]
-                for i, brow in enumerate(block):
-                    target = rows[r0 + i]
-                    for j, x in enumerate(brow):
-                        if not x.is_zero():
-                            target[c0 + j] = c * x
-            maps[(g, u)] = tuple(tuple(r) for r in rows)
+                block = a.maps[(g1, u)].kron(b.maps[(g2, u)])
+                c0 = offsets[h][(group.conjugate(g1, u), group.conjugate(g2, u))]
+                blocks.append((c0, block.scale(-ctx.mu_value(g1, g2, u))))
+            maps[(g, u)] = MonomialMatrix.stack(blocks)
     return TwistedBundle(context=ctx, dims=tuple(dims), maps=maps)
 
 
@@ -390,8 +371,9 @@ def untwisted_star(a: TwistedBundle, b: TwistedBundle) -> TwistedBundle:
 
     Written without the mu machinery on purpose: plain direct sum of
     tensor products over factorizations of each group element, maps
-    permuted by simultaneous conjugation. Only valid when both derived
-    cochains vanish, which is checked.
+    permuted by simultaneous conjugation. The tensor products are built
+    entrywise from dense matrices, not with MonomialMatrix arithmetic. Only
+    valid when both derived cochains vanish, which is checked.
     """
     if a.context is not b.context:
         raise ValueError("bundles live over different contexts")
@@ -409,7 +391,7 @@ def untwisted_star(a: TwistedBundle, b: TwistedBundle) -> TwistedBundle:
         sum(a.dims[g1] * b.dims[g2] for g1, g2 in facts[g]) for g in range(n)
     )
     zero = as_cyclotomic(0)
-    maps: Dict[Tuple[int, int], Matrix] = {}
+    maps: Dict[Tuple[int, int], MonomialMatrix] = {}
     for g in range(n):
         if not dims[g]:
             continue
@@ -424,8 +406,8 @@ def untwisted_star(a: TwistedBundle, b: TwistedBundle) -> TwistedBundle:
                     if p == pair_u:
                         break
                     c0 += a.dims[p[0]] * b.dims[p[1]]
-                ma = a.maps[(g1, u)]
-                mb = b.maps[(g2, u)]
+                ma = a.maps[(g1, u)].dense()
+                mb = b.maps[(g2, u)].dense()
                 db = len(mb)
                 db_cols = len(mb[0]) if db else 0
                 for i1, rowa in enumerate(ma):
@@ -438,7 +420,7 @@ def untwisted_star(a: TwistedBundle, b: TwistedBundle) -> TwistedBundle:
                                 if not xb.is_zero():
                                     out_row[c0 + j1 * db_cols + j2] = xa * xb
                 r0 += a.dims[g1] * b.dims[g2]
-            maps[(g, u)] = tuple(tuple(r) for r in rows)
+            maps[(g, u)] = MonomialMatrix.from_dense(rows)
     return TwistedBundle(context=ctx, dims=dims, maps=maps)
 
 
@@ -477,7 +459,7 @@ def trace_table(v: TwistedBundle) -> Dict[Tuple[int, int], Cyclotomic]:
     table = {}
     for g, u in kclass_keys(ctx):
         if v.dims[g]:
-            table[(g, u)] = mat_trace(v.maps[(g, u)])
+            table[(g, u)] = v.maps[(g, u)].trace()
         else:
             table[(g, u)] = zero
     return table
@@ -680,22 +662,9 @@ class CharacterSolver:
         (None, offending keys).
         """
         vec = [table[k] for k in self.keys]
-        sub = [vec[r] for r in self._chosen]
-        coeffs = []
-        for inv_row in self._inv:
-            acc = as_cyclotomic(0)
-            for f, x in zip(inv_row, sub):
-                if not f.is_zero() and not x.is_zero():
-                    acc = acc + f * x
-            coeffs.append(acc)
-        bad = []
-        for r, row in enumerate(self._rows):
-            acc = as_cyclotomic(0)
-            for c, x in zip(coeffs, row):
-                if not c.is_zero() and not x.is_zero():
-                    acc = acc + c * x
-            if acc != vec[r]:
-                bad.append(self.keys[r])
+        coeffs = [row[0] for row in mat_mul(self._inv, [[vec[r]] for r in self._chosen])]
+        back = mat_mul(self._rows, [[c] for c in coeffs])
+        bad = [self.keys[r] for r, row in enumerate(back) if row[0] != vec[r]]
         if bad:
             return None, bad
         return coeffs, []

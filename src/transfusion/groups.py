@@ -87,14 +87,19 @@ class ConjugacyPartition:
         return tuple(c[0] for c in self.classes)
 
 
+def _check_order(order: int, order_cap: int) -> None:
+    """Refuse an order over the cap before any table of that size is built."""
+    if order > order_cap:
+        raise GroupValidationError(f"group order {order} exceeds cap {order_cap}")
+
+
 def _validate_table(
     mult: Sequence[Sequence[int]], order_cap: int
 ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
     n = len(mult)
     if n == 0:
         raise GroupValidationError("empty multiplication table")
-    if n > order_cap:
-        raise GroupValidationError(f"group order {n} exceeds cap {order_cap}")
+    _check_order(n, order_cap)
     rows = []
     for i, row in enumerate(mult):
         if len(row) != n:
@@ -152,6 +157,7 @@ def from_table(
 def cyclic(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n < 1:
         raise GroupValidationError("cyclic order must be positive")
+    _check_order(n, order_cap)
     mult = [[(a + b) % n for b in range(n)] for a in range(n)]
     return from_table(mult, name=f"cyclic:{n}", order_cap=order_cap)
 
@@ -165,8 +171,7 @@ def elementary_abelian(p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> Fi
     if p < 2 or n < 1:
         raise GroupValidationError("need p >= 2 and n >= 1")
     order = p**n
-    if order > order_cap:
-        raise GroupValidationError(f"group order {order} exceeds cap {order_cap}")
+    _check_order(order, order_cap)
 
     def add(a: int, b: int) -> int:
         out = 0
@@ -194,6 +199,7 @@ def direct_product(
     a: FiniteGroup, b: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
     order = a.order * b.order
+    _check_order(order, order_cap)
 
     def enc(x: int, y: int) -> int:
         return x * b.order + y
@@ -239,6 +245,7 @@ def dihedral(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n < 1:
         raise GroupValidationError("dihedral parameter must be positive")
     order = 2 * n
+    _check_order(order, order_cap)
 
     def enc(r: int, f: int) -> int:
         return r % n + n * f
@@ -438,6 +445,8 @@ def _parse_tokens(tokens: List[str], order_cap: int) -> FiniteGroup:
         return elementary_abelian(p, n, order_cap=order_cap)
     if head == "symmetric":
         return symmetric(_take_int(tokens), order_cap=order_cap)
+    if head == "dihedral":
+        return dihedral(_take_int(tokens), order_cap=order_cap)
     if head == "product":
         a = _parse_tokens(tokens, order_cap)
         b = _parse_tokens(tokens, order_cap)
@@ -456,7 +465,8 @@ def _take_int(tokens: List[str]) -> int:
 
 
 def parse_group_spec(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Parse compact specs like cyclic:4, elemab:2,3, product:cyclic:4,cyclic:2."""
+    """Parse compact specs like cyclic:4, elemab:2,3, dihedral:4,
+    product:cyclic:4,cyclic:2."""
     tokens = [t for t in spec.replace(",", ":").split(":") if t != ""]
     group = _parse_tokens(tokens, order_cap)
     if tokens:
@@ -468,7 +478,8 @@ def load_group_lines(
     lines: Iterable[str], order_cap: int = DEFAULT_ORDER_CAP
 ) -> FiniteGroup:
     """Line format: either shorthand (cyclic N, elemab P N, symmetric N,
-    product <specA> <specB>) or an explicit table (order N plus N rows)."""
+    dihedral N, product <specA> <specB>) or an explicit table (order N plus
+    N rows)."""
     rows = [ln.strip() for ln in lines]
     rows = [ln for ln in rows if ln and not ln.startswith("#")]
     if not rows:
@@ -476,26 +487,28 @@ def load_group_lines(
     head = rows[0].split()
     kind = head[0]
     if kind == "order":
-        n = int(head[1])
+        if len(head) != 2:
+            raise GroupValidationError("the order header takes one integer")
+        n = _take_int(head[1:])
         if len(rows) != n + 1:
             raise GroupValidationError(f"expected {n} table rows, found {len(rows) - 1}")
         mult = [[int(x) for x in row.split()] for row in rows[1:]]
         return from_table(mult, order_cap=order_cap)
     if len(rows) != 1:
         raise GroupValidationError("shorthand group files are a single line")
-    if kind == "cyclic":
-        return cyclic(int(head[1]), order_cap=order_cap)
-    if kind == "elemab":
-        return elementary_abelian(int(head[1]), int(head[2]), order_cap=order_cap)
-    if kind == "symmetric":
-        return symmetric(int(head[1]), order_cap=order_cap)
     if kind == "product":
         if len(head) != 3:
             raise GroupValidationError("product shorthand takes two compact specs")
         a = parse_group_spec(head[1], order_cap=order_cap)
         b = parse_group_spec(head[2], order_cap=order_cap)
         return direct_product(a, b, order_cap=order_cap)
-    raise GroupValidationError(f"unknown group file kind {kind!r}")
+    if kind not in ("cyclic", "elemab", "symmetric", "dihedral"):
+        raise GroupValidationError(f"unknown group file kind {kind!r}")
+    tokens = list(head)
+    group = _parse_tokens(tokens, order_cap)
+    if tokens:
+        raise GroupValidationError(f"trailing tokens in group file: {tokens}")
+    return group
 
 
 def construct_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:

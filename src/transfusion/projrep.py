@@ -20,11 +20,8 @@ from typing import Dict, List, Optional, Tuple
 from .cochains import Cochain, coboundary_solve, group_cochain
 from .cyclotomic import (
     Cyclotomic,
+    MonomialMatrix,
     as_cyclotomic,
-    mat_eq,
-    mat_mul,
-    mat_scale,
-    mat_trace,
     matrix_rank,
     phase,
 )
@@ -261,7 +258,7 @@ def induced_monomial_rep(
     group: FiniteGroup,
     members: Tuple[int, ...],
     lam_parent: Dict[int, Fraction],
-) -> Dict[int, Tuple[Tuple[Cyclotomic, ...], ...]]:
+) -> Dict[int, MonomialMatrix]:
     """Representation induced from a linear character of a subgroup.
 
     Basis vectors sit on the cosets H*t; the matrix for u moves coset j to
@@ -269,23 +266,21 @@ def induced_monomial_rep(
     R(u1) @ R(u2) = R(u1 u2) holds on the nose in the row convention.
     """
     reps = _right_coset_reps(group, members)
-    m = len(reps)
     coset_of = {}
     for j, t in enumerate(reps):
         for h in members:
             coset_of[group.mult[h][t]] = j
-    zero = as_cyclotomic(0)
     mats = {}
     for u in group.elements():
-        rows = []
+        perm = []
+        angles = []
         for t in reps:
             tu = group.mult[t][u]
             jp = coset_of[tu]
             h = group.mult[tu][group.inv[reps[jp]]]
-            row = [zero] * m
-            row[jp] = phase(lam_parent[h])
-            rows.append(tuple(row))
-        mats[u] = tuple(rows)
+            perm.append(jp)
+            angles.append(lam_parent[h])
+        mats[u] = MonomialMatrix.from_angles(perm, angles)
     return mats
 
 
@@ -296,9 +291,7 @@ def _char_key(vals: List[Cyclotomic]) -> Tuple[Tuple[Fraction, ...], ...]:
     return tuple(v.key_at(m) for v in vals)
 
 
-def group_irreducibles(
-    group: FiniteGroup,
-) -> List[Dict[int, Tuple[Tuple[Cyclotomic, ...], ...]]]:
+def group_irreducibles(group: FiniteGroup) -> List[Dict[int, MonomialMatrix]]:
     """Ordinary irreducible matrix representations, by monomial induction.
 
     Inductions of linear characters of subgroups are screened with the exact
@@ -308,7 +301,7 @@ def group_irreducibles(
     instead of returning a short list.
     """
     n = group.order
-    found: List[Dict[int, Tuple[Tuple[Cyclotomic, ...], ...]]] = []
+    found: List[Dict[int, MonomialMatrix]] = []
     seen_chars = set()
     total = 0
     for members in sorted(all_subgroups(group), key=lambda mm: (-len(mm), mm)):
@@ -321,7 +314,7 @@ def group_irreducibles(
         for lam in linear_characters(subgrp):
             lam_parent = {mem[i]: lam[i] for i in range(len(mem))}
             rep = induced_monomial_rep(group, members, lam_parent)
-            char = [mat_trace(rep[u]) for u in group.elements()]
+            char = [rep[u].trace() for u in group.elements()]
             ip = as_cyclotomic(0)
             for u in group.elements():
                 ip = ip + char[u] * char[u].conj()
@@ -342,9 +335,7 @@ def group_irreducibles(
     return found
 
 
-def abelian_projective_irreps(
-    tc: TwoCocycleGroup,
-) -> List[Dict[int, Tuple[Tuple[Cyclotomic, ...], ...]]]:
+def abelian_projective_irreps(tc: TwoCocycleGroup) -> List[Dict[int, MonomialMatrix]]:
     """Irreducible projective representations of an abelian group whose
     multiplier is exactly the given normalized cocycle (not just one in its
     class): mats[u] @ mats[v] == phase(tc(u,v)) * mats[uv] for all u, v.
@@ -385,50 +376,45 @@ def abelian_projective_irreps(
         raise AssertionError("cocycle restricted to an isotropic subgroup must split")
 
     reps = _right_coset_reps(group, members)
-    m = len(reps)
     coset_of = {}
     for j, t in enumerate(reps):
         for l in members:
             coset_of[group.mult[l][t]] = j
 
-    zero = as_cyclotomic(0)
     collected = []
     seen_chars = set()
     for chi in linear_characters(lgrp):
-        # row vector for coset j inside the twisted regular representation
+        # vector for coset j inside the twisted regular representation: its
+        # support (the coset) mapped to the angle of each phase entry
         f_rows = []
         for t in reps:
-            row = [zero] * n
-            for i, l in enumerate(lmem):
-                w = -(nu.value((i,)) + chi[i] + tc.value(l, t))
-                row[group.mult[l][t]] = phase(w)
-            f_rows.append(row)
+            f_rows.append(
+                {
+                    group.mult[l][t]: -(nu.value((i,)) + chi[i] + tc.value(l, t)) % 1
+                    for i, l in enumerate(lmem)
+                }
+            )
         mats = {}
-        ok = True
         for u in group.elements():
-            rows = []
+            perm = []
+            angles = []
             for j, t in enumerate(reps):
-                image = [zero] * n
-                for h in (group.mult[l][t] for l in members):
-                    src = f_rows[j][h]
-                    image[group.mult[h][u]] = src * phase(tc.value(h, u))
+                image = {
+                    group.mult[h][u]: (a + tc.value(h, u)) % 1
+                    for h, a in f_rows[j].items()
+                }
                 jp = coset_of[group.mult[t][u]]
+                target = f_rows[jp]
                 anchor = group.mult[members[0]][reps[jp]]
-                c = image[anchor] / f_rows[jp][anchor]
-                if any(
-                    not (image[x] - c * f_rows[jp][x]).is_zero() for x in range(n)
+                c = (image.get(anchor, 0) - target[anchor]) % 1
+                if image.keys() != target.keys() or any(
+                    (image[x] - c - target[x]) % 1 for x in target
                 ):
-                    ok = False
-                    break
-                row = [zero] * m
-                row[jp] = c
-                rows.append(tuple(row))
-            if not ok:
-                break
-            mats[u] = tuple(rows)
-        if not ok:
-            raise AssertionError("induced span not closed under the twisted action")
-        key = _char_key([mat_trace(mats[u]) for u in group.elements()])
+                    raise AssertionError("induced span not closed under the twisted action")
+                perm.append(jp)
+                angles.append(c)
+            mats[u] = MonomialMatrix.from_angles(perm, angles)
+        key = _char_key([mats[u].trace() for u in group.elements()])
         if key not in seen_chars:
             seen_chars.add(key)
             collected.append(mats)
@@ -440,9 +426,9 @@ def abelian_projective_irreps(
     for mats in collected:
         for u in group.elements():
             for v in group.elements():
-                lhs = mat_mul(mats[u], mats[v])
-                rhs = mat_scale(phase(tc.value(u, v)), mats[group.mult[u][v]])
-                if not mat_eq(lhs, rhs):
+                lhs = mats[u] @ mats[v]
+                rhs = mats[group.mult[u][v]].scale(tc.value(u, v))
+                if lhs != rhs:
                     raise AssertionError(
                         f"induced representation has the wrong multiplier at ({u},{v})"
                     )

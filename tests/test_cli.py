@@ -3,6 +3,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from transfusion.cli import main
 from transfusion.cochains import read_cochain, shuffle_transgression
 from transfusion.groupoids import point_groupoid
@@ -211,12 +213,12 @@ def test_fusion_table_deterministic_across_worker_counts(capsys):
 def test_fusion_table_reports_non_integer_products(monkeypatch, capsys):
     # a basis whose first line is doubled: sign * sign is half of it
     from transfusion import cli
-    from transfusion.cyclotomic import identity_matrix
+    from transfusion.cyclotomic import MonomialMatrix
     from transfusion.fusion import TwistedBundle, basis_bundles
 
     def doubled_basis(ctx):
         basis = basis_bundles(ctx)
-        maps = {(0, 0): identity_matrix(2), (0, 1): identity_matrix(2)}
+        maps = {(0, 0): MonomialMatrix.identity(2), (0, 1): MonomialMatrix.identity(2)}
         return [TwistedBundle(context=ctx, dims=(2, 0), maps=maps)] + basis[1:]
 
     monkeypatch.setattr(cli, "basis_bundles", doubled_basis)
@@ -246,6 +248,32 @@ def test_group_file_specs(tmp_path, capsys):
     short.write_text("product cyclic:2 cyclic:2\n")
     code, out = run_main(capsys, "verify", "--group", f"@{short}", "--trials", "2")
     assert code == 0 and "(order 4)" in out
+
+
+@pytest.mark.parametrize(
+    "text", ["order\n", "cyclic\n", "elemab 2\n"], ids=["order", "cyclic", "elemab"]
+)
+def test_group_file_missing_integer_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "bad.grp"
+    path.write_text(text)
+    code = main(["verify", "--group", f"@{path}", "--trials", "1"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cocycle_file_zero_denominator_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.cochain"
+    path.write_text("degree 3\n0 0 0 1/0\n")
+    code = main(["transgress", "--group", "cyclic:2", "--cocycle", str(path)])
+    assert code == 2
+    assert "0 0 0 1/0" in capsys.readouterr().err
+
+
+def test_fusion_table_dihedral_untwisted(capsys):
+    code, out = run_main(capsys, "fusion-table", "--group", "dihedral:4", "--zero")
+    assert code == 0
+    assert "basis: 22 bundles" in out
+    assert "result: pass" in out
 
 
 def test_cocycle_file_input_matches_poly(tmp_path, capsys):

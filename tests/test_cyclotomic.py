@@ -1,22 +1,38 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from transfusion.cyclotomic import (
     Cyclotomic,
+    MonomialMatrix,
     cyclotomic_polynomial,
-    identity_matrix,
-    kron,
-    mat_eq,
-    mat_mul,
     mat_trace,
-    matrix,
     matrix_rank,
     phase,
     solve_linear,
 )
+
+
+def _mat_mul(a, b):
+    zero = Cyclotomic.from_rational(0)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def _kron(a, b):
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def _random_monomial(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    modulus = rng.choice((1, 2, 3, 4, 6, 8, 12))
+    return MonomialMatrix(perm, [rng.randrange(modulus) for _ in range(n)], modulus)
 
 
 def test_cyclotomic_polynomials_small():
@@ -108,14 +124,57 @@ def test_field_arithmetic():
 
 def test_matrix_ops():
     i = phase(Fraction(1, 4))
-    a = matrix([[1, i], [0, 1]])
-    b = matrix([[1, 0], [i, 1]])
-    ab = mat_mul(a, b)
-    # [[1 + i*i, i], [i, 1]] = [[0, i], [i, 1]]
+    w = phase(Fraction(1, 3))
+    a = MonomialMatrix.from_dense([[0, i], [1, 0]])
+    b = MonomialMatrix.from_dense([[w, 0], [0, i]])
+    ab = (a @ b).dense()
+    # [[0, i], [1, 0]] @ [[w, 0], [0, i]] = [[0, -1], [w, 0]]
     assert ab[0][0] == 0
-    assert ab[0][1] == i
-    assert mat_eq(mat_mul(a, identity_matrix(2)), a)
-    assert mat_trace(kron(a, b)) == mat_trace(a) * mat_trace(b)
+    assert ab[0][1] == -1
+    assert ab[1][0] == w
+    assert a @ MonomialMatrix.identity(2) == a
+    assert b.kron(b).trace() == b.trace() * b.trace()
+    assert a.kron(b).trace() == a.trace() * b.trace() == 0
+
+
+def test_monomial_ops_match_dense_reference():
+    rng = random.Random("monomial")
+    for _ in range(60):
+        n, k = rng.randint(1, 4), rng.randint(1, 3)
+        a, b = _random_monomial(rng, n), _random_monomial(rng, n)
+        c = _random_monomial(rng, k)
+        assert (a @ b).dense() == _mat_mul(a.dense(), b.dense())
+        assert a.kron(c).dense() == _kron(a.dense(), c.dense())
+        assert a.trace() == mat_trace(a.dense())
+        angle = Fraction(rng.randrange(12), 12)
+        scaled = tuple(tuple(phase(angle) * x for x in row) for row in a.dense())
+        assert a.scale(angle).dense() == scaled
+        assert MonomialMatrix.from_dense(a.dense()) == a
+
+
+def test_monomial_equality_across_moduli():
+    half = MonomialMatrix([1, 0], [1, 0], 2)
+    assert half == MonomialMatrix([1, 0], [2, 4], 4)
+    assert half != MonomialMatrix([1, 0], [1, 0], 4)
+    assert half != MonomialMatrix([0, 1], [1, 0], 2)
+    assert MonomialMatrix.identity(3) == MonomialMatrix([0, 1, 2], [6, 0, 3], 3)
+    # -1 and -zeta_3 live at odd conductors but are sixth roots of unity
+    minus = MonomialMatrix.from_dense([[0, -1], [-phase(Fraction(1, 3)), 0]])
+    assert minus == MonomialMatrix([1, 0], [3, 5], 6)
+
+
+def test_from_dense_refuses_non_monomial_input():
+    i = phase(Fraction(1, 4))
+    with pytest.raises(ValueError):
+        MonomialMatrix.from_dense([[1, i], [0, 1]])  # two nonzeros in a row
+    with pytest.raises(ValueError):
+        MonomialMatrix.from_dense([[0, 2], [1, 0]])  # 2 is not a root of unity
+    with pytest.raises(ValueError):
+        MonomialMatrix.from_dense([[1 + i, 0], [0, 1]])  # nor is 1 + i
+    with pytest.raises(ValueError):
+        MonomialMatrix.from_dense([[0, 1], [0, i]])  # column 1 twice
+    with pytest.raises(ValueError):
+        MonomialMatrix([0, 0], [0, 0], 1)
 
 
 def test_rank_over_cyclotomics():

@@ -14,7 +14,7 @@ from transfusion.cochains import (
     random_cochain,
     zero_cochain,
 )
-from transfusion.cyclotomic import as_cyclotomic, identity_matrix, mat_trace, phase
+from transfusion.cyclotomic import MonomialMatrix, as_cyclotomic, mat_trace, phase
 from transfusion.fusion import (
     associativity_violation,
     basis_bundles,
@@ -35,7 +35,7 @@ from transfusion.fusion import (
     validate_bundle,
 )
 from transfusion.groupoids import point_groupoid
-from transfusion.groups import cyclic, elementary_abelian, symmetric
+from transfusion.groups import cyclic, dihedral, elementary_abelian, symmetric
 from transfusion.projrep import BasisError, linear_characters
 
 _CTX = {}
@@ -55,6 +55,13 @@ def s3_context():
     return _CTX["s3"]
 
 
+def d4_context():
+    if "d4" not in _CTX:
+        group = dihedral(4)
+        _CTX["d4"] = make_context(group, zero_cochain(point_groupoid(group), 3))
+    return _CTX["d4"]
+
+
 def z2_context():
     if "z2" not in _CTX:
         group = cyclic(2)
@@ -66,7 +73,7 @@ def trace_table(v):
     """Raw character table without the validation pass of character()."""
     zero = as_cyclotomic(0)
     return {
-        (g, u): mat_trace(v.maps[(g, u)]) if v.dims[g] else zero
+        (g, u): mat_trace(v.maps[(g, u)].dense()) if v.dims[g] else zero
         for g, u in kclass_keys(v.context)
     }
 
@@ -116,12 +123,12 @@ def test_bundle_validator_negative_controls():
 
     # flip one map by a half phase: composition must fail and name a triple
     bad_maps = dict(reg.maps)
-    bad_maps[(0, 3)] = tuple(
-        tuple(phase(Fraction(1, 2)) * x for x in row) for row in bad_maps[(0, 3)]
+    bad_maps[(0, 3)] = MonomialMatrix.from_dense(
+        tuple(phase(Fraction(1, 2)) * x for x in row) for row in bad_maps[(0, 3)].dense()
     )
     bad = TwistedBundle(context=ctx, dims=reg.dims, maps=bad_maps)
     w = bundle_violation(bad)
-    assert w is not None and w[0] == "composition"
+    assert w == ("composition", (0, 1, 2))
     assert not validate_bundle(bad)
 
     # breaking the identity map is caught before compositions
@@ -228,7 +235,8 @@ def test_unit_is_strict_two_sided():
 
 
 def test_untwisted_star_agreement():
-    for ctx in (z2_context(), s3_context()):
+    # dihedral:4 puts the nonabelian induced-monomial irreducibles under test
+    for ctx in (z2_context(), s3_context(), d4_context()):
         basis = basis_bundles(ctx)
         for a, b in itertools.product(basis, repeat=2):
             s = star(a, b)
@@ -281,7 +289,7 @@ def test_fusion_table_reports_non_integer_coefficients():
     doubled = TwistedBundle(
         context=ctx,
         dims=(2, 0),
-        maps={(0, 0): identity_matrix(2), (0, 1): identity_matrix(2)},
+        maps={(0, 0): MonomialMatrix.identity(2), (0, 1): MonomialMatrix.identity(2)},
     )
     assert validate_bundle(doubled)
     table = fusion_table(ctx, [doubled] + basis[1:])

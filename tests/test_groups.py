@@ -202,8 +202,13 @@ def test_parse_group_spec():
     g = parse_group_spec("product:cyclic:4,cyclic:2")
     assert g.order == 8
     assert groups_isomorphic(g, direct_product(cyclic(4), cyclic(2)))
+    assert groups_isomorphic(parse_group_spec("dihedral:4"), dihedral(4))
     with pytest.raises(GroupValidationError):
         parse_group_spec("cyclic")
+    with pytest.raises(GroupValidationError):
+        parse_group_spec("cyclic:100000")  # refused before any table is built
+    with pytest.raises(GroupValidationError):
+        parse_group_spec("product:cyclic:64,cyclic:64")
     with pytest.raises(GroupValidationError):
         parse_group_spec("frobnicate:3")
     with pytest.raises(GroupValidationError):
@@ -216,6 +221,7 @@ def test_load_group_lines():
     assert groups_isomorphic(g, cyclic(2))
     h = load_group_lines(["product cyclic:2 cyclic:3"])
     assert groups_isomorphic(h, cyclic(6))
+    assert groups_isomorphic(load_group_lines(["dihedral 4"]), dihedral(4))
     with pytest.raises(GroupValidationError):
         load_group_lines(["order 2", "0 1"])
 
