@@ -1,8 +1,8 @@
 """Exact-arithmetic transgression and fusion products on finite groupoids.
 
-Angles live in Q/Z as fractions and phases in cyclotomic fields, so every
-identity the test suite checks is literal equality, never a floating
-tolerance. The top level exports the names of the README's example and the
+Angles live in Q/Z (integers mod N, read out as fractions) and phases in
+cyclotomic fields, so every identity the test suite checks is literal
+equality, never a floating tolerance. The top level exports the names of the README's example and the
 fusion-table pipeline; everything else is imported from its module.
 """
 

@@ -7,7 +7,8 @@ fusion-table (basis bundles and integer structure constants).
 Output discipline: everything semantic goes to stdout and is a pure
 function of the flags and seed, so two runs with the same flags agree
 byte for byte no matter how many workers run; wall-clock timing goes to
-stderr. Exit codes: 0 all checks pass, 1 some check failed, 2 bad input.
+stderr. Exit codes: 0 all checks pass, 1 some check failed, 2 bad input,
+3 an internal fault (any other exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cochains import (
     Cochain,
+    Cocycle,
+    CocycleError,
     bockstein_lift,
     coboundary_solve,
+    cocycle,
     commutator_pairing,
     delta,
     inverse_transgression,
-    is_cocycle,
     parse_poly,
     poly_to_cocycle,
     product_homotopy,
@@ -54,13 +57,12 @@ from .groups import (
     GroupValidationError,
     construct_group,
 )
-from .projrep import (
-    BasisError,
-    CocycleError,
-    cocycle_from_cochain,
-    normalize_cocycle,
-    twisted_rank,
-)
+from .projrep import BasisError, normalize_cocycle, twisted_rank
+
+# verify refuses, before building any groupoid, a group whose largest sweep
+# (order^(degree+1) tuples, the nerve size of the one-object groupoid in
+# degree + 1) or 2-sector composition table (order^4 entries) is larger
+VERIFY_SWEEP_CAP = 2_000_000
 
 
 class InputError(ValueError):
@@ -129,8 +131,17 @@ def resolve_group(spec: str) -> FiniteGroup:
     return construct_group(spec)
 
 
-def load_twist(group: FiniteGroup, args) -> Tuple[Cochain, str]:
-    """Degree-3 cochain from --poly/--cocycle/--zero, plus its description."""
+def load_twist(group: FiniteGroup, args) -> Tuple[Cocycle, str]:
+    """Degree-3 cocycle from --poly/--cocycle/--zero, plus its description;
+    a twist that is not closed is bad input."""
+    phi, desc = _read_twist(group, args)
+    try:
+        return cocycle(phi), desc
+    except CocycleError:
+        raise InputError("the chosen twist is not a cocycle")
+
+
+def _read_twist(group: FiniteGroup, args) -> Tuple[Cochain, str]:
     picked = [
         name
         for name, flag in (
@@ -227,8 +238,9 @@ def _trial_sides(state: Dict[str, object], t: int):
         zero_cochain(base, d + 1),
     )
     th = trans(phi)
-    sides["transgression-chain-map"] = (delta(th), trans(delta(phi)))
-    lhs = delta(product_homotopy(phi, two)) + product_homotopy(delta(phi), two)
+    dphi = delta(phi)
+    sides["transgression-chain-map"] = (delta(th), trans(dphi))
+    lhs = delta(product_homotopy(phi, two)) + product_homotopy(dphi, two)
     rhs = (
         pullback(evaluation_hom(two, "e1"), th)
         + pullback(evaluation_hom(two, "e2"), th)
@@ -320,6 +332,20 @@ def cmd_verify(args) -> Report:
     if args.trials < 1:
         raise InputError("--trials must be at least 1")
     group = resolve_group(args.group)
+    n, r = group.order, args.degree + 1
+    # n^r is written out only up to r = 64; past that any n >= 2 is far
+    # over the cap, and n = 1 sweeps a single tuple
+    if n > 1 and (r > 64 or n**r > VERIFY_SWEEP_CAP):
+        size = n**r if r <= 64 else f"{n}^{r}"
+        raise InputError(
+            f"verify at degree {args.degree} on order {n} would sweep {size}"
+            f" tuples, over the cap {VERIFY_SWEEP_CAP}"
+        )
+    if n**4 > VERIFY_SWEEP_CAP:
+        raise InputError(
+            f"verify on order {n} would build a 2-sector composition table of"
+            f" {n**4} entries, over the cap {VERIFY_SWEEP_CAP}"
+        )
     base = point_groupoid(group)
     state = {
         "base": base,
@@ -368,8 +394,6 @@ def cmd_verify(args) -> Report:
 def cmd_transgress(args) -> Report:
     group = resolve_group(args.group)
     phi, desc = load_twist(group, args)
-    if not is_cocycle(phi):
-        raise InputError("the chosen twist is not a cocycle")
     echo = f"transgress --group {args.group} --twist {desc}"
     if args.out:
         echo += f" --out {args.out}"
@@ -388,7 +412,8 @@ def cmd_transgress(args) -> Report:
     for g in group.elements():
         tg, zgrp, members = shuffle_transgression(group, phi, g)
         try:
-            tc, _ = normalize_cocycle(zgrp, cocycle_from_cochain(zgrp, tg))
+            tg = cocycle(tg)
+            tc, _ = normalize_cocycle(zgrp, tg)
         except CocycleError as e:
             cocycle_failures.append((g, str(e)))
             continue
@@ -458,8 +483,6 @@ def cmd_transgress(args) -> Report:
 def cmd_fusion_table(args) -> Report:
     group = resolve_group(args.group)
     phi, desc = load_twist(group, args)
-    if not is_cocycle(phi):
-        raise InputError("the chosen twist is not a cocycle")
     echo = f"fusion-table --group {args.group} --twist {desc}"
     report = Report(command=echo)
     report.body.append(f"group: {args.group} (order {group.order})")
@@ -654,6 +677,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InputError, GroupValidationError, CocycleError, BasisError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        detail = " ".join(str(e).split())
+        print(
+            f"error: internal fault in {args.command}: {type(e).__name__}: {detail}",
+            file=sys.stderr,
+        )
+        return 3
     out = report.render_json() if args.json else report.render_text()
     sys.stdout.write(out)
     print(f"timing: {args.command} {time.perf_counter() - t0:.2f}s", file=sys.stderr)

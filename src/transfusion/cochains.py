@@ -1,9 +1,12 @@
 """Circle-valued cochains on finite groupoids, written additively in Q/Z.
 
 A degree-k cochain assigns a rational-mod-1 value to every composable
-k-tuple of arrows (degree 0: to every object). Everything is exact: values
-are Fractions reduced mod 1, and all identities are tested with literal
-equality.
+k-tuple of arrows (degree 0: to every object). Everything is exact: a
+cochain stores one modulus N and an integer in 1..N-1 for each nonzero
+value, standing for that integer over N mod 1, and all identities are
+tested with literal equality. Fractions appear only at the boundaries:
+the public constructor, value(), the cochain file format and the right-hand
+side of a coboundary solve.
 
 This module carries the transgression machinery (loop-groupoid transgression
 of a cochain, the product homotopy correcting its multiplicativity, the
@@ -14,7 +17,9 @@ polynomial toolkit used to build explicit cocycles on elementary abelian
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -37,42 +42,78 @@ HALF = Fraction(1, 2)
 SOLVE_ENTRY_CAP = 10**6
 
 
+@functools.lru_cache(maxsize=4096)
+def _angle(v: int, modulus: int) -> Fraction:
+    # value() is read in hot loops (bundle validation reads tau tens of
+    # thousands of times) over few distinct angles; Fractions are immutable
+    return Fraction(v, modulus)
+
+
+class CocycleError(ValueError):
+    """A cochain failed the cocycle identity; witness is the first failing
+    key of its coboundary."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class Cochain:
     """Sparse table from key tuples to Q/Z values; absent keys read as 0.
 
     Keys are tuples of arrow indices; degree-0 keys are 1-tuples holding an
-    object index instead.
+    object index instead. table[key] is an integer v in 1..modulus-1 and
+    stands for v/modulus mod 1. The constructor takes any rational values
+    and picks the lcm of their reduced denominators as the modulus.
     """
 
-    __slots__ = ("groupoid", "degree", "table")
+    __slots__ = ("groupoid", "degree", "modulus", "table")
 
     def __init__(self, groupoid: FiniteGroupoid, degree: int, table=None):
         if degree < 0:
             raise ValueError("cochain degree must be nonnegative")
-        norm: Dict[Tuple[int, ...], Fraction] = {}
+        fracs: Dict[Tuple[int, ...], Fraction] = {}
+        modulus = 1
         for key, raw in (table or {}).items():
             v = Fraction(raw) % 1
             if v:
-                norm[tuple(key)] = v
+                fracs[tuple(key)] = v
+                modulus = math.lcm(modulus, v.denominator)
         self.groupoid = groupoid
         self.degree = degree
-        self.table = norm
+        self.modulus = modulus
+        self.table = {
+            k: v.numerator * (modulus // v.denominator) for k, v in fracs.items()
+        }
 
     def value(self, key: Sequence[int]) -> Fraction:
-        return self.table.get(tuple(key), ZERO)
+        v = self.table.get(tuple(key))
+        return _angle(v, self.modulus) if v else ZERO
 
     def is_zero(self) -> bool:
         return not self.table
+
+    def _at(self, modulus: int) -> Dict[Tuple[int, ...], int]:
+        """The integer table over a multiple of the modulus."""
+        if modulus == self.modulus:
+            return self.table
+        f = modulus // self.modulus
+        return {k: v * f for k, v in self.table.items()}
 
     def _binop(self, other: "Cochain", flip: bool) -> "Cochain":
         if not isinstance(other, Cochain):
             return NotImplemented
         if other.groupoid is not self.groupoid or other.degree != self.degree:
             raise ValueError("cochain mismatch: different groupoid or degree")
-        out = dict(self.table)
-        for k, v in other.table.items():
-            out[k] = out.get(k, ZERO) + (-v if flip else v)
-        return Cochain(self.groupoid, self.degree, out)
+        n = math.lcm(self.modulus, other.modulus)
+        out = dict(self._at(n))
+        for k, v in other._at(n).items():
+            s = (out.get(k, 0) + (-v if flip else v)) % n
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return _cochain(self.groupoid, self.degree, n, out)
 
     def __add__(self, other):
         return self._binop(other, flip=False)
@@ -81,21 +122,48 @@ class Cochain:
         return self._binop(other, flip=True)
 
     def __neg__(self):
-        return Cochain(self.groupoid, self.degree, {k: -v for k, v in self.table.items()})
+        n = self.modulus
+        return _cochain(
+            self.groupoid, self.degree, n, {k: n - v for k, v in self.table.items()}
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Cochain):
             return NotImplemented
-        return (
-            self.groupoid is other.groupoid
-            and self.degree == other.degree
-            and self.table == other.table
-        )
+        if other.groupoid is not self.groupoid or other.degree != self.degree:
+            return False
+        n = math.lcm(self.modulus, other.modulus)
+        return self._at(n) == other._at(n)
 
     __hash__ = None
 
     def __repr__(self):
-        return f"Cochain(degree={self.degree}, support={len(self.table)})"
+        return f"{type(self).__name__}(degree={self.degree}, support={len(self.table)})"
+
+
+class Cocycle(Cochain):
+    """A cochain whose coboundary one delta sweep found to vanish.
+
+    Only cocycle() makes one; functions that need a closed input skip their
+    own sweep when handed one. Arithmetic on cocycles returns plain cochains.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Cocycle comes from cochains.cocycle(c)")
+
+
+def _cochain(
+    groupoid: FiniteGroupoid, degree: int, modulus: int, table, cls=Cochain
+) -> Cochain:
+    """Wrap an integer table whose values already lie in 1..modulus-1."""
+    c = object.__new__(cls)
+    c.groupoid = groupoid
+    c.degree = degree
+    c.modulus = modulus
+    c.table = table
+    return c
 
 
 def zero_cochain(gpd: FiniteGroupoid, degree: int) -> Cochain:
@@ -111,42 +179,59 @@ def group_cochain(group: FiniteGroup, degree: int, table) -> Cochain:
 def random_cochain(gpd: FiniteGroupoid, degree: int, rng, denominator: int = 12) -> Cochain:
     """Seeded dense cochain; the lexicographic fill order makes the result a
     pure function of the rng state."""
-    table: Dict[Tuple[int, ...], Fraction] = {}
-    if degree == 0:
-        for x in range(gpd.n_objects):
-            table[(x,)] = Fraction(rng.randrange(denominator), denominator)
-    else:
-        for tup in nerve(gpd, degree):
-            table[tup] = Fraction(rng.randrange(denominator), denominator)
-    return Cochain(gpd, degree, table)
+    keys = [(x,) for x in range(gpd.n_objects)] if degree == 0 else nerve(gpd, degree)
+    table: Dict[Tuple[int, ...], int] = {}
+    for key in keys:
+        v = rng.randrange(denominator)
+        if v:
+            table[key] = v
+    return _cochain(gpd, degree, denominator, table)
 
 
 def delta(c: Cochain) -> Cochain:
     """Coboundary: alternating sum over the faces of each (k+1)-tuple."""
     g = c.groupoid
     k = c.degree
-    out: Dict[Tuple[int, ...], Fraction] = {}
+    n = c.modulus
+    get = c.table.get
+    out: Dict[Tuple[int, ...], int] = {}
     if k == 0:
         for a in range(g.n_arrows):
-            v = c.value((g.target[a],)) - c.value((g.source[a],))
-            if v % 1:
+            v = (get((g.target[a],), 0) - get((g.source[a],), 0)) % n
+            if v:
                 out[(a,)] = v
-        return Cochain(g, 1, out)
+        return _cochain(g, 1, n, out)
+    compose = g.compose
     for tup in nerve(g, k + 1):
-        v = c.value(tup[1:])
+        v = get(tup[1:], 0)
         sign = -1
         for i in range(k):
-            merged = tup[:i] + (g.compose[(tup[i], tup[i + 1])],) + tup[i + 2 :]
-            v += sign * c.value(merged)
+            merged = tup[:i] + (compose[tup[i], tup[i + 1]],) + tup[i + 2 :]
+            v += sign * get(merged, 0)
             sign = -sign
-        v += sign * c.value(tup[:-1])
-        if v % 1:
+        v = (v + sign * get(tup[:-1], 0)) % n
+        if v:
             out[tup] = v
-    return Cochain(g, k + 1, out)
+    return _cochain(g, k + 1, n, out)
+
+
+def cocycle(c: Cochain) -> Cocycle:
+    """c as a Cocycle after one delta sweep; CocycleError names the first
+    key, in nerve order, where the coboundary does not vanish."""
+    if isinstance(c, Cocycle):
+        return c
+    d = delta(c)
+    if not d.is_zero():
+        key = min(d.table)
+        raise CocycleError(
+            f"cocycle identity fails at ({','.join(map(str, key))})", key
+        )
+    return _cochain(c.groupoid, c.degree, c.modulus, c.table, cls=Cocycle)
 
 
 def is_cocycle(c: Cochain) -> bool:
-    return delta(c).is_zero()
+    """True for a Cocycle without a sweep; otherwise one delta sweep."""
+    return isinstance(c, Cocycle) or delta(c).is_zero()
 
 
 def pullback(h: GroupoidHom, c: Cochain) -> Cochain:
@@ -155,18 +240,20 @@ def pullback(h: GroupoidHom, c: Cochain) -> Cochain:
         raise ValueError("cochain does not live on the hom's target groupoid")
     src = h.source
     k = c.degree
-    table: Dict[Tuple[int, ...], Fraction] = {}
+    get = c.table.get
+    table: Dict[Tuple[int, ...], int] = {}
     if k == 0:
         for x in range(src.n_objects):
-            v = c.value((h.object_map[x],))
+            v = get((h.object_map[x],))
             if v:
                 table[(x,)] = v
     else:
+        amap = h.arrow_map
         for tup in nerve(src, k):
-            v = c.value(tuple(h.arrow_map[a] for a in tup))
+            v = get(tuple([amap[a] for a in tup]))
             if v:
                 table[tup] = v
-    return Cochain(src, k, table)
+    return _cochain(src, k, c.modulus, table)
 
 
 def inverse_transgression(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
@@ -187,13 +274,15 @@ def inverse_transgression(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
         raise ValueError("transgression needs degree at least 1")
     k = phi.degree - 1
     lam = sectors.groupoid
-    out: Dict[Tuple[int, ...], Fraction] = {}
+    n = phi.modulus
+    get = phi.table.get
+    out: Dict[Tuple[int, ...], int] = {}
     if k == 0:
         for i, (_, (a,)) in enumerate(sectors.objects):
-            v = phi.value((a,))
+            v = get((a,))
             if v:
                 out[(i,)] = v
-        return Cochain(lam, 0, out)
+        return _cochain(lam, 0, n, out)
     lead_sign = 1 if k % 2 == 0 else -1
     for tup in nerve(lam, k):
         obj0 = sectors.arrows[tup[0]][0]
@@ -202,14 +291,15 @@ def inverse_transgression(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
         dragged = tuple(
             sectors.objects[lam.target[t]][1][0] for t in tup
         )
-        total = lead_sign * phi.value((a0,) + us)
+        total = lead_sign * get((a0,) + us, 0)
         s = lead_sign
         for i in range(1, k + 1):
             s = -s
-            total += s * phi.value(us[:i] + (dragged[i - 1],) + us[i:])
-        if total % 1:
+            total += s * get(us[:i] + (dragged[i - 1],) + us[i:], 0)
+        total %= n
+        if total:
             out[tup] = total
-    return Cochain(lam, k, out)
+    return _cochain(lam, k, n, out)
 
 
 def product_homotopy(phi: Cochain, two_sectors: SectorGroupoid) -> Cochain:
@@ -234,13 +324,15 @@ def product_homotopy(phi: Cochain, two_sectors: SectorGroupoid) -> Cochain:
     k = phi.degree - 2
     gpd2 = two_sectors.groupoid
     parity = -1 if k % 2 else 1
-    out: Dict[Tuple[int, ...], Fraction] = {}
+    n = phi.modulus
+    get = phi.table.get
+    out: Dict[Tuple[int, ...], int] = {}
     if k == 0:
         for i, (_, (a, b)) in enumerate(two_sectors.objects):
-            v = phi.value((a, b))
+            v = get((a, b))
             if v:
                 out[(i,)] = v
-        return Cochain(gpd2, 0, out)
+        return _cochain(gpd2, 0, n, out)
     for tup in nerve(gpd2, k):
         obj0 = two_sectors.arrows[tup[0]][0]
         us = tuple(two_sectors.arrows[t][1] for t in tup)
@@ -250,17 +342,18 @@ def product_homotopy(phi: Cochain, two_sectors: SectorGroupoid) -> Cochain:
             _, (aj, bj) = two_sectors.objects[gpd2.target[t]]
             a_at.append(aj)
             b_at.append(bj)
-        total = ZERO
+        total = 0
         for i in range(k + 1):
             for j in range(i, k + 1):
                 key = us[:i] + (a_at[i],) + us[i:j] + (b_at[j],) + us[j:]
                 if (i + j) % 2:
-                    total -= phi.value(key)
+                    total -= get(key, 0)
                 else:
-                    total += phi.value(key)
-        if total % 1:
-            out[tup] = parity * total
-    return Cochain(gpd2, k, out)
+                    total += get(key, 0)
+        total = parity * total % n
+        if total:
+            out[tup] = total
+    return _cochain(gpd2, k, n, out)
 
 
 def shuffle_transgression(
@@ -280,24 +373,27 @@ def shuffle_transgression(
     zgrp, members = subgroup_as_group(centralizer(group, g))
     k = phi.degree - 1
     base = point_groupoid(zgrp)
-    out: Dict[Tuple[int, ...], Fraction] = {}
+    n = phi.modulus
+    get = phi.table.get
+    out: Dict[Tuple[int, ...], int] = {}
     if k == 0:
-        v = phi.value((g,))
+        v = get((g,))
         if v:
             out[(0,)] = v
-        return Cochain(base, 0, out), zgrp, members
+        return _cochain(base, 0, n, out), zgrp, members
     for tup in itertools.product(range(zgrp.order), repeat=k):
         word = tuple(members[t] for t in tup)
-        total = ZERO
+        total = 0
         for pos in range(k + 1):
             key = word[:pos] + (g,) + word[pos:]
             if (k - pos) % 2:
-                total -= phi.value(key)
+                total -= get(key, 0)
             else:
-                total += phi.value(key)
-        if total % 1:
+                total += get(key, 0)
+        total %= n
+        if total:
             out[tup] = total
-    return Cochain(base, k, out), zgrp, members
+    return _cochain(base, k, n, out), zgrp, members
 
 
 def coboundary_solve(c: Cochain) -> Optional[Cochain]:
@@ -587,10 +683,12 @@ def commutator_pairing(group: FiniteGroup, tau: Cochain) -> Dict[Tuple[int, int]
         raise ValueError("expected a degree-2 cochain on the group groupoid")
     if not is_cocycle(tau):
         raise ValueError("commutator pairing needs a cocycle")
+    n = tau.modulus
+    get = tau.table.get
     out = {}
     for g in group.elements():
         for h in group.elements():
-            out[(g, h)] = (tau.value((g, h)) - tau.value((h, g))) % 1
+            out[(g, h)] = Fraction((get((g, h), 0) - get((h, g), 0)) % n, n)
     return out
 
 
@@ -601,7 +699,7 @@ def commutator_pairing(group: FiniteGroup, tau: Cochain) -> Dict[Tuple[int, int]
 def write_cochain(c: Cochain) -> List[str]:
     lines = [f"degree {c.degree}"]
     for key in sorted(c.table):
-        v = c.table[key]
+        v = c.value(key)
         head = " ".join(str(i) for i in key)
         lines.append(f"{head} {v.numerator}/{v.denominator}".strip())
     return lines

@@ -219,7 +219,7 @@ def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
     conductor = 1
     for c in (tau, mu):
         for v in c.table.values():
-            conductor = math.lcm(conductor, v.denominator)
+            conductor = math.lcm(conductor, c.modulus // math.gcd(v, c.modulus))
     ctx.conductor = conductor
     return ctx
 

@@ -460,16 +460,12 @@ def nerve(gpd: FiniteGroupoid, r: int) -> Iterator[Tuple[int, ...]]:
     """All composable r-tuples of arrows, lexicographic by arrow index."""
     if r < 1:
         raise ValueError("nerve degree must be at least 1")
-
-    def extend(prefix: Tuple[int, ...], depth: int) -> Iterator[Tuple[int, ...]]:
-        if depth == r:
-            yield prefix
-            return
-        for b in gpd.out_arrows[gpd.target[prefix[-1]]]:
-            yield from extend(prefix + (b,), depth + 1)
-
-    for a in range(gpd.n_arrows):
-        yield from extend((a,), 1)
+    out_arrows, target = gpd.out_arrows, gpd.target
+    # one generator per degree, each extending the tuples of the one below
+    level: Iterator[Tuple[int, ...]] = ((a,) for a in range(gpd.n_arrows))
+    for _ in range(r - 1):
+        level = (p + (b,) for p in level for b in out_arrows[target[p[-1]]])
+    yield from level
 
 
 def nerve_size(gpd: FiniteGroupoid, r: int) -> int:

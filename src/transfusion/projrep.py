@@ -17,7 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .cochains import Cochain, coboundary_solve, group_cochain
+from .cochains import (
+    Cochain,
+    CocycleError,
+    coboundary_solve,
+    cocycle,
+    group_cochain,
+)
 from .cyclotomic import (
     Cyclotomic,
     MonomialMatrix,
@@ -39,14 +45,6 @@ from .groupoids import point_groupoid
 ALGEBRA_ORDER_CAP = 64
 
 
-class CocycleError(ValueError):
-    """A G x G table failed the 2-cocycle identity."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class BasisError(RuntimeError):
     """A representation search did not produce a complete set."""
 
@@ -62,38 +60,29 @@ class TwoCocycleGroup:
         return self.values[g][h]
 
 
-def _check_cocycle(group: FiniteGroup, values) -> None:
-    n = group.order
-    if len(values) != n or any(len(row) != n for row in values):
-        raise CocycleError("table shape does not match the group order")
-    for g in range(n):
-        for h in range(n):
-            gh = group.mult[g][h]
-            for k in range(n):
-                total = (
-                    values[h][k]
-                    - values[gh][k]
-                    + values[g][group.mult[h][k]]
-                    - values[g][h]
-                ) % 1
-                if total:
-                    raise CocycleError(
-                        f"cocycle identity fails at ({g},{h},{k})", (g, h, k)
-                    )
-
-
 def normalize_cocycle(
     group: FiniteGroup, values
 ) -> Tuple[TwoCocycleGroup, Tuple[Fraction, ...]]:
     """Validate the cocycle identity, then shift by a coboundary so both
     margins through the identity vanish.
 
-    The identity forces tau(1,g) = tau(g,1) = tau(1,1) for all g, so the
-    shift is the coboundary of the constant 1-cochain at tau(1,1). Returns
-    the normalized cocycle and that shifting 1-cochain.
+    values is a degree-2 cochain on the group's one-object groupoid or a
+    G x G table of angles. The identity is checked by one delta sweep,
+    skipped for a Cocycle; a failure raises CocycleError at the first
+    failing triple (g, h, k). The identity forces tau(1,g) = tau(g,1) =
+    tau(1,1) for all g, so the shift is the coboundary of the constant
+    1-cochain at tau(1,1). Returns the normalized cocycle and that shifting
+    1-cochain.
     """
-    table = tuple(tuple(Fraction(v) % 1 for v in row) for row in values)
-    _check_cocycle(group, table)
+    if not isinstance(values, Cochain):
+        n = group.order
+        if len(values) != n or any(len(row) != n for row in values):
+            raise CocycleError("table shape does not match the group order")
+        values = group_cochain(
+            group, 2, {(g, h): v for g, row in enumerate(values) for h, v in enumerate(row)}
+        )
+    table = cocycle_from_cochain(group, values)
+    cocycle(values)
     c = table[0][0]
     rho = tuple([c] * group.order)
     shifted = tuple(tuple((v - c) % 1 for v in row) for row in table)

@@ -307,3 +307,70 @@ def test_module_entry_point_subprocess():
     # timing stays out of the comparable stream
     assert "timing:" not in proc.stdout
     assert "timing:" in proc.stderr
+
+
+def test_transgress_golden_stdout_e16(capsys):
+    from pathlib import Path
+
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+    golden = expected / "transgress-e16.stdout"
+    code, out = run_main(capsys, "transgress", "--group", "elemab:2,4", "--poly", "xyz")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["transgress", "fusion-table"])
+def test_twist_closedness_swept_once_and_refused(tmp_path, monkeypatch, capsys, command):
+    from transfusion import cli, cochains, fusion
+
+    twist_sweeps = []
+    real_delta = cochains.delta
+
+    def counting_delta(c):
+        if c.degree == 3:
+            twist_sweeps.append(c)
+        return real_delta(c)
+
+    for mod in (cochains, fusion, cli):
+        monkeypatch.setattr(mod, "delta", counting_delta)
+    code, _ = run_main(capsys, command, "--group", "elemab:2,2", "--poly", "x2y")
+    assert code == 0
+    assert len(twist_sweeps) == 1
+
+    path = tmp_path / "open.cochain"
+    path.write_text("degree 3\n0 0 0 1/3\n")
+    code = main([command, "--group", "elemab:2,2", "--cocycle", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error: the chosen twist is not a cocycle"
+
+
+def test_internal_fault_exits_three_on_one_line(monkeypatch, capsys):
+    from transfusion import cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("planted inconsistency")
+
+    monkeypatch.setattr(cli, "shuffle_transgression", broken)
+    code = main(["transgress", "--group", "cyclic:2", "--zero"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal fault in transgress: AssertionError: planted inconsistency\n"
+    )
+
+
+def test_verify_budget_refuses_before_building(capsys):
+    import time
+
+    t0 = time.perf_counter()
+    code = main(["verify", "--group", "cyclic:64", "--degree", "5"])
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert code == 2 and elapsed < 1.0
+    assert err.count("\n") == 1
+    assert str(64**6) in err and "2000000" in err
+    # the 2-sector composition table is budgeted too: 64^3 tuples fit, 64^4 entries do not
+    code = main(["verify", "--group", "cyclic:64", "--degree", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and str(64**4) in err and "2-sector" in err

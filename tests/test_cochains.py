@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from transfusion import cochains
 from transfusion.cochains import (
     Cochain,
+    Cocycle,
+    CocycleError,
     bockstein_lift,
     coboundary_solve,
+    cocycle,
     commutator_pairing,
     cup_one_cochains,
     delta,
@@ -47,7 +51,30 @@ def test_delta_on_order_two_group():
     phi = group_cochain(z2, 1, {(1,): F(1, 4)})
     d = delta(phi)
     # d(g1,g2) = phi(g2) - phi(g1 g2) + phi(g1); only (sigma, sigma) survives
-    assert d.table == {(1, 1): H}
+    assert {key: d.value(key) for key in d.table} == {(1, 1): H}
+
+
+def test_values_compare_and_combine_across_moduli():
+    z2 = cyclic(2)
+    # 1/2 stored as 2 mod 4 by delta, and as 1 mod 2 by the constructor
+    d = delta(group_cochain(z2, 1, {(1,): F(1, 4)}))
+    half = group_cochain(z2, 2, {(1, 1): H})
+    assert (d.modulus, half.modulus) == (4, 2)
+    assert d == half and half == d
+    assert (d - half).is_zero() and (half - d).is_zero()
+    assert d != group_cochain(z2, 2, {(1, 1): F(1, 4)})
+
+    gpd = point_groupoid(symmetric(3))
+    for t in range(5):
+        x = random_cochain(gpd, 2, random.Random(f"mod-x{t}"), denominator=6)
+        w = random_cochain(gpd, 2, random.Random(f"mod-w{t}"), denominator=4)
+        y = (x + w) - w
+        assert (x.modulus, y.modulus) == (6, 12)
+        assert x == y and y == x
+        assert (x - y).is_zero() and (y - x).is_zero()
+        assert all(x.value(key) == y.value(key) for key in nerve(gpd, 2))
+        assert x + w == w + y
+        assert -(x - w) == w - y
 
 
 def test_delta_degree_zero():
@@ -421,6 +448,22 @@ def test_file_roundtrip():
     assert read_cochain(write_cochain(z), lam) == z
 
 
+def test_file_roundtrip_seeded():
+    rng = random.Random("file-seeded")
+    spots = [
+        point_groupoid(cyclic(4)),
+        point_groupoid(symmetric(3)),
+        inertia(point_groupoid(elementary_abelian(2, 2))).groupoid,
+    ]
+    for gpd in spots:
+        for degree in (0, 1, 2, 3):
+            for denominator in (2, 6, 12, 35):
+                c = random_cochain(gpd, degree, rng, denominator=denominator)
+                back = read_cochain(write_cochain(c), gpd)
+                assert back == c
+                assert all(back.value(k) == c.value(k) for k in c.table)
+
+
 def test_file_rejections():
     z2 = cyclic(2)
     swap = action_groupoid(z2, 2, [[0, 1], [1, 0]])
@@ -438,6 +481,80 @@ def test_file_rejections():
         read_cochain(["degree 2", "1 3 1/2", "1 3 1/2"], swap)
     with pytest.raises(ValueError):
         read_cochain(["degree 1", "1 3 1/2"], swap)
+
+
+def _first_failing_triple(group, values):
+    """Lexicographic scan of the 2-cocycle identity on a G x G table."""
+    n = group.order
+    for g in range(n):
+        for h in range(n):
+            gh = group.mult[g][h]
+            for k in range(n):
+                total = (
+                    values[h][k] - values[gh][k] + values[g][group.mult[h][k]] - values[g][h]
+                )
+                if total % 1:
+                    return (g, h, k)
+    return None
+
+
+def test_cocycle_names_the_first_failing_triple():
+    # frozen witnesses of the former hand-written table check
+    planted = [
+        (elementary_abelian(2, 2), (1, 2), F(1, 3), (1, 1, 2)),
+        (symmetric(3), (4, 5), H, (1, 4, 5)),
+        (cyclic(4), (0, 0), F(1, 4), (0, 0, 1)),
+    ]
+    for grp, (g, h), v, want in planted:
+        c = group_cochain(grp, 2, {(g, h): v})
+        with pytest.raises(CocycleError) as exc:
+            cocycle(c)
+        assert exc.value.witness == want
+        assert str(exc.value) == f"cocycle identity fails at ({','.join(map(str, want))})"
+    # one planted defect on top of a nontrivial cocycle, seeded
+    rng = random.Random("planted")
+    g8 = elementary_abelian(2, 3)
+    fx, fy, _ = dual_cochains(g8, 3)
+    base = cup_one_cochains(g8, [fx, fy])
+    for _ in range(20):
+        key = (rng.randrange(8), rng.randrange(8))
+        bad = base + group_cochain(g8, 2, {key: F(rng.randrange(1, 6), 6)})
+        values = [[bad.value((a, b)) for b in range(8)] for a in range(8)]
+        with pytest.raises(CocycleError) as exc:
+            cocycle(bad)
+        assert exc.value.witness == _first_failing_triple(g8, values)
+
+
+def test_cocycle_type_carries_one_sweep(monkeypatch):
+    s3 = symmetric(3)
+    c = delta(random_cochain(point_groupoid(s3), 1, random.Random("one-sweep")))
+    closed = cocycle(c)
+    assert isinstance(closed, Cocycle) and closed == c
+    assert cocycle(closed) is closed
+    assert not isinstance(closed + closed, Cocycle)
+    with pytest.raises(TypeError):
+        Cocycle(point_groupoid(s3), 2, {})
+
+    sweeps = []
+    real_delta = cochains.delta
+
+    def counting_delta(x):
+        sweeps.append(x.degree)
+        return real_delta(x)
+
+    monkeypatch.setattr(cochains, "delta", counting_delta)
+    # a Cocycle skips the closedness sweep; the witness check stays
+    assert coboundary_solve(closed) is not None
+    assert sweeps == [1]
+    sweeps.clear()
+    assert coboundary_solve(c) is not None
+    assert sweeps == [2, 1]
+    sweeps.clear()
+    g4 = elementary_abelian(2, 2)
+    fx, fy = dual_cochains(g4, 2)
+    tau = cup_one_cochains(g4, [fx, fy])
+    assert commutator_pairing(g4, cocycle(tau)) == commutator_pairing(g4, tau)
+    assert sweeps == [2, 2]
 
 
 def test_trivial_group_edge():

@@ -8,6 +8,7 @@ import pytest
 from transfusion.cochains import (
     Cochain,
     coboundary_solve,
+    cocycle,
     commutator_pairing,
     cup_one_cochains,
     delta,
@@ -75,7 +76,19 @@ def test_normalize_rejects_non_cocycle():
     table[1][2] = F(1, 3)
     with pytest.raises(CocycleError) as exc:
         normalize_cocycle(g4, table)
-    assert exc.value.witness is not None
+    assert exc.value.witness == (1, 1, 2)
+    assert str(exc.value) == "cocycle identity fails at (1,1,2)"
+    with pytest.raises(CocycleError):
+        normalize_cocycle(g4, table[1:])
+
+
+def test_normalize_takes_a_cochain():
+    s3 = symmetric(3)
+    b = random_cochain(point_groupoid(s3), 1, random.Random("norm-cochain"))
+    tau = delta(b) + Cochain(point_groupoid(s3), 2, {(g, h): F(1, 5) for g in range(6) for h in range(6)})
+    want = normalize_cocycle(s3, cocycle_from_cochain(s3, tau))
+    assert normalize_cocycle(s3, tau) == want
+    assert normalize_cocycle(s3, cocycle(tau)) == want
 
 
 def test_trivial_cocycle_counts_classes():

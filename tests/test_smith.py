@@ -13,6 +13,25 @@ def _mat_mul(a, b):
     ]
 
 
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _solve_through_u(a, d):
+    """Reference solve of a*x = d mod 1 that builds U: U*d, divide by the
+    diagonal, apply V."""
+    rows, cols = len(a), len(a[0])
+    s, u, v = smith_normal_form(a, _identity(rows))
+    rank = 0
+    while rank < min(rows, cols) and s[rank][rank] != 0:
+        rank += 1
+    ud = [sum((u[i][j] * d[j] for j in range(rows)), Fraction(0)) for i in range(rows)]
+    if any(ud[i].denominator != 1 for i in range(rank, rows)):
+        return None
+    y = [ud[i] / s[i][i] for i in range(rank)] + [Fraction(0)] * (cols - rank)
+    return [sum((v[i][j] * y[j] for j in range(cols)), Fraction(0)) % 1 for i in range(cols)]
+
+
 def _det(m):
     m = [row[:] for row in m]
     n = len(m)
@@ -44,7 +63,7 @@ def _det(m):
 
 def test_snf_known_matrix():
     # frozen: SNF of [[2,4,4],[-6,6,12],[10,4,16]] has diagonal 2, 2, 156
-    s, u, v = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    s, u, v = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], _identity(3))
     assert [s[i][i] for i in range(3)] == [2, 2, 156]
 
 
@@ -54,7 +73,7 @@ def test_snf_transforms_and_divisibility():
         rows = rng.randrange(1, 6)
         cols = rng.randrange(1, 6)
         a = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
-        s, u, v = smith_normal_form(a)
+        s, u, v = smith_normal_form(a, _identity(rows))
         assert _mat_mul(_mat_mul(u, a), v) == s
         assert abs(_det(u)) == 1
         assert abs(_det(v)) == 1
@@ -88,6 +107,42 @@ def test_solve_mod1_roundtrip():
         for i in range(rows):
             acc = sum((a[i][j] * x[j] for j in range(cols)), Fraction(0))
             assert (acc - d[i]) % 1 == 0
+
+
+def test_companion_receives_the_row_operations():
+    rng = random.Random("companion")
+    for _ in range(20):
+        rows = rng.randrange(1, 7)
+        cols = rng.randrange(1, 5)
+        a = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+        b = [[rng.randrange(-9, 10) for _ in range(2)] for _ in range(rows)]
+        s, u, v = smith_normal_form(a, _identity(rows))
+        s2, w, v2 = smith_normal_form(a, b)
+        assert (s2, v2) == (s, v)
+        assert w == _mat_mul(u, b)
+
+
+def test_solve_mod1_matches_a_solve_through_u():
+    # systems of this size (the twelfth one is 18 x 8) grew entries to
+    # millions of bits under a floor-quotient elimination
+    rng = random.Random("solve-through-u")
+    solvable = 0
+    for t in range(40):
+        rows = rng.randrange(1, 31)
+        cols = rng.randrange(1, 9)
+        a = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
+        if t % 2:
+            dens = (1, 2, 3, 4, 6, 8, 12)
+            d = [Fraction(rng.randrange(24), rng.choice(dens)) % 1 for _ in range(rows)]
+        else:
+            # consistent right-hand side a * x0
+            x0 = [Fraction(rng.randrange(30), 30) for _ in range(cols)]
+            d = [sum((a[i][j] * x0[j] for j in range(cols)), Fraction(0)) % 1 for i in range(rows)]
+        x = solve_mod1(a, d)
+        assert x == _solve_through_u(a, d)
+        solvable += x is not None
+    # both outcomes occur
+    assert 0 < solvable < 40
 
 
 def test_solve_mod1_unsolvable():
