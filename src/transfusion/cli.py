@@ -404,7 +404,10 @@ def cmd_transgress(args) -> Report:
     report.data["twist"] = {"description": desc, "support": len(phi.table)}
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as e:
+            raise InputError(f"cannot create output directory {args.out}: {e}")
 
     sectors = []
     total = 0
@@ -456,8 +459,11 @@ def cmd_transgress(args) -> Report:
                 f"# element {g}",
                 f"# centralizer members {' '.join(map(str, members))}",
             ] + write_cochain(tg)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write("\n".join(lines) + "\n")
+            except OSError as e:
+                raise InputError(f"cannot write sector file {path}: {e}")
             report.body.append(f"wrote: {path}")
             rec["file"] = path
         sectors.append(rec)

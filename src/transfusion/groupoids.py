@@ -4,8 +4,12 @@ Conventions used throughout:
   - compose(a, b) means "a then b" and is defined iff target(a) == source(b)
   - loops at an object are arrows with source == target; they form the
     vertex group of the object
-  - sector groupoids package k-tuples of loops at a common object, with
-    arrows given by simultaneous conjugation along a base arrow
+  - the k-sector groupoid of a one-object groupoid with vertex group G is
+    the action groupoid of G acting on G^k by simultaneous conjugation;
+    action_groupoid builds it from the group table, and the action axiom,
+    swept once, stands in for the groupoid laws
+  - make_groupoid is the generic validator, for tables assembled arrow by
+    arrow (fibered products, subgroupoids)
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ def make_groupoid(
     inverse: Sequence[int],
     compose: Dict[Tuple[int, int], int],
     arrow_cap: int = DEFAULT_ARROW_CAP,
-    assoc: str = "auto",
 ) -> FiniteGroupoid:
     source = tuple(source)
     target = tuple(target)
@@ -123,23 +126,18 @@ def make_groupoid(
             if (a, b) not in compose:
                 raise GroupoidValidationError(f"compose missing composable pair ({a},{b})")
 
-    if assoc not in ("auto", "full", "off"):
-        raise ValueError("assoc must be auto, full, or off")
-    if assoc != "off":
-        total = sum(len(out[target[b]]) for (_, b) in compose)
-        stride = 1
-        if assoc == "auto" and total > ASSOC_CHECK_BUDGET:
-            stride = total // ASSOC_CHECK_BUDGET + 1
-        counter = 0
-        for (a, b), ab in compose.items():
-            for c in out[target[b]]:
-                counter += 1
-                if counter % stride:
-                    continue
-                if compose[(ab, c)] != compose[(a, compose[(b, c)])]:
-                    raise GroupoidValidationError(
-                        f"associativity fails at arrows ({a},{b},{c})"
-                    )
+    total = sum(len(out[target[b]]) for (_, b) in compose)
+    stride = total // ASSOC_CHECK_BUDGET + 1 if total > ASSOC_CHECK_BUDGET else 1
+    counter = 0
+    for (a, b), ab in compose.items():
+        for c in out[target[b]]:
+            counter += 1
+            if counter % stride:
+                continue
+            if compose[(ab, c)] != compose[(a, compose[(b, c)])]:
+                raise GroupoidValidationError(
+                    f"associativity fails at arrows ({a},{b},{c})"
+                )
 
     return FiniteGroupoid(
         n_objects=n_objects,
@@ -158,24 +156,22 @@ def make_hom(
     target: FiniteGroupoid,
     object_map: Sequence[int],
     arrow_map: Sequence[int],
-    check: bool = True,
 ) -> GroupoidHom:
     om = tuple(object_map)
     am = tuple(arrow_map)
-    if check:
-        if len(om) != source.n_objects or len(am) != source.n_arrows:
-            raise GroupoidValidationError("hom table lengths disagree with source")
-        for a in range(source.n_arrows):
-            if target.source[am[a]] != om[source.source[a]]:
-                raise GroupoidValidationError(f"hom breaks source at arrow {a}")
-            if target.target[am[a]] != om[source.target[a]]:
-                raise GroupoidValidationError(f"hom breaks target at arrow {a}")
-        for x in range(source.n_objects):
-            if am[source.identity[x]] != target.identity[om[x]]:
-                raise GroupoidValidationError(f"hom breaks identity at object {x}")
-        for (a, b), c in source.compose.items():
-            if target.compose[(am[a], am[b])] != am[c]:
-                raise GroupoidValidationError(f"hom breaks composition at ({a},{b})")
+    if len(om) != source.n_objects or len(am) != source.n_arrows:
+        raise GroupoidValidationError("hom table lengths disagree with source")
+    for a in range(source.n_arrows):
+        if target.source[am[a]] != om[source.source[a]]:
+            raise GroupoidValidationError(f"hom breaks source at arrow {a}")
+        if target.target[am[a]] != om[source.target[a]]:
+            raise GroupoidValidationError(f"hom breaks target at arrow {a}")
+    for x in range(source.n_objects):
+        if am[source.identity[x]] != target.identity[om[x]]:
+            raise GroupoidValidationError(f"hom breaks identity at object {x}")
+    for (a, b), c in source.compose.items():
+        if target.compose[(am[a], am[b])] != am[c]:
+            raise GroupoidValidationError(f"hom breaks composition at ({a},{b})")
     return GroupoidHom(source=source, target=target, object_map=om, arrow_map=am)
 
 
@@ -206,48 +202,67 @@ def action_groupoid(
     act: Sequence[Sequence[int]],
     arrow_cap: int = DEFAULT_ARROW_CAP,
 ) -> FiniteGroupoid:
-    """Right action: arrow (x, g) runs from x to x.g; index is x*|G| + g."""
+    """Right action: arrow (x, g) runs from x to x.g; index is x*|G| + g.
+
+    The group table is validated already, so the action axiom, swept here
+    over every point and pair, implies every law make_groupoid would check:
+    composition is the group product, closed, unital and associative.
+    """
     if len(act) != n_points:
         raise GroupoidValidationError("action table has wrong number of rows")
-    for x in range(n_points):
-        if len(act[x]) != group.order:
-            raise GroupoidValidationError(f"action row {x} has wrong length")
-        if act[x][0] != x:
-            raise GroupoidValidationError(f"identity moves point {x}")
-        for y in act[x]:
-            if not 0 <= y < n_points:
-                raise GroupoidValidationError("action lands outside the point set")
-    for x in range(n_points):
-        for g in group.elements():
-            for h in group.elements():
-                if act[act[x][g]][h] != act[x][group.mul(g, h)]:
-                    raise GroupoidValidationError(
-                        f"action axiom fails at point {x}, elements ({g},{h})"
-                    )
-    n_arrows = n_points * group.order
+    order = group.order
+    n_arrows = n_points * order
     if n_arrows > arrow_cap:
         raise GroupoidValidationError(f"arrow count {n_arrows} exceeds cap {arrow_cap}")
+    for x, row in enumerate(act):
+        if len(row) != order:
+            raise GroupoidValidationError(f"action row {x} has wrong length")
+        if row[0] != x:
+            raise GroupoidValidationError(f"identity moves point {x}")
+        for y in row:
+            if not 0 <= y < n_points:
+                raise GroupoidValidationError("action lands outside the point set")
 
-    def enc(x: int, g: int) -> int:
-        return x * group.order + g
-
-    source = []
-    target = []
-    inverse = []
-    for x in range(n_points):
-        for g in group.elements():
+    elements = group.elements()
+    # every table below refers to these int objects rather than new equal
+    # ones: the compose dict of a 2-sector groupoid has |G|^4 entries
+    out_arrows = tuple(
+        tuple(range(x * order, (x + 1) * order)) for x in range(n_points)
+    )
+    source: List[int] = []
+    target: List[int] = []
+    inverse: List[int] = []
+    compose: Dict[Tuple[int, int], int] = {}
+    for x, row in enumerate(act):
+        xout = out_arrows[x]
+        for g in elements:
+            y = row[g]
+            yrow = act[y]
+            mg = group.mult[g]
+            if list(yrow) != [row[m] for m in mg]:
+                h = next(h for h in elements if yrow[h] != row[mg[h]])
+                raise GroupoidValidationError(
+                    f"action axiom fails at point {x}, elements ({g},{h})"
+                )
+            a = xout[g]
+            yout = out_arrows[y]
             source.append(x)
-            target.append(act[x][g])
-            inverse.append(enc(act[x][g], group.inverse(g)))
-    identity = [enc(x, 0) for x in range(n_points)]
-    compose = {}
-    for x in range(n_points):
-        for g in group.elements():
-            y = act[x][g]
-            for h in group.elements():
-                compose[(enc(x, g), enc(y, h))] = enc(x, group.mul(g, h))
-    return make_groupoid(
-        n_points, source, target, identity, inverse, compose, arrow_cap=arrow_cap
+            target.append(y)
+            inverse.append(yout[group.inv[g]])
+            for h in elements:
+                compose[(a, yout[h])] = xout[mg[h]]
+    return FiniteGroupoid(
+        n_objects=n_points,
+        source=tuple(source),
+        target=tuple(target),
+        identity=tuple(xout[0] for xout in out_arrows),
+        inverse=tuple(inverse),
+        compose=compose,
+        out_arrows=out_arrows,
+        loops=tuple(
+            tuple(xout[g] for g in elements if row[g] == x)
+            for x, (row, xout) in enumerate(zip(act, out_arrows))
+        ),
     )
 
 
@@ -291,76 +306,52 @@ def k_sectors(
     k: int,
     arrow_cap: int = DEFAULT_ARROW_CAP,
 ) -> SectorGroupoid:
+    """The action groupoid of the base's vertex group G on G^k by conjugation.
+
+    The base has one object. Object i is the i-th k-tuple in lexicographic
+    order and arrow (i, v) has index i*|G| + v, with elements numbered as in
+    vertex_group: the base's own arrow numbering when its identity is arrow 0.
+    """
     if isinstance(base, SectorGroupoid):
         raise TypeError(
             "pass a FiniteGroupoid; for sectors of a sector groupoid use .groupoid"
         )
     if k < 1:
         raise ValueError("sector count k must be at least 1")
+    if base.n_objects != 1:
+        raise ValueError(f"k-sectors need a one-object base, not {base.n_objects} objects")
     key = ("sectors", k)
     if key in base.cache:
         return base.cache[key]
 
-    n_arrows = 0
-    for x in range(base.n_objects):
-        n_arrows += len(base.loops[x]) ** k * len(base.out_arrows[x])
-    if n_arrows > arrow_cap:
+    n = base.n_arrows
+    if n ** (k + 1) > arrow_cap:
         raise GroupoidValidationError(
-            f"sector groupoid would have {n_arrows} arrows, over cap {arrow_cap}"
+            f"sector groupoid would have {n ** (k + 1)} arrows, over cap {arrow_cap}"
         )
+    group, members = vertex_group(base, 0)
+    # conj[g][v] = v^-1 g v; point i*|G| + g of G^(j+1) extends point i of G^j by g
+    conj = [[group.conjugate(g, v) for v in range(n)] for g in range(n)]
+    act = conj
+    for _ in range(k - 1):
+        act = [[p * n + c for p, c in zip(row, crow)] for row in act for crow in conj]
+    gpd = action_groupoid(group, len(act), act, arrow_cap=arrow_cap)
 
-    objects: List[Tuple[int, Tuple[int, ...]]] = []
-    for x in range(base.n_objects):
-        for tup in itertools.product(base.loops[x], repeat=k):
-            objects.append((x, tup))
-    obj_index = {ob: i for i, ob in enumerate(objects)}
-
-    arrows: List[Tuple[int, int]] = []
-    for i, (x, _) in enumerate(objects):
-        for v in base.out_arrows[x]:
-            arrows.append((i, v))
-    arrow_index = {ar: j for j, ar in enumerate(arrows)}
-
-    def conj_obj(i: int, v: int) -> int:
-        x, tup = objects[i]
-        y = base.target[v]
-        return obj_index[(y, tuple(_conj_loop(base, a, v) for a in tup))]
-
-    source = []
-    target = []
-    inverse = []
-    for i, v in arrows:
-        source.append(i)
-        j = conj_obj(i, v)
-        target.append(j)
-        inverse.append(arrow_index[(j, base.inverse[v])])
-    identity = []
-    for i, (x, _) in enumerate(objects):
-        identity.append(arrow_index[(i, base.identity[x])])
-    compose = {}
-    for idx, (i, v) in enumerate(arrows):
-        j = target[idx]
-        jx = objects[j][0]
-        for w in base.out_arrows[jx]:
-            compose[(idx, arrow_index[(j, w)])] = arrow_index[(i, base.compose[(v, w)])]
-
-    gpd = make_groupoid(
-        len(objects), source, target, identity, inverse, compose, arrow_cap=arrow_cap
+    objects = tuple(
+        (0, tuple(members[g] for g in tup))
+        for tup in itertools.product(range(n), repeat=k)
     )
-    unit_om = []
-    for x in range(base.n_objects):
-        unit_om.append(obj_index[(x, (base.identity[x],) * k)])
-    unit_am = []
-    for v in range(base.n_arrows):
-        unit_am.append(arrow_index[(unit_om[base.source[v]], v)])
-    unit = make_hom(base, gpd, unit_om, unit_am)
+    arrows = tuple((i, v) for i in range(len(objects)) for v in members)
+    arrow_index = {ar: j for j, ar in enumerate(arrows)}
+    # the tuple of identity loops is point 0
+    unit = make_hom(base, gpd, [0], [arrow_index[(0, v)] for v in range(n)])
     sect = SectorGroupoid(
         base=base,
         k=k,
         groupoid=gpd,
-        objects=tuple(objects),
-        obj_index=obj_index,
-        arrows=tuple(arrows),
+        objects=objects,
+        obj_index={ob: i for i, ob in enumerate(objects)},
+        arrows=arrows,
         arrow_index=arrow_index,
         unit=unit,
     )
@@ -414,7 +405,7 @@ def evaluation_hom(sectors: SectorGroupoid, which: str) -> GroupoidHom:
     digits = [int(c) for c in which[1:]]
     if digits != sorted(set(digits)) or not digits:
         raise ValueError(f"evaluation subset {which!r} must be strictly increasing")
-    if digits[-1] > sectors.k:
+    if digits[0] < 1 or digits[-1] > sectors.k:
         raise ValueError(f"evaluation {which!r} out of range for {sectors.k}-sectors")
     one = k_sectors(base, 1)
     om = []

@@ -374,3 +374,17 @@ def test_verify_budget_refuses_before_building(capsys):
     code = main(["verify", "--group", "cyclic:64", "--degree", "2"])
     err = capsys.readouterr().err
     assert code == 2 and str(64**4) in err and "2-sector" in err
+
+
+@pytest.mark.parametrize("where", ["file", "under-file", "sector-file"])
+def test_transgress_unusable_out_exits_two(tmp_path, capsys, where):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = {"file": blocker, "under-file": blocker / "sub", "sector-file": tmp_path / "d"}[where]
+    if where == "sector-file":
+        (out / "sector_000.cochain").mkdir(parents=True)
+    code = main(["transgress", "--group", "cyclic:2", "--zero", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: cannot ")

@@ -1,8 +1,22 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
+import random
+import re
+
 import pytest
 
-from transfusion.groups import cyclic, dihedral, elementary_abelian, symmetric
+from transfusion import groupoids
+from transfusion.cli import main
+from transfusion.cochains import inverse_transgression, product_homotopy, random_cochain
+from transfusion.groups import (
+    construct_group,
+    cyclic,
+    dihedral,
+    elementary_abelian,
+    symmetric,
+)
 from transfusion.groupoids import (
     GroupoidValidationError,
     action_groupoid,
@@ -159,12 +173,9 @@ def test_evaluation_homs():
     e = evaluation_hom(two, "e")
     assert e.target is base
     assert all(x == 0 for x in e.object_map)
-    with pytest.raises(ValueError):
-        evaluation_hom(two, "e3")
-    with pytest.raises(ValueError):
-        evaluation_hom(two, "e21")
-    with pytest.raises(ValueError):
-        evaluation_hom(two, "twist")
+    for name in ("e3", "e21", "twist", "e0", "e01"):
+        with pytest.raises(ValueError):
+            evaluation_hom(two, name)
 
 
 def test_evaluation_e12_of_involution_pair():
@@ -317,3 +328,188 @@ def test_ab_ba_conjugate():
 def test_sector_cap():
     with pytest.raises(GroupoidValidationError):
         k_sectors(point_groupoid(elementary_abelian(2, 4)), 4, arrow_cap=10**5)
+
+
+def _explicit_sectors(base, k):
+    """The k-sector groupoid assembled arrow by arrow from the base's
+    composition, with no validation: a reference independent of the group
+    table and of action_groupoid."""
+    objects = []
+    for x in range(base.n_objects):
+        for tup in itertools.product(base.loops[x], repeat=k):
+            objects.append((x, tup))
+    obj_index = {ob: i for i, ob in enumerate(objects)}
+    arrows = [(i, v) for i, (x, _) in enumerate(objects) for v in base.out_arrows[x]]
+    arrow_index = {ar: j for j, ar in enumerate(arrows)}
+
+    def conj(a, v):
+        return base.compose[(base.compose[(base.inverse[v], a)], v)]
+
+    source, target, inverse = [], [], []
+    for i, v in arrows:
+        _, tup = objects[i]
+        j = obj_index[(base.target[v], tuple(conj(a, v) for a in tup))]
+        source.append(i)
+        target.append(j)
+        inverse.append(arrow_index[(j, base.inverse[v])])
+    identity = [arrow_index[(i, base.identity[x])] for i, (x, _) in enumerate(objects)]
+    compose = {}
+    for idx, (i, v) in enumerate(arrows):
+        j = target[idx]
+        for w in base.out_arrows[objects[j][0]]:
+            compose[(idx, arrow_index[(j, w)])] = arrow_index[(i, base.compose[(v, w)])]
+    out_arrows = [[] for _ in objects]
+    loops = [[] for _ in objects]
+    for a, (s, t) in enumerate(zip(source, target)):
+        out_arrows[s].append(a)
+        if s == t:
+            loops[s].append(a)
+    unit_om = [obj_index[(x, (base.identity[x],) * k)] for x in range(base.n_objects)]
+    unit_am = [arrow_index[(unit_om[base.source[v]], v)] for v in range(base.n_arrows)]
+    return {
+        "objects": tuple(objects),
+        "obj_index": obj_index,
+        "arrows": tuple(arrows),
+        "arrow_index": arrow_index,
+        "source": tuple(source),
+        "target": tuple(target),
+        "identity": tuple(identity),
+        "inverse": tuple(inverse),
+        "compose": list(compose.items()),
+        "out_arrows": tuple(map(tuple, out_arrows)),
+        "loops": tuple(map(tuple, loops)),
+        "unit": (tuple(unit_om), tuple(unit_am)),
+    }
+
+
+SECTOR_CASES = [
+    (spec, k)
+    for spec in ("cyclic:4", "elemab:2,2", "symmetric:3", "dihedral:4", "elemab:2,3")
+    for k in (1, 2, 3)
+] + [("symmetric:4", 1), ("symmetric:4", 2)]
+
+
+@pytest.mark.parametrize("spec,k", SECTOR_CASES)
+def test_sector_groupoids_are_the_conjugation_action_groupoids(spec, k):
+    base = point_groupoid(construct_group(spec))
+    sect = k_sectors(base, k)
+    gpd = sect.groupoid
+    built = {
+        "objects": sect.objects,
+        "obj_index": sect.obj_index,
+        "arrows": sect.arrows,
+        "arrow_index": sect.arrow_index,
+        "source": gpd.source,
+        "target": gpd.target,
+        "identity": gpd.identity,
+        "inverse": gpd.inverse,
+        "compose": list(gpd.compose.items()),
+        "out_arrows": gpd.out_arrows,
+        "loops": gpd.loops,
+        "unit": (sect.unit.object_map, sect.unit.arrow_map),
+    }
+    for name, value in _explicit_sectors(base, k).items():
+        assert built[name] == value, name
+    # the generic validator accepts the tables as built
+    again = make_groupoid(
+        gpd.n_objects, gpd.source, gpd.target, gpd.identity, gpd.inverse, gpd.compose
+    )
+    assert again.out_arrows == gpd.out_arrows and again.loops == gpd.loops
+
+
+def test_sector_groupoids_never_call_make_groupoid(monkeypatch):
+    calls = []
+    real = groupoids.make_groupoid
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groupoids, "make_groupoid", counted)
+    grp = dihedral(4)
+    # a fresh one-object groupoid, so that no sector groupoid is cached on it
+    base = action_groupoid(grp, 1, [[0] * grp.order])
+    for k in (1, 2, 3):
+        assert k_sectors(base, k).groupoid.n_arrows == grp.order ** (k + 1)
+    assert calls == []
+
+
+def test_action_axiom_refuses_planted_defects_in_a_conjugation_table():
+    grp = symmetric(3)
+    n = grp.order
+    gpd = k_sectors(point_groupoid(grp), 2).groupoid
+    act = [list(gpd.target[i * n : (i + 1) * n]) for i in range(gpd.n_objects)]
+    assert action_groupoid(grp, len(act), act).compose == gpd.compose
+    rng = random.Random(5)
+    for _ in range(20):
+        bad = [row[:] for row in act]
+        x, g = rng.randrange(len(bad)), rng.randrange(1, n)
+        bad[x][g] = (bad[x][g] + rng.randrange(1, len(bad))) % len(bad)
+        with pytest.raises(GroupoidValidationError):
+            action_groupoid(grp, len(bad), bad)
+
+
+def test_sectors_of_a_base_whose_identity_is_not_arrow_zero():
+    # cyclic(3) with its arrows numbered so that the identity is arrow 2
+    label = [2, 0, 1]
+    grp = cyclic(3)
+    compose = {
+        (label[g], label[h]): label[grp.mul(g, h)] for g in range(3) for h in range(3)
+    }
+    inverse = [0] * 3
+    for g in range(3):
+        inverse[label[g]] = label[grp.inverse(g)]
+    base = make_groupoid(1, [0] * 3, [0] * 3, [2], inverse, compose)
+    two = k_sectors(base, 2)
+    assert two.objects[0] == (0, (2, 2))
+    assert two.unit.object_map == (0,)
+    assert sorted(ob for _, ob in two.objects) == sorted(
+        itertools.product(range(3), repeat=2)
+    )
+    gpd = two.groupoid
+    make_groupoid(gpd.n_objects, gpd.source, gpd.target, gpd.identity, gpd.inverse, gpd.compose)
+    # abelian: every arrow is a loop, and e12 multiplies the two loops
+    assert all(s == t for s, t in zip(gpd.source, gpd.target))
+    e12 = evaluation_hom(two, "e12")
+    one = k_sectors(base, 1)
+    for i, (_, (a, b)) in enumerate(two.objects):
+        assert one.objects[e12.object_map[i]][1] == (base.compose[(a, b)],)
+
+
+def test_sectors_refuse_a_base_with_two_objects():
+    with pytest.raises(ValueError):
+        k_sectors(discrete_groupoid(2), 1)
+    z2 = cyclic(2)
+    with pytest.raises(ValueError):
+        k_sectors(action_groupoid(z2, 2, [[0, 1], [1, 0]]), 2)
+
+
+def _digest(c):
+    return hashlib.sha256(repr((c.modulus, sorted(c.table.items()))).encode()).hexdigest()
+
+
+def test_sector_numbering_pinned_by_cochains_and_replays(capsys):
+    # frozen from the arrow-by-arrow construction; verify witnesses and
+    # --check-tuple replays name sector arrows by these indices
+    frozen = {
+        "symmetric:3": (
+            3,
+            "1ab114ca6f6e8522ff86a12012132e3eea8736aa9a262c68e34903f142a6e080",
+            "2a93c00bd90e8ba86e3977d7a12098e1b153d8eb366fade372def8d05d9d6e07",
+        ),
+        "dihedral:4": (
+            4,
+            "031d572229725a464d0ce5cc3f6ff5f9c75ef35d8a512504f4105945e97e5868",
+            "3d1e995414a79d45b2246c12de5e63759b419283a7f3bb7a53a6b2352fe201cf",
+        ),
+    }
+    for spec, (seed, lam_hash, two_hash) in frozen.items():
+        base = point_groupoid(construct_group(spec))
+        phi = random_cochain(base, 3, random.Random(seed))
+        assert _digest(inverse_transgression(phi, inertia(base))) == lam_hash, spec
+        assert _digest(product_homotopy(phi, k_sectors(base, 2))) == two_hash, spec
+    argv = ["verify", "--group", "symmetric:3", "--degree", "3", "--trials", "2"]
+    code = main(argv + ["--seed", "7", "--debug-flip-transgression-sign"])
+    replays = re.findall(r'--check-tuple "([^"]+)"', capsys.readouterr().out)
+    assert code == 1
+    assert replays == ["product-identity:0:0,0", "unit-pullback-triviality:0:1,1"]
