@@ -37,21 +37,16 @@ from .cochains import (
     parse_poly,
     poly_to_cocycle,
     product_homotopy,
-    pullback,
+    product_identity_sides,
     random_cochain,
     read_cochain,
     shuffle_transgression,
+    unit_pullback_sides,
     write_cochain,
     zero_cochain,
 )
 from .fusion import FusionError, basis_bundles, fusion_table, make_context
-from .groupoids import (
-    evaluation_hom,
-    inertia,
-    k_sectors,
-    point_groupoid,
-    unit_embedding,
-)
+from .groupoids import inertia, k_sectors, point_groupoid
 from .groups import (
     FiniteGroup,
     GroupValidationError,
@@ -240,16 +235,11 @@ def _trial_sides(state: Dict[str, object], t: int):
     th = trans(phi)
     dphi = delta(phi)
     sides["transgression-chain-map"] = (delta(th), trans(dphi))
-    lhs = delta(product_homotopy(phi, two)) + product_homotopy(dphi, two)
-    rhs = (
-        pullback(evaluation_hom(two, "e1"), th)
-        + pullback(evaluation_hom(two, "e2"), th)
-        - pullback(evaluation_hom(two, "e12"), th)
+    sides["product-identity"] = product_identity_sides(
+        th, product_homotopy(phi, two), two, mu_d=product_homotopy(dphi, two)
     )
-    sides["product-identity"] = (lhs, rhs)
-    sides["unit-pullback-triviality"] = (
-        pullback(unit_embedding(lam), trans(psi)),
-        delta(pullback(unit_embedding(two), product_homotopy(psi, two))),
+    sides["unit-pullback-triviality"] = unit_pullback_sides(
+        trans(psi), product_homotopy(psi, two), lam, two
     )
     return sides
 
@@ -331,6 +321,8 @@ def cmd_verify(args) -> Report:
         raise InputError("--degree must be at least 2")
     if args.trials < 1:
         raise InputError("--trials must be at least 1")
+    if args.workers < 1:
+        raise InputError("--workers must be at least 1")
     group = resolve_group(args.group)
     n, r = group.order, args.degree + 1
     # n^r is written out only up to r = 64; past that any n >= 2 is far
@@ -369,7 +361,7 @@ def cmd_verify(args) -> Report:
         _replay_tuple(state, report, args.check_tuple)
         return report
 
-    results = _run_trials(state, args.trials, max(1, args.workers))
+    results = _run_trials(state, args.trials, args.workers)
     report.data["trials"] = args.trials
     for name in VERIFY_CHECKS:
         fails = [(t, res[name]) for t, res in enumerate(results) if res[name] is not None]
@@ -487,6 +479,8 @@ def cmd_transgress(args) -> Report:
 
 
 def cmd_fusion_table(args) -> Report:
+    if args.workers < 1:
+        raise InputError("--workers must be at least 1")
     group = resolve_group(args.group)
     phi, desc = load_twist(group, args)
     echo = f"fusion-table --group {args.group} --twist {desc}"

@@ -29,6 +29,7 @@ from .groupoids import (
     FiniteGroupoid,
     GroupoidHom,
     SectorGroupoid,
+    evaluation_hom,
     nerve,
     nerve_size,
     point_groupoid,
@@ -356,6 +357,35 @@ def product_homotopy(phi: Cochain, two_sectors: SectorGroupoid) -> Cochain:
     return _cochain(gpd2, k, n, out)
 
 
+def product_identity_sides(
+    th: Cochain, mu: Cochain, two: SectorGroupoid, mu_d: Optional[Cochain] = None
+) -> Tuple[Cochain, Cochain]:
+    """Both sides of the product identity
+        delta(mu(phi)) + mu(delta(phi)) = e1*th + e2*th - e12*th
+    for th the transgression of phi and mu = mu(phi) its product homotopy.
+    mu_d is mu(delta(phi)); a closed phi has no such term.
+    """
+    lhs = delta(mu)
+    if mu_d is not None:
+        lhs = lhs + mu_d
+    rhs = (
+        pullback(evaluation_hom(two, "e1"), th)
+        + pullback(evaluation_hom(two, "e2"), th)
+        - pullback(evaluation_hom(two, "e12"), th)
+    )
+    return lhs, rhs
+
+
+def unit_pullback_sides(
+    th: Cochain, mu: Cochain, lam: SectorGroupoid, two: SectorGroupoid
+) -> Tuple[Cochain, Cochain]:
+    """Both sides of the unit pullback: for a closed phi, th pulled back to
+    the identity loop is the coboundary of mu pulled back to the identity
+    pair, so the identity sector carries a trivial class.
+    """
+    return pullback(lam.unit, th), delta(pullback(two.unit, mu))
+
+
 def shuffle_transgression(
     group: FiniteGroup, phi: Cochain, g: int
 ) -> Tuple[Cochain, FiniteGroup, Tuple[int, ...]]:
@@ -544,21 +574,6 @@ def parse_poly(spec: str, n_vars: Optional[int] = None) -> Poly2:
         key = tuple(exps.get(i, 0) for i in range(n))
         terms ^= {key}
     return Poly2(n, frozenset(terms))
-
-
-def poly_str(p: Poly2) -> str:
-    if not p.terms:
-        return "0"
-    parts = []
-    for t in sorted(p.terms, reverse=True):
-        word = ""
-        for i, e in enumerate(t):
-            if e == 1:
-                word += VAR_NAMES[i]
-            elif e > 1:
-                word += f"{VAR_NAMES[i]}{e}"
-        parts.append(word or "1")
-    return "|".join(parts)
 
 
 def sq1(p: Poly2) -> Poly2:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -538,27 +538,3 @@ def row_reduce(rows: Sequence[Sequence[Cyclotomic]]):
 def matrix_rank(rows) -> int:
     _, pivots = row_reduce(matrix(rows))
     return len(pivots)
-
-
-def solve_linear(a, b) -> Optional[List[Cyclotomic]]:
-    """One exact solution of A x = b, or None if inconsistent. For systems
-    with free variables the free coordinates are set to zero."""
-    a = matrix(a)
-    bvec = [as_cyclotomic(x) for x in b]
-    if len(a) != len(bvec):
-        raise ValueError("matrix and vector sizes differ")
-    if not a:
-        return []
-    ncols = len(a[0])
-    aug = [list(row) + [bv] for row, bv in zip(a, bvec)]
-    red, pivots = row_reduce(aug)
-    zero = Cyclotomic.from_rational(0)
-    for row in red:
-        if all(x.is_zero() for x in row[:-1]) and not row[-1].is_zero():
-            return None
-    if ncols in pivots:
-        return None
-    x = [zero] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][-1]
-    return x

@@ -33,7 +33,7 @@ from .cochains import (
     inverse_transgression,
     is_cocycle,
     product_homotopy,
-    pullback,
+    product_identity_sides,
 )
 from .cyclotomic import (
     Cyclotomic,
@@ -165,9 +165,6 @@ def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
     two = k_sectors(base, 2)
     tau = inverse_transgression(phi, sectors)
     mu = product_homotopy(phi, two)
-    e1 = evaluation_hom(two, "e1")
-    e2 = evaluation_hom(two, "e2")
-    e12 = evaluation_hom(two, "e12")
 
     n = group.order
     ctx = TwistContext(
@@ -185,11 +182,14 @@ def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
     if n**4 <= FULL_SWEEP_CAP:
         if not delta(tau).is_zero():
             raise FusionError("transgressed cochain is not closed; transgression bug")
-        combined = pullback(e1, tau) + pullback(e2, tau) - pullback(e12, tau)
-        if combined != delta(mu):
+        lhs, rhs = product_identity_sides(tau, mu, two)
+        if lhs != rhs:
             raise FusionError("product identity fails; homotopy bug")
         ctx.validation = "full"
     else:
+        e1 = evaluation_hom(two, "e1")
+        e2 = evaluation_hom(two, "e2")
+        e12 = evaluation_hom(two, "e12")
         _sampled_context_check(ctx, e1, e2, e12, SAMPLE_SWEEPS)
         ctx.validation = f"sampled:{SAMPLE_SWEEPS}"
 
@@ -239,9 +239,6 @@ class TwistedBundle:
     dims: Tuple[int, ...]
     maps: Dict[Tuple[int, int], MonomialMatrix] = field(repr=False)
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def support(self) -> Tuple[int, ...]:
         return tuple(g for g, d in enumerate(self.dims) if d)
 
@@ -281,11 +278,6 @@ def bundle_violation(v: TwistedBundle) -> Optional[Tuple[str, tuple]]:
                 if lhs != rhs:
                     return ("composition", (g, u1, u2))
     return None
-
-
-def validate_bundle(v: TwistedBundle) -> bool:
-    """Whether the grading, identity maps, and twisted composition all hold."""
-    return bundle_violation(v) is None
 
 
 def unit_bundle(ctx: TwistContext) -> TwistedBundle:

@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    centralizer,
-    conjugacy_classes,
-    from_table,
-    groups_isomorphic,
-)
+from .groups import FiniteGroup, from_table, groups_isomorphic
 
 DEFAULT_ARROW_CAP = 10**6
 # full associativity sweeps are capped; beyond this a deterministic stride
@@ -175,24 +168,6 @@ def make_hom(
     return GroupoidHom(source=source, target=target, object_map=om, arrow_map=am)
 
 
-def hom_compose(f: GroupoidHom, g: GroupoidHom) -> GroupoidHom:
-    """f then g."""
-    if f.target is not g.source:
-        raise GroupoidValidationError("homs not composable")
-    om = tuple(g.object_map[x] for x in f.object_map)
-    am = tuple(g.arrow_map[a] for a in f.arrow_map)
-    return GroupoidHom(source=f.source, target=g.target, object_map=om, arrow_map=am)
-
-
-def homs_equal(f: GroupoidHom, g: GroupoidHom) -> bool:
-    return (
-        f.source is g.source
-        and f.target is g.target
-        and f.object_map == g.object_map
-        and f.arrow_map == g.arrow_map
-    )
-
-
 # constructions
 
 
@@ -272,11 +247,6 @@ def point_groupoid(group: FiniteGroup) -> FiniteGroupoid:
     return action_groupoid(group, 1, [[0] * group.order])
 
 
-def discrete_groupoid(n_points: int) -> FiniteGroupoid:
-    trivial = FiniteGroup(order=1, mult=((0,),), inv=(0,), name="trivial")
-    return action_groupoid(trivial, n_points, [[x] for x in range(n_points)])
-
-
 @dataclass(eq=False)
 class SectorGroupoid:
     """k-tuples of loops at a common object, conjugated simultaneously.
@@ -294,11 +264,6 @@ class SectorGroupoid:
     arrows: Tuple[Tuple[int, int], ...] = field(repr=False)
     arrow_index: Dict[Tuple[int, int], int] = field(repr=False)
     unit: GroupoidHom = field(repr=False)
-
-
-def _conj_loop(base: FiniteGroupoid, a: int, v: int) -> int:
-    """Loop a at source(v) dragged along v: inverse(v) then a then v."""
-    return base.compose[(base.compose[(base.inverse[v], a)], v)]
 
 
 def k_sectors(
@@ -363,47 +328,21 @@ def inertia(base: FiniteGroupoid) -> SectorGroupoid:
     return k_sectors(base, 1)
 
 
-def unit_embedding(
-    sectors: SectorGroupoid,
-    from_groupoid: Union[FiniteGroupoid, SectorGroupoid, None] = None,
-) -> GroupoidHom:
-    """The section that pads an object with identity loops.
-
-    Default source is the base groupoid; a sector groupoid over the same
-    base is also accepted, forgetting its loops.
-    """
-    if from_groupoid is None or from_groupoid is sectors.base:
-        return sectors.unit
-    if isinstance(from_groupoid, SectorGroupoid):
-        if from_groupoid.base is not sectors.base:
-            raise GroupoidValidationError("sector groupoids have different bases")
-        base = sectors.base
-        om = []
-        for x, _ in from_groupoid.objects:
-            om.append(sectors.obj_index[(x, (base.identity[x],) * sectors.k)])
-        am = []
-        for i, v in from_groupoid.arrows:
-            am.append(sectors.arrow_index[(om[i], v)])
-        return make_hom(from_groupoid.groupoid, sectors.groupoid, om, am)
-    raise GroupoidValidationError("unit embedding source must share the base groupoid")
-
-
 def evaluation_hom(sectors: SectorGroupoid, which: str) -> GroupoidHom:
     """Evaluation maps out of a k-sector groupoid.
 
     "e<digits>" multiplies the loops named by the digit subset (strictly
-    increasing, 1-based) and lands in the 1-sector groupoid; plain "e" is
-    the projection to the base groupoid.
+    increasing, 1-based) and lands in the 1-sector groupoid. Each map is
+    validated once and cached on the base, beside the sector groupoids.
     """
     base = sectors.base
-    if which == "e":
-        om = [x for x, _ in sectors.objects]
-        am = [v for _, v in sectors.arrows]
-        return make_hom(sectors.groupoid, base, om, am)
+    key = ("evaluation", sectors.k, which)
+    if key in base.cache:
+        return base.cache[key]
     if not which.startswith("e") or not which[1:].isdigit():
         raise ValueError(f"unknown evaluation name {which!r}")
     digits = [int(c) for c in which[1:]]
-    if digits != sorted(set(digits)) or not digits:
+    if digits != sorted(set(digits)):
         raise ValueError(f"evaluation subset {which!r} must be strictly increasing")
     if digits[0] < 1 or digits[-1] > sectors.k:
         raise ValueError(f"evaluation {which!r} out of range for {sectors.k}-sectors")
@@ -417,31 +356,9 @@ def evaluation_hom(sectors: SectorGroupoid, which: str) -> GroupoidHom:
     am = []
     for i, v in sectors.arrows:
         am.append(one.arrow_index[(om[i], v)])
-    return make_hom(sectors.groupoid, one.groupoid, om, am)
-
-
-def sector_rotation(sectors: SectorGroupoid) -> GroupoidHom:
-    """The 3-sector rotation (a, b, c) -> (b, c, (bc)^-1 a (bc)).
-
-    Its cube conjugates every object by the product of its loops.
-    """
-    if sectors.k != 3:
-        raise ValueError("rotation is defined on 3-sector groupoids")
-    base = sectors.base
-    om = []
-    for x, (a, b, c) in sectors.objects:
-        bc = base.compose[(b, c)]
-        om.append(sectors.obj_index[(x, (b, c, _conj_loop(base, a, bc)))])
-    am = []
-    for i, v in sectors.arrows:
-        am.append(sectors.arrow_index[(om[i], v)])
-    return make_hom(sectors.groupoid, sectors.groupoid, om, am)
-
-
-def sector_decomposition(group: FiniteGroup) -> List[Tuple[int, Subgroup]]:
-    """One (representative, centralizer) pair per conjugacy class."""
-    part = conjugacy_classes(group)
-    return [(rep, centralizer(group, rep)) for rep in part.representatives]
+    hom = make_hom(sectors.groupoid, one.groupoid, om, am)
+    base.cache[key] = hom
+    return hom
 
 
 # nerve enumeration

@@ -23,9 +23,11 @@ from transfusion.cochains import (
     parse_poly,
     poly_to_cocycle,
     product_homotopy,
+    product_identity_sides,
     pullback,
     random_cochain,
     shuffle_transgression,
+    unit_pullback_sides,
     zero_cochain,
 )
 from transfusion.fusion import (
@@ -48,7 +50,6 @@ from transfusion.groupoids import (
     nerve,
     point_groupoid,
     sector_triple_product,
-    unit_embedding,
 )
 from transfusion.groups import (
     centralizer,
@@ -152,14 +153,12 @@ def test_criterion_01_product_identity(four_groups, capsys):
         base = point_groupoid(grp)
         lam = inertia(base)
         two = k_sectors(base, 2)
-        e1 = evaluation_hom(two, "e1")
-        e2 = evaluation_hom(two, "e2")
-        e12 = evaluation_hom(two, "e12")
         for t in range(10):
             phi = _trial_cochain(spec, t, base)
             th = inverse_transgression(phi, lam)
-            lhs = delta(product_homotopy(phi, two)) + product_homotopy(delta(phi), two)
-            rhs = pullback(e1, th) + pullback(e2, th) - pullback(e12, th)
+            mu = product_homotopy(phi, two)
+            mu_d = product_homotopy(delta(phi), two)
+            lhs, rhs = product_identity_sides(th, mu, two, mu_d=mu_d)
             assert lhs == rhs
             for tup in nerve(two.groupoid, 2):
                 assert lhs.value(tup) == rhs.value(tup)
@@ -208,8 +207,7 @@ def test_criterion_03_unit_pullback(four_groups, capsys):
             assert is_cocycle(phi)
             th = inverse_transgression(phi, lam)
             mu = product_homotopy(phi, two)
-            lhs = pullback(unit_embedding(lam), th)
-            rhs = delta(pullback(unit_embedding(two), mu))
+            lhs, rhs = unit_pullback_sides(th, mu, lam, two)
             assert lhs == rhs
             checked += 1
     return f"{checked} cocycles"

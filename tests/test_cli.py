@@ -388,3 +388,20 @@ def test_transgress_unusable_out_exits_two(tmp_path, capsys, where):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: cannot ")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--group", "cyclic:3", "--trials", "1"],
+        ["fusion-table", "--group", "cyclic:3", "--zero"],
+    ],
+    ids=["verify", "fusion-table"],
+)
+def test_workers_below_one_exit_two(capsys, argv, workers):
+    code = main(argv + ["--workers", workers])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --workers must be at least 1\n"

@@ -19,15 +19,16 @@ from transfusion.cochains import (
     inverse_transgression,
     is_cocycle,
     parse_poly,
-    poly_str,
     poly_to_cocycle,
     product_homotopy,
+    product_identity_sides,
     pullback,
     random_cochain,
     read_cochain,
     shuffle_transgression,
     sq1,
     sq1_preimage,
+    unit_pullback_sides,
     write_cochain,
     zero_cochain,
 )
@@ -39,7 +40,6 @@ from transfusion.groupoids import (
     k_sectors,
     point_groupoid,
     nerve,
-    unit_embedding,
 )
 
 F = Fraction
@@ -214,13 +214,20 @@ def test_product_identity_for_transgression():
         two = k_sectors(gpd, 2)
         phi = random_cochain(gpd, 3, random.Random(seed))
         th = inverse_transgression(phi, lam)
-        lhs = delta(product_homotopy(phi, two)) + product_homotopy(delta(phi), two)
-        rhs = (
-            pullback(evaluation_hom(two, "e1"), th)
-            + pullback(evaluation_hom(two, "e2"), th)
-            - pullback(evaluation_hom(two, "e12"), th)
-        )
+        mu = product_homotopy(phi, two)
+        mu_d = product_homotopy(delta(phi), two)
+        lhs, rhs = product_identity_sides(th, mu, two, mu_d=mu_d)
         assert lhs == rhs
+        assert lhs == delta(mu) + mu_d
+        # the right side, read pointwise through the evaluation maps
+        e1, e2, e12 = (evaluation_hom(two, w).arrow_map for w in ("e1", "e2", "e12"))
+        for s1, s2 in nerve(two.groupoid, 2):
+            want = (
+                th.value((e1[s1], e1[s2]))
+                + th.value((e2[s1], e2[s2]))
+                - th.value((e12[s1], e12[s2]))
+            ) % 1
+            assert rhs.value((s1, s2)) == want
 
 
 def test_unit_pullback_identity_for_cocycles():
@@ -240,9 +247,9 @@ def test_unit_pullback_identity_for_cocycles():
         two = k_sectors(gpd, 2)
         th = inverse_transgression(phi, lam)
         mu = product_homotopy(phi, two)
-        lhs = pullback(unit_embedding(lam), th)
-        rhs = delta(pullback(unit_embedding(two), mu))
+        lhs, rhs = unit_pullback_sides(th, mu, lam, two)
         assert lhs == rhs
+        assert rhs == delta(pullback(two.unit, mu))
         # the pullback along the unit section reads off values at the
         # identity loop
         unit_obj = lam.obj_index[(0, (0,))]
@@ -381,8 +388,10 @@ def test_poly_parsing():
     p = parse_poly("x2yz|xy2z|xyz2")
     assert p.n == 3 and len(p.terms) == 3 and (2, 1, 1) in p.terms
     assert parse_poly("x|x", 1).is_zero()
-    assert poly_str(parse_poly("xyz")) == "xyz"
-    assert parse_poly(poly_str(p)) == p
+    assert parse_poly("xyz").terms == {(1, 1, 1)}
+    # monomial order, letter order and repeated letters do not matter
+    assert parse_poly("xyz2|x2yz|xy2z") == p
+    assert parse_poly("zyxx|yzyx|zxzy") == p
     with pytest.raises(ValueError):
         parse_poly("q2")
     with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from transfusion.cyclotomic import (
     mat_trace,
     matrix_rank,
     phase,
-    solve_linear,
 )
 
 
@@ -183,16 +182,3 @@ def test_rank_over_cyclotomics():
     assert matrix_rank([[1, i], [i, -1]]) == 1
     assert matrix_rank([[1, i], [i, 1]]) == 2
     assert matrix_rank([[0, 0], [0, 0]]) == 0
-
-
-def test_solve_linear():
-    i = phase(Fraction(1, 4))
-    x = solve_linear([[1, i], [i, 1]], [1 + i, 1 + i])
-    assert x is not None
-    assert x[0] + i * x[1] == 1 + i
-    assert i * x[0] + x[1] == 1 + i
-    # inconsistent
-    assert solve_linear([[1, i], [i, -1]], [1, 0]) is None
-    # underdetermined still returns a valid solution
-    x = solve_linear([[1, i]], [2])
-    assert x is not None and x[0] + i * x[1] == 2

@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import random
 import re
 
 import pytest
 
-from transfusion import groupoids
+from transfusion import cli, groupoids
 from transfusion.cli import main
 from transfusion.cochains import inverse_transgression, product_homotopy, random_cochain
 from transfusion.groups import (
+    centralizer,
+    conjugacy_classes,
     construct_group,
     cyclic,
     dihedral,
@@ -21,13 +24,10 @@ from transfusion.groupoids import (
     GroupoidValidationError,
     action_groupoid,
     connected_components,
-    discrete_groupoid,
     evaluation_hom,
     fibered_product,
     full_subgroupoid,
     groupoids_isomorphic,
-    hom_compose,
-    homs_equal,
     identity_middle_component,
     inertia,
     k_sectors,
@@ -36,12 +36,14 @@ from transfusion.groupoids import (
     nerve,
     nerve_size,
     point_groupoid,
-    sector_decomposition,
-    sector_rotation,
     sector_triple_product,
-    unit_embedding,
     vertex_group,
 )
+
+
+def discrete_groupoid(n_points):
+    """n objects and their identity arrows: the trivial group acting on n points."""
+    return action_groupoid(cyclic(1), n_points, [[x] for x in range(n_points)])
 
 
 def test_point_groupoid_shape():
@@ -102,10 +104,10 @@ def test_inertia_orbits_match_classes():
     for grp in (symmetric(3), dihedral(4), elementary_abelian(2, 3)):
         sect = inertia(point_groupoid(grp))
         comps = connected_components(sect.groupoid)
-        decomp = sector_decomposition(grp)
-        assert len(comps) == len(decomp)
+        reps = conjugacy_classes(grp).representatives
+        assert len(comps) == len(reps)
         # centralizer appears as the vertex group of the matching component
-        sizes_a = sorted(len(c.members) for _, c in decomp)
+        sizes_a = sorted(len(centralizer(grp, rep).members) for rep in reps)
         sizes_b = sorted(
             vertex_group(sect.groupoid, comp[0])[0].order for comp in comps
         )
@@ -169,11 +171,7 @@ def test_evaluation_homs():
         assert one.objects[e1.object_map[i]][1] == (a,)
         assert one.objects[e2.object_map[i]][1] == (b,)
         assert one.objects[e12.object_map[i]][1] == (grp.mul(a, b),)
-    # plain e projects to the base groupoid
-    e = evaluation_hom(two, "e")
-    assert e.target is base
-    assert all(x == 0 for x in e.object_map)
-    for name in ("e3", "e21", "twist", "e0", "e01"):
+    for name in ("e", "e3", "e21", "twist", "e0", "e01"):
         with pytest.raises(ValueError):
             evaluation_hom(two, name)
 
@@ -188,51 +186,42 @@ def test_evaluation_e12_of_involution_pair():
 
 
 def test_unit_embedding_compositions():
+    # padding with identity loops, then evaluating, is the unit of the loops
     grp = symmetric(3)
     base = point_groupoid(grp)
     two = k_sectors(base, 2)
-    lam = unit_embedding(two)
-    e = unit_embedding(k_sectors(base, 1))
-    for which in ("e1", "e2", "e12"):
-        assert homs_equal(hom_compose(lam, evaluation_hom(two, which)), e)
-
-
-def test_unit_embedding_from_sectors():
-    base = point_groupoid(symmetric(3))
     one = k_sectors(base, 1)
-    two = k_sectors(base, 2)
-    lam = unit_embedding(two, one)
-    # every object lands on a pair of identity loops
-    for j in lam.object_map:
-        _, tup = two.objects[j]
-        assert all(base.is_identity_arrow(a) for a in tup)
+    for which in ("e1", "e2", "e12"):
+        ev = evaluation_hom(two, which)
+        assert tuple(ev.object_map[x] for x in two.unit.object_map) == one.unit.object_map
+        assert tuple(ev.arrow_map[a] for a in two.unit.arrow_map) == one.unit.arrow_map
 
 
-def test_sector_rotation_formula():
-    for grp in (symmetric(3), elementary_abelian(2, 2)):
-        base = point_groupoid(grp)
-        three = k_sectors(base, 3)
-        rot = sector_rotation(three)
-        for i, (_, (a, b, c)) in enumerate(three.objects):
-            _, (p, q, r) = three.objects[rot.object_map[i]]
-            bc = grp.mul(b, c)
-            assert (p, q, r) == (b, c, grp.conjugate(a, bc))
-        # cube of the rotation conjugates by the product of the loops
-        for i, (_, (a, b, c)) in enumerate(three.objects):
-            j = rot.object_map[rot.object_map[rot.object_map[i]]]
-            d = grp.mul(grp.mul(a, b), c)
-            _, tup = three.objects[j]
-            assert tup == tuple(grp.conjugate(x, d) for x in (a, b, c))
-        # invertible on objects
-        assert sorted(rot.object_map) == list(range(three.groupoid.n_objects))
+def test_evaluation_homs_are_built_once(monkeypatch, capsys):
+    two = k_sectors(point_groupoid(symmetric(3)), 2)
+    for which in ("e1", "e2", "e12"):
+        assert evaluation_hom(two, which) is evaluation_hom(two, which)
+    calls = []
+    real = groupoids.make_hom
 
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
 
-def test_sector_rotation_on_abelian_is_cyclic_shift():
-    base = point_groupoid(elementary_abelian(2, 3))
-    three = k_sectors(base, 3)
-    rot = sector_rotation(three)
-    for i, (_, (a, b, c)) in enumerate(three.objects):
-        assert three.objects[rot.object_map[i]][1] == (b, c, a)
+    monkeypatch.setattr(groupoids, "make_hom", counted)
+    # a fresh base per run, so that no hom is cached from an earlier one
+    monkeypatch.setattr(
+        cli, "point_groupoid", lambda grp: action_groupoid(grp, 1, [[0] * grp.order])
+    )
+    counts = []
+    for trials in ("1", "4"):
+        calls.clear()
+        argv = ["verify", "--group", "symmetric:3", "--degree", "2", "--trials", trials]
+        assert main(argv) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    # the unit homs of the 1- and 2-sectors, then e1, e2 and e12
+    assert counts == [5, 5]
 
 
 def test_fibered_product_identity_cospan():
@@ -509,7 +498,47 @@ def test_sector_numbering_pinned_by_cochains_and_replays(capsys):
         assert _digest(inverse_transgression(phi, inertia(base))) == lam_hash, spec
         assert _digest(product_homotopy(phi, k_sectors(base, 2))) == two_hash, spec
     argv = ["verify", "--group", "symmetric:3", "--degree", "3", "--trials", "2"]
-    code = main(argv + ["--seed", "7", "--debug-flip-transgression-sign"])
+    argv += ["--seed", "7", "--debug-flip-transgression-sign"]
+    code = main(argv)
     replays = re.findall(r'--check-tuple "([^"]+)"', capsys.readouterr().out)
     assert code == 1
     assert replays == ["product-identity:0:0,0", "unit-pullback-triviality:0:1,1"]
+    assert main(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == FLIP_REPORT_S3
+    frozen_sides = {
+        "product-identity:0:0,0": ["lhs: 3/4", "rhs: 1/4"],
+        "unit-pullback-triviality:0:1,1": ["lhs: 2/3", "rhs: 1/3"],
+    }
+    for replay, sides in frozen_sides.items():
+        assert main(argv + ["--check-tuple", replay]) == 1
+        out = capsys.readouterr().out
+        assert re.findall(r"^(?:lhs|rhs): .*$", out, re.M) == sides, replay
+
+
+# the --json report of the flipped symmetric:3 run above, frozen before the
+# identities moved into cochains.py
+FLIP_REPORT_S3 = {
+    "checks": [
+        {"detail": "2 trials", "name": "coboundary-squares-to-zero", "status": "pass"},
+        {"detail": "2 trials", "name": "transgression-chain-map", "status": "pass"},
+        {
+            "detail": "2 of 2 trials failed",
+            "name": "product-identity",
+            "replay": "product-identity:0:0,0",
+            "status": "fail",
+            "witness": {"key": [0, 0], "trial": 0},
+        },
+        {
+            "detail": "2 of 2 trials failed",
+            "name": "unit-pullback-triviality",
+            "replay": "unit-pullback-triviality:0:1,1",
+            "status": "fail",
+            "witness": {"key": [1, 1], "trial": 0},
+        },
+    ],
+    "command": "verify --group symmetric:3 --degree 3 --trials 2 --seed 7"
+    " --debug-flip-transgression-sign",
+    "group": {"order": 6, "spec": "symmetric:3"},
+    "result": "fail",
+    "trials": 2,
+}
