@@ -56,7 +56,9 @@ from .projrep import BasisError, normalize_cocycle, twisted_rank
 
 # verify refuses, before building any groupoid, a group whose largest sweep
 # (order^(degree+1) tuples, the nerve size of the one-object groupoid in
-# degree + 1) or 2-sector composition table (order^4 entries) is larger
+# degree + 1) or 2-sector composition table (order^4 entries) is larger;
+# transgress and fusion-table refuse, before reading the twist, a group whose
+# degree-3 twist sweep and 2-sector composition table (order^4) are larger
 VERIFY_SWEEP_CAP = 2_000_000
 
 
@@ -124,6 +126,17 @@ def resolve_group(spec: str) -> FiniteGroup:
             raise InputError(f"cannot read group file {path}: {e}")
         return construct_group(lines)
     return construct_group(spec)
+
+
+def check_twist_budget(command: str, group: FiniteGroup) -> None:
+    """Refuse a group whose degree-3 twist sweep and 2-sector composition
+    table, order^4 entries each, exceed VERIFY_SWEEP_CAP."""
+    n = group.order
+    if n**4 > VERIFY_SWEEP_CAP:
+        raise InputError(
+            f"{command} on order {n} would sweep {n**4} degree-3 twist tuples"
+            f" and 2-sector composition entries, over the cap {VERIFY_SWEEP_CAP}"
+        )
 
 
 def load_twist(group: FiniteGroup, args) -> Tuple[Cocycle, str]:
@@ -385,6 +398,7 @@ def cmd_verify(args) -> Report:
 
 def cmd_transgress(args) -> Report:
     group = resolve_group(args.group)
+    check_twist_budget("transgress", group)
     phi, desc = load_twist(group, args)
     echo = f"transgress --group {args.group} --twist {desc}"
     if args.out:
@@ -482,6 +496,7 @@ def cmd_fusion_table(args) -> Report:
     if args.workers < 1:
         raise InputError("--workers must be at least 1")
     group = resolve_group(args.group)
+    check_twist_budget("fusion-table", group)
     phi, desc = load_twist(group, args)
     echo = f"fusion-table --group {args.group} --twist {desc}"
     report = Report(command=echo)

@@ -45,8 +45,8 @@ SOLVE_ENTRY_CAP = 10**6
 
 @functools.lru_cache(maxsize=4096)
 def _angle(v: int, modulus: int) -> Fraction:
-    # value() is read in hot loops (bundle validation reads tau tens of
-    # thousands of times) over few distinct angles; Fractions are immutable
+    # value() is read in hot loops over few distinct angles; Fractions are
+    # immutable
     return Fraction(v, modulus)
 
 

@@ -1,9 +1,13 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_N).
 
-An element is a polynomial in zeta_N with Fraction coefficients, reduced
-modulo the N-th cyclotomic polynomial. Binary operations promote both sides
-to the lcm conductor. This is enough field theory for unit-circle phases,
-characters, and the small exact linear algebra the fusion checks need.
+An element is a polynomial in zeta_N, reduced modulo the N-th cyclotomic
+polynomial and stored as integer numerators over one denominator; since
+that polynomial is monic, reduction and the field operations are integer
+arithmetic. Fraction appears only at the edges: `coeffs`, `inverse`,
+`phase` and the value of a rational that is not an integer.
+Binary operations promote both sides to the lcm conductor. This is enough
+field theory for unit-circle phases, characters, and the small exact linear
+algebra the fusion checks need.
 
 Bundle maps are monomial matrices of roots of unity and live in
 MonomialMatrix: a permutation plus integer exponents mod N, so composing,
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -109,33 +113,85 @@ def _euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _reduce(coeffs: Sequence[Fraction], n: int) -> Tuple[Fraction, ...]:
-    phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-    _, rem = _pdivmod(list(coeffs), phi)
+@lru_cache(maxsize=None)
+def _phi_terms(n: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    """phi(n) and the nonzero (degree, coefficient) terms of the monic n-th
+    cyclotomic polynomial below its leading term."""
+    phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    out = list(rem) + [Fraction(0)] * (deg - len(rem))
-    return tuple(out)
+    return deg, tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
+
+
+def _reduce_ints(poly: Sequence[int], n: int) -> List[int]:
+    """Remainder of an integer polynomial modulo the n-th cyclotomic
+    polynomial, padded to phi(n) coefficients. The divisor is monic, so
+    the division stays in the integers."""
+    deg, terms = _phi_terms(n)
+    rem = list(poly)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            base = i - deg
+            for j, d in terms:
+                rem[base + j] -= c * d
+    del rem[deg:]
+    rem.extend([0] * (deg - len(rem)))
+    return rem
+
+
+def _common_denominator(coeffs: Sequence[Rat]) -> Tuple[List[int], int]:
+    """Integer numerators over one positive denominator."""
+    fr = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+    den = lcm(1, *(c.denominator for c in fr))
+    return [c.numerator * (den // c.denominator) for c in fr], den
 
 
 class Cyclotomic:
-    """An element of Q(zeta_N) in the power basis 1, zeta, ..., zeta^(phi(N)-1)."""
+    """An element of Q(zeta_N) in the power basis 1, zeta, ..., zeta^(phi(N)-1).
 
-    __slots__ = ("conductor", "coeffs")
+    Stored as phi(N) integer numerators over one positive denominator, in
+    lowest terms, so equal values at one conductor have equal fields.
+    """
+
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs: Sequence[Rat], reduce: bool = True):
-        fr = [Fraction(c) for c in coeffs]
+        num, den = _common_denominator(coeffs)
         if reduce:
-            self.coeffs = _reduce(fr, conductor)
+            num = _reduce_ints(num, conductor)
         else:
             deg = _euler_phi(conductor)
-            if len(fr) != deg:
+            if len(num) != deg:
                 raise ValueError(f"expected {deg} coefficients for conductor {conductor}")
-            self.coeffs = tuple(fr)
+        self._set(conductor, num, den)
+
+    def _set(self, conductor: int, num: Sequence[int], den: int) -> None:
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
         self.conductor = conductor
+        self.num = tuple(num)
+        self.den = den
+
+    @staticmethod
+    def _make(conductor: int, num: Sequence[int], den: int) -> "Cyclotomic":
+        """From reduced numerators over a positive denominator."""
+        out = object.__new__(Cyclotomic)
+        out._set(conductor, num, den)
+        return out
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @staticmethod
     def from_rational(x: Rat) -> "Cyclotomic":
-        return Cyclotomic(1, [Fraction(x)], reduce=False)
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        return Cyclotomic._make(1, (x.numerator,), x.denominator)
 
     def promote(self, m: int) -> "Cyclotomic":
         n = self.conductor
@@ -144,12 +200,14 @@ class Cyclotomic:
         if m % n != 0:
             raise ValueError(f"cannot promote conductor {n} into {m}")
         step = m // n
-        big = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1 if self.coeffs else 1)
-        for i, c in enumerate(self.coeffs):
+        big = [0] * ((len(self.num) - 1) * step + 1)
+        for i, c in enumerate(self.num):
             big[i * step] = c
-        return Cyclotomic(m, big)
+        return Cyclotomic._make(m, _reduce_ints(big, m), self.den)
 
     def _pair(self, other: "Cyclotomic") -> Tuple["Cyclotomic", "Cyclotomic"]:
+        if self.conductor == other.conductor:
+            return self, other
         m = lcm(self.conductor, other.conductor)
         return self.promote(m), other.promote(m)
 
@@ -166,12 +224,17 @@ class Cyclotomic:
         if o is NotImplemented:
             return NotImplemented
         a, b = self._pair(o)
-        return Cyclotomic(a.conductor, _padd(a.coeffs, b.coeffs))
+        da, db = a.den, b.den
+        if da == db:
+            return Cyclotomic._make(a.conductor, [x + y for x, y in zip(a.num, b.num)], da)
+        return Cyclotomic._make(
+            a.conductor, [x * db + y * da for x, y in zip(a.num, b.num)], da * db
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, tuple(-c for c in self.coeffs), reduce=False)
+        return Cyclotomic._make(self.conductor, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         o = Cyclotomic._coerce(other)
@@ -187,15 +250,19 @@ class Cyclotomic:
         if o is NotImplemented:
             return NotImplemented
         if o.conductor == 1:
-            c = o.coeffs[0] if o.coeffs else Fraction(0)
-            return Cyclotomic(
-                self.conductor, tuple(x * c for x in self.coeffs), reduce=False
-            )
+            c = o.num[0]
+            return Cyclotomic._make(self.conductor, [x * c for x in self.num], self.den * o.den)
         if self.conductor == 1:
-            c = self.coeffs[0] if self.coeffs else Fraction(0)
-            return Cyclotomic(o.conductor, tuple(x * c for x in o.coeffs), reduce=False)
+            c = self.num[0]
+            return Cyclotomic._make(o.conductor, [x * c for x in o.num], self.den * o.den)
         a, b = self._pair(o)
-        return Cyclotomic(a.conductor, _pmul(a.coeffs, b.coeffs))
+        out = [0] * (len(a.num) + len(b.num) - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in enumerate(b.num):
+                    out[i + j] += x * y
+        m = a.conductor
+        return Cyclotomic._make(m, _reduce_ints(out, m), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -239,28 +306,32 @@ class Cyclotomic:
     def conj(self) -> "Cyclotomic":
         """Complex conjugation, zeta -> zeta^(N-1)."""
         n = self.conductor
-        big = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
+        big = [0] * n
+        for i, c in enumerate(self.num):
             big[(n - i) % n] += c
-        return Cyclotomic(n, big)
+        return Cyclotomic._make(n, _reduce_ints(big, n), self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self) -> Rat:
+        """The value of a rational element: an int when it is integral,
+        else a Fraction."""
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        if self.den == 1:
+            return self.num[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         o = Cyclotomic._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         a, b = self._pair(o)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     # no __hash__: equal values can live at different conductors, so dict
     # keys go through key_at with a batch-wide conductor instead
@@ -279,8 +350,8 @@ class Cyclotomic:
 
 @lru_cache(maxsize=8192)
 def _phase_cached(num: int, den: int) -> Cyclotomic:
-    big = [Fraction(0)] * den
-    big[num % den] = Fraction(1)
+    big = [0] * den
+    big[num % den] = 1
     return Cyclotomic(den, big)
 
 
@@ -486,8 +557,8 @@ class MonomialMatrix:
         for i, (p, e) in enumerate(zip(self.perm, self.exps)):
             if p == i:
                 counts[e] += 1
-        out = Cyclotomic(m, counts)
-        return Cyclotomic.from_rational(out.coeffs[0]) if out.is_rational() else out
+        out = Cyclotomic._make(m, _reduce_ints(counts, m), 1)
+        return Cyclotomic._make(1, out.num[:1], 1) if out.is_rational() else out
 
     def dense(self) -> Tuple[Tuple[Cyclotomic, ...], ...]:
         zero = Cyclotomic.from_rational(0)

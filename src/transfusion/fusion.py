@@ -24,6 +24,7 @@ import math
 import multiprocessing
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,6 +46,7 @@ from .cyclotomic import (
     row_reduce,
 )
 from .groups import (
+    ConjugacyPartition,
     FiniteGroup,
     centralizer,
     conjugacy_classes,
@@ -95,14 +97,43 @@ class TwistContext:
     validation: str
     conductor: int
 
+    @cached_property
+    def conjugacy(self) -> ConjugacyPartition:
+        """Conjugacy classes of the group."""
+        return conjugacy_classes(self.group)
+
+    @cached_property
+    def char_keys(self) -> Tuple[Tuple[int, int], ...]:
+        """Evaluation points of characters: (g, u) with u centralizing g."""
+        group = self.group
+        return tuple(
+            (g, u) for g in group.elements() for u in centralizer(group, g).members
+        )
+
+    @cached_property
+    def tau_table(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """The sector 2-cocycle at loop g against conjugators u1 then u2,
+        as an integer over tau.modulus, indexed [g][u1][u2]."""
+        group, sec, tab = self.group, self.sectors, self.tau.table
+        n = group.order
+        arrow = [
+            [sec.arrow_index[(sec.obj_index[(0, (g,))], u)] for u in range(n)]
+            for g in range(n)
+        ]
+        return tuple(
+            tuple(
+                tuple(
+                    tab.get((arrow[g][u1], arrow[group.conjugate(g, u1)][u2]), 0)
+                    for u2 in range(n)
+                )
+                for u1 in range(n)
+            )
+            for g in range(n)
+        )
+
     def tau_value(self, g: int, u1: int, u2: int) -> Fraction:
         """Sector 2-cocycle at loop g against conjugators u1 then u2."""
-        o1 = self.sectors.obj_index[(0, (g,))]
-        a1 = self.sectors.arrow_index[(o1, u1)]
-        g1 = self.group.conjugate(g, u1)
-        o2 = self.sectors.obj_index[(0, (g1,))]
-        a2 = self.sectors.arrow_index[(o2, u2)]
-        return self.tau.value((a1, a2))
+        return Fraction(self.tau_table[g][u1][u2], self.tau.modulus)
 
     def mu_value(self, g1: int, g2: int, u: int) -> Fraction:
         """Product homotopy at the loop pair (g1, g2) against conjugator u."""
@@ -244,14 +275,19 @@ class TwistedBundle:
 
 
 def bundle_violation(v: TwistedBundle) -> Optional[Tuple[str, tuple]]:
-    """First failed bundle axiom as (kind, witness), or None if none fail."""
+    """First failed bundle axiom as (kind, witness), or None if none fail.
+
+    The composition axiom is swept over every (g, u1, u2) with g in the
+    support, in that order, on integer exponents: all maps and tau are
+    lifted once to one common modulus m, and the composite of the maps for
+    u1 and u2 is compared row by row with the map for u1*u2 shifted by tau.
+    """
     ctx = v.context
     group = ctx.group
     n = group.order
     if len(v.dims) != n:
         return ("grading-length", (len(v.dims),))
-    part = conjugacy_classes(group)
-    for cls in part.classes:
+    for cls in ctx.conjugacy.classes:
         if len({v.dims[h] for h in cls}) != 1:
             return ("dims-not-class-constant", tuple(cls))
     wanted = {(g, u) for g in range(n) if v.dims[g] for u in range(n)}
@@ -266,17 +302,29 @@ def bundle_violation(v: TwistedBundle) -> Optional[Tuple[str, tuple]]:
     for g in range(n):
         if v.dims[g] and v.maps[(g, 0)] != MonomialMatrix.identity(v.dims[g]):
             return ("identity-map", (g,))
+    m = ctx.tau.modulus
+    for mat in v.maps.values():
+        m = math.lcm(m, mat.modulus)
+    step = m // ctx.tau.modulus
+    lifted = {key: (mat.perm, mat.exps_at(m)) for key, mat in v.maps.items()}
+    mult = group.mult
     for g in range(n):
         if not v.dims[g]:
             continue
+        rows = range(v.dims[g])
+        tau_g = ctx.tau_table[g]
         for u1 in range(n):
             h = group.conjugate(g, u1)
-            left = v.maps[(g, u1)]
+            pa, ea = lifted[(g, u1)]
+            tau_gu = tau_g[u1]
             for u2 in range(n):
-                lhs = left @ v.maps[(h, u2)]
-                rhs = v.maps[(g, group.mult[u1][u2])].scale(ctx.tau_value(g, u1, u2))
-                if lhs != rhs:
-                    return ("composition", (g, u1, u2))
+                pb, eb = lifted[(h, u2)]
+                pt, et = lifted[(g, mult[u1][u2])]
+                t = tau_gu[u2] * step
+                for i in rows:
+                    p = pa[i]
+                    if pb[p] != pt[i] or (ea[i] + eb[p] - et[i] - t) % m:
+                        return ("composition", (g, u1, u2))
     return None
 
 
@@ -419,14 +467,9 @@ def untwisted_star(a: TwistedBundle, b: TwistedBundle) -> TwistedBundle:
 # characters and virtual classes
 
 
-def kclass_keys(ctx: TwistContext) -> List[Tuple[int, int]]:
+def kclass_keys(ctx: TwistContext) -> Tuple[Tuple[int, int], ...]:
     """Evaluation points of characters: (g, u) with u centralizing g."""
-    group = ctx.group
-    keys = []
-    for g in group.elements():
-        for u in centralizer(group, g).members:
-            keys.append((g, u))
-    return keys
+    return ctx.char_keys
 
 
 @dataclass(eq=False)
@@ -534,7 +577,7 @@ def _abelian_basis(ctx: TwistContext) -> List[TwistedBundle]:
 def _untwisted_class_basis(ctx: TwistContext) -> List[TwistedBundle]:
     group = ctx.group
     n = group.order
-    part = conjugacy_classes(group)
+    part = ctx.conjugacy
     out = []
     for cls in part.classes:
         rep = cls[0]
@@ -679,29 +722,28 @@ def associativity_violation(
     """First (i, j, k) where the two bracketed integer expansions differ.
 
     constants[i][j][m] is the multiplicity of basis m in basis i * basis j.
+    Each product row is kept as its (m, multiplicity) pairs with nonzero
+    multiplicity, so a triple costs the nonzeros it touches, not n^2.
     """
     n = len(constants)
+    rows = [
+        [tuple((m, c) for m, c in enumerate(constants[i][j]) if c) for j in range(n)]
+        for i in range(n)
+    ]
     for i in range(n):
+        rows_i = rows[i]
         for j in range(n):
-            row_ij = constants[i][j]
+            row_ij = rows_i[j]
+            rows_j = rows[j]
             for k in range(n):
                 lhs = [0] * n
-                for m in range(n):
-                    c = row_ij[m]
-                    if c:
-                        rm = constants[m][k]
-                        for l in range(n):
-                            if rm[l]:
-                                lhs[l] += c * rm[l]
+                for m, c in row_ij:
+                    for l, d in rows[m][k]:
+                        lhs[l] += c * d
                 rhs = [0] * n
-                row_jk = constants[j][k]
-                for m in range(n):
-                    c = row_jk[m]
-                    if c:
-                        rm = constants[i][m]
-                        for l in range(n):
-                            if rm[l]:
-                                rhs[l] += c * rm[l]
+                for m, c in rows_j[k]:
+                    for l, d in rows_i[m]:
+                        rhs[l] += c * d
                 if lhs != rhs:
                     return (i, j, k)
     return None

@@ -376,6 +376,26 @@ def test_verify_budget_refuses_before_building(capsys):
     assert code == 2 and str(64**4) in err and "2-sector" in err
 
 
+@pytest.mark.parametrize("command", ["transgress", "fusion-table"])
+def test_twist_commands_budget_order_four(capsys, monkeypatch, command):
+    # order 4 sweeps 4^4 = 256 entries, at the cap; order 5 sweeps 625
+    import transfusion.cli as cli
+
+    monkeypatch.setattr(cli, "VERIFY_SWEEP_CAP", 256)
+    code, out = run_main(capsys, command, "--group", "cyclic:4", "--zero")
+    assert code == 0 and out.endswith("result: pass\n")
+
+    def no_twist(*args):
+        raise AssertionError("the twist was read before the budget check")
+
+    monkeypatch.setattr(cli, "load_twist", no_twist)
+    code = main([command, "--group", "cyclic:5", "--zero"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert str(5**4) in captured.err and "256" in captured.err
+
+
 @pytest.mark.parametrize("where", ["file", "under-file", "sector-file"])
 def test_transgress_unusable_out_exits_two(tmp_path, capsys, where):
     blocker = tmp_path / "taken"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -182,3 +183,177 @@ def test_rank_over_cyclotomics():
     assert matrix_rank([[1, i], [i, -1]]) == 1
     assert matrix_rank([[1, i], [i, 1]]) == 2
     assert matrix_rank([[0, 0], [0, 0]]) == 0
+
+
+# A Fraction-coefficient reference for Cyclotomic: polynomials in zeta_N
+# with Fraction coefficients, reduced by Fraction long division.
+
+
+def _ref_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _ref_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return _ref_trim(out)
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_divmod(num, den):
+    rem = list(num)
+    quo = [Fraction(0)] * max(0, len(rem) - len(den) + 1)
+    _ref_trim(rem)
+    while len(rem) >= len(den):
+        c = rem[-1] / den[-1]
+        k = len(rem) - len(den)
+        quo[k] = c
+        for i, d in enumerate(den):
+            rem[k + i] -= c * d
+        _ref_trim(rem)
+    return _ref_trim(quo), rem
+
+
+class _RefCyc:
+    def __init__(self, conductor, coeffs):
+        phi = [Fraction(c) for c in cyclotomic_polynomial(conductor)]
+        _, rem = _ref_divmod([Fraction(c) for c in coeffs], phi)
+        self.conductor = conductor
+        self.coeffs = tuple(rem + [Fraction(0)] * (len(phi) - 1 - len(rem)))
+
+    def promote(self, m):
+        step = m // self.conductor
+        big = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        for i, c in enumerate(self.coeffs):
+            big[i * step] = c
+        return _RefCyc(m, big)
+
+    def _pair(self, other):
+        m = math.lcm(self.conductor, other.conductor)
+        return self.promote(m), other.promote(m)
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        return _RefCyc(a.conductor, _ref_add(a.coeffs, b.coeffs))
+
+    def __neg__(self):
+        return _RefCyc(self.conductor, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if other.conductor == 1:
+            return _RefCyc(self.conductor, [x * other.coeffs[0] for x in self.coeffs])
+        if self.conductor == 1:
+            return _RefCyc(other.conductor, [x * self.coeffs[0] for x in other.coeffs])
+        a, b = self._pair(other)
+        return _RefCyc(a.conductor, _ref_mul(a.coeffs, b.coeffs))
+
+    def inverse(self):
+        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
+        r0, r1 = _ref_trim(list(self.coeffs)), phi
+        s0, s1 = [Fraction(1)], []
+        while r1:
+            q, r = _ref_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _ref_add(s0, [-c for c in _ref_mul(q, s1)])
+        assert len(r0) == 1
+        return _RefCyc(self.conductor, [c / r0[0] for c in s0])
+
+    def conj(self):
+        n = self.conductor
+        big = [Fraction(0)] * n
+        for i, c in enumerate(self.coeffs):
+            big[(n - i) % n] += c
+        return _RefCyc(n, big)
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def is_rational(self):
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def __eq__(self, other):
+        a, b = self._pair(other)
+        return a.coeffs == b.coeffs
+
+    def __repr__(self):
+        if self.is_rational():
+            return f"Cyc({self.coeffs[0]})"
+        return f"Cyc{self.conductor}[{', '.join(str(c) for c in self.coeffs)}]"
+
+
+def _same(x, ref):
+    assert x.conductor == ref.conductor
+    # lowest terms over a positive denominator
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    assert x.coeffs == ref.coeffs
+    assert repr(x) == repr(ref)
+    assert x.is_zero() == ref.is_zero() and x.is_rational() == ref.is_rational()
+    if ref.is_rational():
+        assert x.rational_value() == ref.coeffs[0]
+    else:
+        with pytest.raises(ValueError):
+            x.rational_value()
+
+
+def _random_rational(rng):
+    if rng.random() < 0.3:
+        return 0
+    if rng.random() < 0.4:
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+
+def test_integer_cyclotomic_matches_fraction_reference():
+    rng = random.Random("cyclotomic-reference")
+    conductors = (1, 2, 3, 4, 5, 6, 8, 12, 15)
+    pairs = []
+    for n in conductors:
+        deg = len(cyclotomic_polynomial(n)) - 1
+        for _ in range(6):
+            # reduced inputs, inputs longer than phi(N) up to degree 2N, and
+            # a rational at the conductor (only the constant term set)
+            length = rng.choice((deg, deg, rng.randint(deg + 1, 2 * n + 1)))
+            coeffs = [_random_rational(rng) for _ in range(length)]
+            if rng.random() < 0.15:
+                coeffs = [coeffs[0]] + [0] * (length - 1)
+            x, ref = Cyclotomic(n, coeffs), _RefCyc(n, coeffs)
+            _same(x, ref)
+            pairs.append((x, ref))
+        q = _random_rational(rng)
+        pairs.append((Cyclotomic.from_rational(q), _RefCyc(1, [q])))
+    for x, ref in pairs:
+        _same(-x, -ref)
+        _same(x.conj(), ref.conj())
+        if not ref.is_zero():
+            _same(x.inverse(), ref.inverse())
+        for m in conductors:
+            if m % x.conductor == 0:
+                _same(x.promote(m), ref.promote(m))
+                assert x.key_at(m) == ref.promote(m).coeffs
+    for _ in range(400):
+        (x, xr), (y, yr) = rng.choice(pairs), rng.choice(pairs)
+        _same(x + y, xr + yr)
+        _same(x - y, xr - yr)
+        _same(x * y, xr * yr)
+        assert (x == y) == (xr == yr)
+        assert x == Cyclotomic(x.conductor, list(x.coeffs), reduce=False)
+        if rng.random() < 0.2:
+            # the same value entered at a multiple conductor is equal
+            assert x == x.promote(x.conductor * rng.choice((2, 3, 4)))

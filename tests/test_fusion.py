@@ -1,6 +1,7 @@
 """Fusion layer: contexts, twisted bundles, the star product, characters."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -34,7 +35,13 @@ from transfusion.fusion import (
     untwisted_star,
 )
 from transfusion.groupoids import point_groupoid
-from transfusion.groups import cyclic, dihedral, elementary_abelian, symmetric
+from transfusion.groups import (
+    conjugacy_classes,
+    cyclic,
+    dihedral,
+    elementary_abelian,
+    symmetric,
+)
 from transfusion.projrep import BasisError, linear_characters
 
 _CTX = {}
@@ -140,6 +147,96 @@ def test_bundle_validator_negative_controls():
     lop = tuple(1 if g == 1 else 0 for g in range(6))
     w3 = bundle_violation(TwistedBundle(context=ctx3, dims=lop, maps={}))
     assert w3 is not None and w3[0] == "dims-not-class-constant"
+
+
+def _sector_tau(ctx, g, u1, u2):
+    """tau at loop g against u1 then u2, read from the cochain itself."""
+    sec = ctx.sectors
+    a1 = sec.arrow_index[(sec.obj_index[(0, (g,))], u1)]
+    g1 = ctx.group.conjugate(g, u1)
+    a2 = sec.arrow_index[(sec.obj_index[(0, (g1,))], u2)]
+    return ctx.tau.value((a1, a2))
+
+
+def _monomial_bundle_violation(v):
+    """Reference validator: every composite is a MonomialMatrix product
+    compared with the scaled map for the product of the conjugators."""
+    ctx = v.context
+    group = ctx.group
+    n = group.order
+    if len(v.dims) != n:
+        return ("grading-length", (len(v.dims),))
+    for cls in conjugacy_classes(group).classes:
+        if len({v.dims[h] for h in cls}) != 1:
+            return ("dims-not-class-constant", tuple(cls))
+    wanted = {(g, u) for g in range(n) if v.dims[g] for u in range(n)}
+    if set(v.maps) != wanted:
+        missing = wanted - set(v.maps)
+        extra = set(v.maps) - wanted
+        return ("map-keys", (tuple(sorted(missing))[:3], tuple(sorted(extra))[:3]))
+    for (g, u), mat in v.maps.items():
+        h = group.conjugate(g, u)
+        if len(mat) != v.dims[g] or len(mat) != v.dims[h]:
+            return ("matrix-shape", (g, u))
+    for g in range(n):
+        if v.dims[g] and v.maps[(g, 0)] != MonomialMatrix.identity(v.dims[g]):
+            return ("identity-map", (g,))
+    for g in range(n):
+        if not v.dims[g]:
+            continue
+        for u1 in range(n):
+            h = group.conjugate(g, u1)
+            left = v.maps[(g, u1)]
+            for u2 in range(n):
+                lhs = left @ v.maps[(h, u2)]
+                rhs = v.maps[(g, group.mult[u1][u2])].scale(_sector_tau(ctx, g, u1, u2))
+                if lhs != rhs:
+                    return ("composition", (g, u1, u2))
+    return None
+
+
+def _planted_map(rng, mat):
+    """mat with one seeded defect: the whole map or one row times i, -1 or
+    -i, two rows swapped, or the same map lifted to a modulus of 4."""
+    m = math.lcm(mat.modulus, 4)
+    exps = list(mat.exps_at(m))
+    perm = list(mat.perm)
+    kind = rng.choice(("map", "row", "swap", "lift"))
+    if kind == "swap" and len(perm) < 2:
+        kind = "row"
+    if kind == "map":
+        return mat.scale(Fraction(rng.randrange(1, 4), 4))
+    if kind == "row":
+        r = rng.randrange(len(perm))
+        exps[r] += rng.randrange(1, 4) * (m // 4)
+    elif kind == "swap":
+        r1, r2 = rng.sample(range(len(perm)), 2)
+        perm[r1], perm[r2] = perm[r2], perm[r1]
+        exps[r1], exps[r2] = exps[r2], exps[r1]
+    return MonomialMatrix(perm, exps, m)
+
+
+def test_bundle_violation_witnesses_match_monomial_composition():
+    rng = random.Random("planted-bundle-defects")
+    cases = [(ctx, basis_bundles(ctx)) for ctx in (cube_context(), s3_context(), d4_context())]
+    assert cases[0][0].tau.modulus == 2
+    verdicts = {}
+    for t in range(300):
+        ctx, basis = cases[t % 3]
+        prod = star(rng.choice(basis), rng.choice(basis))
+        maps = dict(prod.maps)
+        for _ in range(rng.choice((1, 1, 2))):
+            key = rng.choice(sorted(maps))
+            maps[key] = _planted_map(rng, maps[key])
+        bad = TwistedBundle(context=ctx, dims=prod.dims, maps=maps)
+        want = _monomial_bundle_violation(bad)
+        assert bundle_violation(bad) == want
+        kind = want[0] if want else None
+        verdicts[kind] = verdicts.get(kind, 0) + 1
+    # the defects reach both the identity and the composition checks, and a
+    # map that was only lifted to modulus 4 leaves the bundle valid
+    assert set(verdicts) == {None, "identity-map", "composition"}
+    assert verdicts["composition"] >= 150
 
 
 def test_unit_and_regular_bundles_frozen():
@@ -319,6 +416,41 @@ def test_associativity_violation_finds_the_first_triple():
     assert associativity_violation(table) == (1, 0, 1)
     group_ring = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
     assert associativity_violation(group_ring) is None
+
+
+def _dense_associativity_violation(constants):
+    """Reference scan over dense rows."""
+    n = len(constants)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = [sum(constants[i][j][m] * constants[m][k][l] for m in range(n)) for l in range(n)]
+        rhs = [sum(constants[j][k][m] * constants[i][m][l] for m in range(n)) for l in range(n)]
+        if lhs != rhs:
+            return (i, j, k)
+    return None
+
+
+def test_associativity_violation_matches_dense_scan_on_planted_defects():
+    ctx = cube_context()
+    table = fusion_table(ctx, basis_bundles(ctx))
+    assert table.complete() and table.nonassociative is None
+    n = len(table.constants)
+    rng = random.Random("planted-associativity-defects")
+    found = 0
+    for _ in range(20):
+        rows = [[list(r) for r in row] for row in table.constants]
+        i, j, m = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        rows[i][j][m] += 1
+        want = _dense_associativity_violation(rows)
+        assert associativity_violation(rows) == want
+        found += want is not None
+    assert found == 20
+    # random sparse tables fail at many triples, which pins the scan order
+    for _ in range(30):
+        rows = [
+            [[rng.choice((0, 0, 0, 1, 2, -1)) for _ in range(5)] for _ in range(5)]
+            for _ in range(5)
+        ]
+        assert associativity_violation(rows) == _dense_associativity_violation(rows)
 
 
 def test_twisted_nonabelian_basis_refused():
