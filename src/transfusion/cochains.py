@@ -190,7 +190,15 @@ def random_cochain(gpd: FiniteGroupoid, degree: int, rng, denominator: int = 12)
 
 
 def delta(c: Cochain) -> Cochain:
-    """Coboundary: alternating sum over the faces of each (k+1)-tuple."""
+    """Coboundary: alternating sum over the faces of each (k+1)-tuple,
+
+        δc(t0..tk) = c(t1..tk) + Σ_{i=1..k} (-1)^i c(.., t_{i-1}t_i, ..)
+                     + (-1)^(k+1) c(t0..t_{k-1}),
+
+    and δc(a) = c(target a) - c(source a) in degree 0. Degrees 1, 2 and 3
+    sweep the nerve as nested loops, each composite and face value taken
+    in the outermost loop that fixes it; higher degrees run the generic
+    face loop. All of them visit the tuples in ``nerve`` order."""
     g = c.groupoid
     k = c.degree
     n = c.modulus
@@ -202,7 +210,48 @@ def delta(c: Cochain) -> Cochain:
             if v:
                 out[(a,)] = v
         return _cochain(g, 1, n, out)
-    compose = g.compose
+    compose, out_arrows, target = g.compose, g.out_arrows, g.target
+    if k == 1:
+        for t0 in range(g.n_arrows):
+            c0 = get((t0,), 0)
+            for t1 in out_arrows[target[t0]]:
+                v = (get((t1,), 0) - get((compose[t0, t1],), 0) + c0) % n
+                if v:
+                    out[t0, t1] = v
+        return _cochain(g, 2, n, out)
+    if k == 2:
+        for t0 in range(g.n_arrows):
+            for t1 in out_arrows[target[t0]]:
+                t01 = compose[t0, t1]
+                c01 = get((t0, t1), 0)
+                for t2 in out_arrows[target[t1]]:
+                    v = (
+                        get((t1, t2), 0)
+                        - get((t01, t2), 0)
+                        + get((t0, compose[t1, t2]), 0)
+                        - c01
+                    ) % n
+                    if v:
+                        out[t0, t1, t2] = v
+        return _cochain(g, 3, n, out)
+    if k == 3:
+        for t0 in range(g.n_arrows):
+            for t1 in out_arrows[target[t0]]:
+                t01 = compose[t0, t1]
+                for t2 in out_arrows[target[t1]]:
+                    t12 = compose[t1, t2]
+                    c012 = get((t0, t1, t2), 0)
+                    for t3 in out_arrows[target[t2]]:
+                        v = (
+                            get((t1, t2, t3), 0)
+                            - get((t01, t2, t3), 0)
+                            + get((t0, t12, t3), 0)
+                            - get((t0, t1, compose[t2, t3]), 0)
+                            + c012
+                        ) % n
+                        if v:
+                            out[t0, t1, t2, t3] = v
+        return _cochain(g, 4, n, out)
     for tup in nerve(g, k + 1):
         v = get(tup[1:], 0)
         sign = -1
@@ -720,6 +769,13 @@ def write_cochain(c: Cochain) -> List[str]:
     return lines
 
 
+def _int_field(tok: str, ln: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"non-integer field {tok!r} in {ln!r}") from None
+
+
 def read_cochain(lines: Iterable[str], gpd: FiniteGroupoid) -> Cochain:
     rows = [ln.strip() for ln in lines]
     rows = [ln for ln in rows if ln and not ln.startswith("#")]
@@ -727,23 +783,23 @@ def read_cochain(lines: Iterable[str], gpd: FiniteGroupoid) -> Cochain:
         raise ValueError("cochain file must start with a degree header")
     parts = rows[0].split()
     if len(parts) != 2:
-        raise ValueError("malformed degree header")
-    degree = int(parts[1])
+        raise ValueError(f"malformed degree header {rows[0]!r}")
+    degree = _int_field(parts[1], rows[0])
     if degree < 0:
-        raise ValueError("negative degree")
+        raise ValueError(f"negative degree in {rows[0]!r}")
     table: Dict[Tuple[int, ...], Fraction] = {}
     want = max(degree, 1) + 1
     for ln in rows[1:]:
         toks = ln.split()
         if len(toks) != want:
             raise ValueError(f"expected {want} fields, got {ln!r}")
-        key = tuple(int(t) for t in toks[:-1])
+        key = tuple(_int_field(t, ln) for t in toks[:-1])
         if "/" not in toks[-1]:
             raise ValueError(f"value must be p/q, got {toks[-1]!r}")
-        num, den = toks[-1].split("/", 1)
-        if int(den) == 0:
+        num, den = (_int_field(t, ln) for t in toks[-1].split("/", 1))
+        if den == 0:
             raise ValueError(f"zero denominator in {ln!r}")
-        val = Fraction(int(num), int(den))
+        val = Fraction(num, den)
         if degree == 0:
             if not 0 <= key[0] < gpd.n_objects:
                 raise ValueError(f"object index out of range in {ln!r}")

@@ -261,12 +261,35 @@ def test_group_file_missing_integer_exits_two(tmp_path, capsys, text):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cocycle_file_zero_denominator_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, bad_line",
+    [
+        ("degree x\n0 0 0 1/2\n", "degree x"),
+        ("degree 3 4\n0 0 0 1/2\n", "degree 3 4"),
+        ("degree -1\n0 1/2\n", "degree -1"),
+        ("degree 3\n0 x 0 1/2\n", "0 x 0 1/2"),
+        ("degree 3\n0 0 0 a/2\n", "0 0 0 a/2"),
+        ("degree 3\n0 0 0 1.5/2\n", "0 0 0 1.5/2"),
+        ("degree 3\n0 0 0 1/0\n", "0 0 0 1/0"),
+    ],
+    ids=[
+        "header",
+        "header-fields",
+        "negative-degree",
+        "key",
+        "numerator",
+        "decimal",
+        "zero-denominator",
+    ],
+)
+def test_cocycle_file_bad_field_exits_two(tmp_path, capsys, text, bad_line):
     path = tmp_path / "bad.cochain"
-    path.write_text("degree 3\n0 0 0 1/0\n")
+    path.write_text(text)
     code = main(["transgress", "--group", "cyclic:2", "--cocycle", str(path)])
     assert code == 2
-    assert "0 0 0 1/0" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert repr(bad_line) in err[0]
 
 
 def test_fusion_table_dihedral_untwisted(capsys):

@@ -36,6 +36,7 @@ from transfusion.groups import cyclic, elementary_abelian, symmetric
 from transfusion.groupoids import (
     action_groupoid,
     evaluation_hom,
+    fibered_product,
     inertia,
     k_sectors,
     point_groupoid,
@@ -86,6 +87,71 @@ def test_delta_degree_zero():
     assert d.value((1,)) == F(2, 3)
     assert d.value((3,)) == F(1, 3)
     assert d.value((0,)) == 0 and d.value((2,)) == 0
+
+
+def _generic_delta(c):
+    """The generic face loop: (modulus, table) of the coboundary of c."""
+    g, k, n, get = c.groupoid, c.degree, c.modulus, c.table.get
+    out = {}
+    if k == 0:
+        for a in range(g.n_arrows):
+            v = (get((g.target[a],), 0) - get((g.source[a],), 0)) % n
+            if v:
+                out[(a,)] = v
+        return n, out
+    for tup in nerve(g, k + 1):
+        v = get(tup[1:], 0)
+        sign = -1
+        for i in range(k):
+            v += sign * get(tup[:i] + (g.compose[tup[i], tup[i + 1]],) + tup[i + 2 :], 0)
+            sign = -sign
+        v = (v + sign * get(tup[:-1], 0)) % n
+        if v:
+            out[tup] = v
+    return n, out
+
+
+def _sparse_cochain(gpd, degree, rng, denominator):
+    keys = [(x,) for x in range(gpd.n_objects)] if degree == 0 else nerve(gpd, degree)
+    table = {}
+    for key in keys:
+        if rng.random() < 0.1:
+            table[key] = F(rng.randrange(1, denominator), denominator)
+    return Cochain(gpd, degree, table)
+
+
+def test_delta_matches_generic_face_loop():
+    rng = random.Random("unrolled-delta")
+    s3_base = point_groupoid(symmetric(3))
+    s3_two = k_sectors(s3_base, 2).groupoid
+    c2_two = k_sectors(point_groupoid(cyclic(2)), 2)
+    spots = [
+        point_groupoid(cyclic(5)),
+        s3_base,
+        point_groupoid(elementary_abelian(2, 3)),
+        inertia(s3_base).groupoid,
+        s3_two,
+        action_groupoid(cyclic(2), 2, [[0, 1], [1, 0]]),
+        fibered_product(evaluation_hom(c2_two, "e12"), evaluation_hom(c2_two, "e1")).groupoid,
+    ]
+
+    def check(c):
+        d = delta(c)
+        n, table = _generic_delta(c)
+        assert d.degree == c.degree + 1 and d.groupoid is c.groupoid
+        assert d.modulus == n
+        assert d.table == table
+        assert list(d.table) == list(table)
+
+    for gpd in spots:
+        for k in range(4):
+            for den in (2, 4, 6, 12):
+                check(random_cochain(gpd, k, rng, den))
+                check(_sparse_cochain(gpd, k, rng, den))
+        # degree 4 runs the generic loop itself: one cochain per groupoid, and
+        # none on the 2-sector groupoid, whose 5-tuples number 279,936
+        if gpd is not s3_two:
+            check(random_cochain(gpd, 4, rng, 12))
 
 
 def test_delta_squared_is_zero():
@@ -532,6 +598,46 @@ def test_cocycle_names_the_first_failing_triple():
         with pytest.raises(CocycleError) as exc:
             cocycle(bad)
         assert exc.value.witness == _first_failing_triple(g8, values)
+
+
+def _first_failing_quadruple(group, c):
+    """Lexicographic scan of the 3-cocycle identity on a group cochain."""
+    n, m, val = group.order, group.mult, c.value
+    for t0 in range(n):
+        for t1 in range(n):
+            for t2 in range(n):
+                for t3 in range(n):
+                    total = (
+                        val((t1, t2, t3))
+                        - val((m[t0][t1], t2, t3))
+                        + val((t0, m[t1][t2], t3))
+                        - val((t0, t1, m[t2][t3]))
+                        + val((t0, t1, t2))
+                    )
+                    if total % 1:
+                        return (t0, t1, t2, t3)
+    return None
+
+
+def test_cocycle_names_the_first_failing_quadruple():
+    rng = random.Random("planted-3")
+    g8 = elementary_abelian(2, 3)
+    s3 = symmetric(3)
+    bases = [
+        (g8, poly_to_cocycle(parse_poly("xyz"), g8)),
+        (s3, delta(random_cochain(point_groupoid(s3), 2, rng))),
+    ]
+    for grp, base in bases:
+        assert is_cocycle(base)
+        n = grp.order
+        for _ in range(20):
+            key = (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            bad = base + group_cochain(grp, 3, {key: F(rng.randrange(1, 6), 6)})
+            want = _first_failing_quadruple(grp, bad)
+            assert want is not None
+            with pytest.raises(CocycleError) as exc:
+                cocycle(bad)
+            assert exc.value.witness == want
 
 
 def test_cocycle_type_carries_one_sweep(monkeypatch):
