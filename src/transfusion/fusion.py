@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -41,7 +40,6 @@ from .cyclotomic import (
     MonomialMatrix,
     as_cyclotomic,
     mat_mul,
-    matrix_rank,
     phase,
     row_reduce,
 )
@@ -54,7 +52,6 @@ from .groups import (
 )
 from .groupoids import (
     SectorGroupoid,
-    evaluation_hom,
     k_sectors,
     point_groupoid,
 )
@@ -65,11 +62,6 @@ from .projrep import (
     group_irreducibles,
     twisted_rank,
 )
-
-# beyond this many base-group 4-tuples the context identities are checked on
-# a seeded sample instead of the full nerve
-FULL_SWEEP_CAP = 2_000_000
-SAMPLE_SWEEPS = 2000
 
 class FusionError(RuntimeError):
     pass
@@ -82,8 +74,7 @@ class TwistContext:
     tau is the transgressed 2-cochain on the loop sectors, mu the product
     homotopy on the pair sectors. normalized records whether both vanish
     whenever a conjugator or loop is the identity; bundle constructions
-    that need strict identities require it. validation records whether the
-    defining identities were swept in full or sampled.
+    that need strict identities require it.
     """
 
     group: FiniteGroup
@@ -94,7 +85,6 @@ class TwistContext:
     tau: Cochain
     mu: Cochain
     normalized: bool
-    validation: str
     conductor: int
 
     @cached_property
@@ -142,48 +132,12 @@ class TwistContext:
         return self.mu.value((a,))
 
 
-def _sampled_context_check(
-    ctx: "TwistContext", e1, e2, e12, samples: int
-) -> None:
-    """Pointwise spot check of the context identities on seeded tuples."""
-    rng = random.Random("context-sweep")
-    lam = ctx.sectors.groupoid
-    lam2 = ctx.two_sectors.groupoid
-    tau, mu = ctx.tau, ctx.mu
-    for _ in range(samples):
-        a1 = rng.randrange(lam.n_arrows)
-        x = lam.target[a1]
-        a2 = lam.out_arrows[x][rng.randrange(len(lam.out_arrows[x]))]
-        y = lam.target[a2]
-        a3 = lam.out_arrows[y][rng.randrange(len(lam.out_arrows[y]))]
-        total = (
-            tau.value((a2, a3))
-            - tau.value((lam.compose[(a1, a2)], a3))
-            + tau.value((a1, lam.compose[(a2, a3)]))
-            - tau.value((a1, a2))
-        ) % 1
-        if total:
-            raise FusionError(f"transgressed cochain fails to be closed at {(a1, a2, a3)}")
-    for _ in range(samples):
-        s1 = rng.randrange(lam2.n_arrows)
-        x = lam2.target[s1]
-        s2 = lam2.out_arrows[x][rng.randrange(len(lam2.out_arrows[x]))]
-        lhs = (mu.value((s2,)) - mu.value((lam2.compose[(s1, s2)],)) + mu.value((s1,))) % 1
-        rhs = (
-            tau.value((e1.arrow_map[s1], e1.arrow_map[s2]))
-            + tau.value((e2.arrow_map[s1], e2.arrow_map[s2]))
-            - tau.value((e12.arrow_map[s1], e12.arrow_map[s2]))
-        ) % 1
-        if lhs != rhs:
-            raise FusionError(f"product identity fails at pair-sector tuple {(s1, s2)}")
-
-
 def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
     """Validate a degree-3 cocycle and derive its fusion data.
 
     Checks, exactly: phi is closed; the transgressed tau is closed; and the
-    product identity relating mu to the three evaluation pullbacks of tau.
-    Full sweeps up to FULL_SWEEP_CAP base 4-tuples, seeded samples beyond.
+    product identity relating mu to the three evaluation pullbacks of tau,
+    each swept over the full nerve.
     """
     base = point_groupoid(group)
     if phi.groupoid is not base:
@@ -196,8 +150,12 @@ def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
     two = k_sectors(base, 2)
     tau = inverse_transgression(phi, sectors)
     mu = product_homotopy(phi, two)
+    if not delta(tau).is_zero():
+        raise FusionError("transgressed cochain is not closed; transgression bug")
+    lhs, rhs = product_identity_sides(tau, mu, two)
+    if lhs != rhs:
+        raise FusionError("product identity fails; homotopy bug")
 
-    n = group.order
     ctx = TwistContext(
         group=group,
         phi=phi,
@@ -207,22 +165,8 @@ def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
         tau=tau,
         mu=mu,
         normalized=False,
-        validation="",
         conductor=1,
     )
-    if n**4 <= FULL_SWEEP_CAP:
-        if not delta(tau).is_zero():
-            raise FusionError("transgressed cochain is not closed; transgression bug")
-        lhs, rhs = product_identity_sides(tau, mu, two)
-        if lhs != rhs:
-            raise FusionError("product identity fails; homotopy bug")
-        ctx.validation = "full"
-    else:
-        e1 = evaluation_hom(two, "e1")
-        e2 = evaluation_hom(two, "e2")
-        e12 = evaluation_hom(two, "e12")
-        _sampled_context_check(ctx, e1, e2, e12, SAMPLE_SWEEPS)
-        ctx.validation = f"sampled:{SAMPLE_SWEEPS}"
 
     normalized = (
         all(
@@ -609,6 +553,17 @@ def _untwisted_class_basis(ctx: TwistContext) -> List[TwistedBundle]:
     return out
 
 
+def character_gram(ctx: TwistContext, tables: Sequence[Dict[Tuple[int, int], Cyclotomic]]):
+    """The character matrix R of some tables, with one row per key of
+    kclass_keys and one column per table, its conjugate transpose R^H, and
+    the Gram matrix R^H R. Gram entry (i, j) is the sum over the keys of
+    conj tables[i] times tables[j], which is |G| times the inner product of
+    the two characters."""
+    rows = [[t[k] for t in tables] for k in kclass_keys(ctx)]
+    adjoint = [[x.conj() for x in col] for col in zip(*rows)]
+    return rows, adjoint, mat_mul(adjoint, rows)
+
+
 def basis_bundles(ctx: TwistContext) -> List[TwistedBundle]:
     """Irreducible twisted bundles, one per sector-level irreducible.
 
@@ -616,7 +571,9 @@ def basis_bundles(ctx: TwistContext) -> List[TwistedBundle]:
     irreducibles of each sector cocycle; nonabelian groups are handled for
     the trivial twist through induced class bundles. Every bundle is
     validated, the per-sector counts are cross-checked against the regular
-    class counts, and the characters are checked linearly independent.
+    class counts, and the characters must be orthonormal: their Gram matrix
+    equals |G| times the identity, which makes them independent, each
+    irreducible and no two equivalent.
     """
     if not ctx.normalized:
         raise ValueError("basis construction needs a normalized context")
@@ -633,60 +590,39 @@ def basis_bundles(ctx: TwistContext) -> List[TwistedBundle]:
         w = bundle_violation(v)
         if w is not None:
             raise AssertionError(f"constructed basis bundle invalid: {w[0]} at {w[1]}")
-    keys = kclass_keys(ctx)
-    tables = [trace_table(v) for v in out]
-    rows = [[t[k] for k in keys] for t in tables]
-    if matrix_rank(rows) != len(out):
-        raise BasisError("basis characters are linearly dependent")
+    _, _, gram = character_gram(ctx, [trace_table(v) for v in out])
+    n = ctx.group.order
+    for i, row in enumerate(gram):
+        for j, x in enumerate(row):
+            if x != (n if i == j else 0):
+                raise BasisError(f"basis characters are not orthonormal at Gram entry ({i}, {j})")
     return out
 
 
 class CharacterSolver:
     """Exact expansion of character tables over a fixed basis.
 
-    An invertible square subsystem of the basis character matrix is chosen
-    and inverted once; each expansion is then a small matrix product whose
-    result is re-checked against every key, so a table outside the span is
-    always detected, never silently projected.
+    The Gram matrix of the basis characters is inverted once, which gives
+    the left inverse Gram^-1 R^H of the character matrix R. Each expansion
+    is that matrix times the table, re-checked against every key, so a
+    table outside the span is always detected, never silently projected.
     """
 
-    def __init__(self, ctx: TwistContext, chars: Sequence[KClass]):
+    def __init__(self, ctx: TwistContext, tables: Sequence[Dict[Tuple[int, int], Cyclotomic]]):
         self.keys = kclass_keys(ctx)
-        self.chars = list(chars)
-        m = len(self.chars)
-        rows = [[c.table[k] for c in self.chars] for k in self.keys]
-        work: List[List[Cyclotomic]] = []
-        piv: List[int] = []
-        chosen: List[int] = []
-        for r, row in enumerate(rows):
-            vec = list(row)
-            for wrow, p in zip(work, piv):
-                if not vec[p].is_zero():
-                    f = vec[p]
-                    vec = [x - f * y for x, y in zip(vec, wrow)]
-            lead = next((i for i, x in enumerate(vec) if not x.is_zero()), None)
-            if lead is None:
-                continue
-            inv = vec[lead].inverse()
-            work.append([inv * x for x in vec])
-            piv.append(lead)
-            chosen.append(r)
-            if len(chosen) == m:
-                break
-        if len(chosen) != m:
-            raise BasisError("basis characters are linearly dependent")
+        rows, adjoint, gram = character_gram(ctx, tables)
+        m = len(tables)
         one = as_cyclotomic(1)
         zero = as_cyclotomic(0)
         aug = [
-            list(rows[r]) + [one if j == i else zero for j in range(m)]
-            for i, r in enumerate(chosen)
+            list(row) + [one if j == i else zero for j in range(m)]
+            for i, row in enumerate(gram)
         ]
         red, pivots = row_reduce(aug)
         if pivots != list(range(m)):
-            raise AssertionError("chosen subsystem is singular; selection bug")
-        self._inv = [row[m:] for row in red]
+            raise BasisError("basis characters are linearly dependent")
+        self._left = mat_mul([row[m:] for row in red], adjoint)
         self._rows = rows
-        self._chosen = chosen
 
     def expand(
         self, table: Dict[Tuple[int, int], Cyclotomic]
@@ -694,10 +630,11 @@ class CharacterSolver:
         """Coefficients over the basis, plus the keys where expansion fails.
 
         Returns (coeffs, []) when the table lies in the span; otherwise
-        (None, offending keys).
+        (None, the keys where the table differs from its orthogonal
+        projection onto the span).
         """
         vec = [table[k] for k in self.keys]
-        coeffs = [row[0] for row in mat_mul(self._inv, [[vec[r]] for r in self._chosen])]
+        coeffs = [row[0] for row in mat_mul(self._left, [[x] for x in vec])]
         back = mat_mul(self._rows, [[c] for c in coeffs])
         bad = [self.keys[r] for r, row in enumerate(back) if row[0] != vec[r]]
         if bad:
@@ -837,17 +774,19 @@ def fusion_table(
 ) -> FusionTable:
     """Multiply every ordered pair of basis bundles and expand the products.
 
-    Each product is validated at the bundle level and its character solved
-    exactly over the basis characters. A product that is invalid, outside
-    the span or non-integral is recorded, never raised. Commutativity is
-    compared on characters; associativity and the unit are checked on the
-    integer table. With workers > 1 the unordered pairs are spread over a
-    fork pool; the result does not depend on the worker count.
+    The basis is taken as validated, as basis_bundles returns it; its
+    characters need only be independent. Each product is validated at the
+    bundle level and its character solved exactly over the basis
+    characters. A product that is invalid, outside the span or non-integral
+    is recorded, never raised. Commutativity is compared on characters;
+    associativity and the unit are checked on the integer table. With
+    workers > 1 the unordered pairs are spread over a fork pool; the result
+    does not depend on the worker count.
     """
-    chars = [character(v) for v in basis]
-    solver = CharacterSolver(ctx, chars)
-    unit_char = character(unit_bundle(ctx))
-    unit_candidates = [k for k, c in enumerate(chars) if kclass_eq(c, unit_char)]
+    tables = [trace_table(v) for v in basis]
+    solver = CharacterSolver(ctx, tables)
+    unit = character(unit_bundle(ctx))
+    unit_candidates = [k for k, t in enumerate(tables) if kclass_eq(KClass(ctx, t), unit)]
 
     n = len(basis)
     tasks = [(i, j) for i in range(n) for j in range(i, n)]

@@ -2,11 +2,12 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from transfusion.cli import main
-from transfusion.cochains import read_cochain, shuffle_transgression
+from transfusion.cochains import Cochain, read_cochain, shuffle_transgression
 from transfusion.groupoids import point_groupoid
 from transfusion.groups import construct_group
 
@@ -199,8 +200,11 @@ def test_fusion_table_refuses_twisted_nonabelian(tmp_path, capsys):
     code = main(
         ["fusion-table", "--group", "symmetric:3", "--cocycle", str(path)]
     )
-    capsys.readouterr()
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: basis construction covers")
 
 
 def test_fusion_table_deterministic_across_worker_counts(capsys):
@@ -365,6 +369,43 @@ def test_twist_closedness_swept_once_and_refused(tmp_path, monkeypatch, capsys, 
     code = main([command, "--group", "elemab:2,2", "--cocycle", str(path)])
     assert code == 2
     assert capsys.readouterr().err.splitlines()[0] == "error: the chosen twist is not a cocycle"
+
+
+def _bumped_at_identity(c, sectors, loops):
+    """c with half a turn added at one key: the identity arrow of the
+    sector object of the given loops, once per degree."""
+    e = sectors.arrow_index[(sectors.obj_index[(0, loops)], 0)]
+    table = {k: c.value(k) for k in c.table}
+    key = (e,) * c.degree
+    table[key] = table.get(key, 0) + Fraction(1, 2)
+    return Cochain(c.groupoid, c.degree, table)
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("inverse_transgression", "transgressed cochain is not closed; transgression bug"),
+        ("product_homotopy", "product identity fails; homotopy bug"),
+    ],
+)
+def test_context_checks_refuse_a_bumped_cochain(monkeypatch, capsys, target, message):
+    from transfusion import fusion
+    from transfusion.cochains import zero_cochain
+
+    real = getattr(fusion, target)
+
+    def bumped(phi, sectors):
+        loops = (0,) * sectors.k
+        return _bumped_at_identity(real(phi, sectors), sectors, loops)
+
+    monkeypatch.setattr(fusion, target, bumped)
+    group = construct_group("cyclic:2")
+    with pytest.raises(fusion.FusionError, match=message):
+        fusion.make_context(group, zero_cochain(point_groupoid(group), 3))
+    code, out = run_main(capsys, "fusion-table", "--group", "cyclic:2", "--zero")
+    assert code == 1
+    assert f"check context-invariants: FAIL ({message})" in out
+    assert "basis:" not in out
 
 
 def test_internal_fault_exits_three_on_one_line(monkeypatch, capsys):

@@ -15,8 +15,17 @@ from transfusion.cochains import (
     random_cochain,
     zero_cochain,
 )
-from transfusion.cyclotomic import MonomialMatrix, as_cyclotomic, mat_trace, phase
+from transfusion import fusion
+from transfusion.cyclotomic import (
+    MonomialMatrix,
+    as_cyclotomic,
+    mat_mul,
+    mat_trace,
+    phase,
+    row_reduce,
+)
 from transfusion.fusion import (
+    CharacterSolver,
     associativity_violation,
     basis_bundles,
     bundle_violation,
@@ -90,13 +99,11 @@ def tables_equal(t1, t2):
 
 def test_context_invariants_and_rejections():
     ctx = cube_context()
-    assert ctx.validation == "full"
     assert ctx.conductor == 2
     # a coboundary is a valid twist too, and the identities must still hold
     z4 = cyclic(4)
     rng = random.Random("ctx")
-    ctx2 = make_context(z4, delta(random_cochain(point_groupoid(z4), 2, rng)))
-    assert ctx2.validation == "full"
+    make_context(z4, delta(random_cochain(point_groupoid(z4), 2, rng)))
 
     base = point_groupoid(z4)
     with pytest.raises(ValueError):
@@ -381,11 +388,7 @@ def test_fusion_table_reports_non_integer_coefficients():
     # of basis 0, which must come back as a failure, not an exception
     ctx = z2_context()
     basis = basis_bundles(ctx)
-    doubled = TwistedBundle(
-        context=ctx,
-        dims=(2, 0),
-        maps={(0, 0): MonomialMatrix.identity(2), (0, 1): MonomialMatrix.identity(2)},
-    )
+    doubled = _doubled_line(ctx)
     assert bundle_violation(doubled) is None
     table = fusion_table(ctx, [doubled] + basis[1:])
     assert (1, 1) in table.non_integer
@@ -407,6 +410,126 @@ def test_fusion_table_reports_products_outside_the_span():
     assert not table.invalid and not table.non_integer
     assert not table.complete() and table.nonassociative is None
     assert table.constants[1][2] == (1, 0, 0)
+
+
+class _SubsystemSolver:
+    """Oracle: the solver the library used before the Gram matrix. It picks
+    an invertible square subsystem of the key-by-basis character matrix,
+    pivot by pivot, inverts it, and re-checks every key."""
+
+    def __init__(self, ctx, tables):
+        self.keys = kclass_keys(ctx)
+        m = len(tables)
+        rows = [[t[k] for t in tables] for k in self.keys]
+        work, piv, chosen = [], [], []
+        for r, row in enumerate(rows):
+            vec = list(row)
+            for wrow, p in zip(work, piv):
+                if not vec[p].is_zero():
+                    f = vec[p]
+                    vec = [x - f * y for x, y in zip(vec, wrow)]
+            lead = next((i for i, x in enumerate(vec) if not x.is_zero()), None)
+            if lead is None:
+                continue
+            inv = vec[lead].inverse()
+            work.append([inv * x for x in vec])
+            piv.append(lead)
+            chosen.append(r)
+            if len(chosen) == m:
+                break
+        assert len(chosen) == m
+        one, zero = as_cyclotomic(1), as_cyclotomic(0)
+        aug = [
+            list(rows[r]) + [one if j == i else zero for j in range(m)]
+            for i, r in enumerate(chosen)
+        ]
+        red, pivots = row_reduce(aug)
+        assert pivots == list(range(m))
+        self._inv = [row[m:] for row in red]
+        self._rows = rows
+        self._chosen = chosen
+
+    def expand(self, table):
+        vec = [table[k] for k in self.keys]
+        coeffs = [row[0] for row in mat_mul(self._inv, [[vec[r]] for r in self._chosen])]
+        back = mat_mul(self._rows, [[c] for c in coeffs])
+        bad = [self.keys[r] for r, row in enumerate(back) if row[0] != vec[r]]
+        return (None, bad) if bad else (coeffs, [])
+
+
+def _doubled_line(ctx):
+    """The trivial line over the identity of Z/2, doubled: a valid bundle
+    that is not irreducible."""
+    maps = {(0, 0): MonomialMatrix.identity(2), (0, 1): MonomialMatrix.identity(2)}
+    return TwistedBundle(context=ctx, dims=(2, 0), maps=maps)
+
+
+def _product_tables(basis):
+    return [trace_table(star(a, b)) for a, b in itertools.product(basis, repeat=2)]
+
+
+def test_gram_solver_matches_subsystem_solver():
+    z2 = z2_context()
+    z2_basis = basis_bundles(z2)
+    cases = [(ctx, basis_bundles(ctx)) for ctx in (z2, s3_context(), d4_context(), cube_context())]
+    cases.append((z2, [_doubled_line(z2)] + z2_basis[1:]))
+    for ctx, basis in cases:
+        tables = [trace_table(v) for v in basis]
+        gram_solver, oracle = CharacterSolver(ctx, tables), _SubsystemSolver(ctx, tables)
+        for tab in _product_tables(basis):
+            coeffs, bad = gram_solver.expand(tab)
+            assert bad == []
+            assert coeffs == oracle.expand(tab)[0]
+
+    # a basis that is not orthogonal and whose Gram matrix is not real:
+    # the first S3 character plus i times the second
+    ctx = s3_context()
+    basis = basis_bundles(ctx)
+    tables = [trace_table(v) for v in basis]
+    i = phase(Fraction(1, 4))
+    tables[0] = {k: tables[0][k] + i * tables[1][k] for k in tables[0]}
+    gram = fusion.character_gram(ctx, tables)[2]
+    assert gram[0][1] == -6 * i and gram[1][0] == 6 * i
+    gram_solver, oracle = CharacterSolver(ctx, tables), _SubsystemSolver(ctx, tables)
+    for tab in _product_tables(basis):
+        coeffs, bad = gram_solver.expand(tab)
+        assert bad == [] and coeffs == oracle.expand(tab)[0]
+
+    # outside the span the two solvers refuse the same products
+    for ctx in (z2, cube_context()):
+        basis = basis_bundles(ctx)[1:]
+        tables = [trace_table(v) for v in basis]
+        gram_solver, oracle = CharacterSolver(ctx, tables), _SubsystemSolver(ctx, tables)
+        products = _product_tables(basis)
+        outside = [p for p, tab in enumerate(products) if gram_solver.expand(tab)[0] is None]
+        assert outside
+        assert outside == [p for p, tab in enumerate(products) if oracle.expand(tab)[0] is None]
+    # the residual keys come from the orthogonal projection: the square of
+    # the sign line over the identity misses the span at both keys over 0,
+    # where the old subsystem named only (0, 1)
+    basis = z2_basis[1:]
+    tables = [trace_table(v) for v in basis]
+    square = trace_table(star(basis[0], basis[0]))
+    assert CharacterSolver(z2, tables).expand(square) == (None, [(0, 0), (0, 1)])
+    assert _SubsystemSolver(z2, tables).expand(square) == (None, [(0, 1)])
+
+
+def test_orthonormality_check_refuses_planted_bases(monkeypatch):
+    ctx = z2_context()
+    real = fusion._abelian_basis
+    basis = real(ctx)
+
+    monkeypatch.setattr(fusion, "_abelian_basis", lambda c: real(c) + [real(c)[1]])
+    with pytest.raises(BasisError, match=r"Gram entry \(1, 4\)"):
+        basis_bundles(ctx)
+    monkeypatch.setattr(fusion, "_abelian_basis", lambda c: [_doubled_line(c)] + real(c)[1:])
+    with pytest.raises(BasisError, match=r"Gram entry \(0, 0\)"):
+        basis_bundles(ctx)
+    monkeypatch.undo()
+
+    assert len(basis_bundles(ctx)) == 4
+    with pytest.raises(BasisError, match="linearly dependent"):
+        fusion_table(ctx, basis + [basis[0]])
 
 
 def test_associativity_violation_finds_the_first_triple():
