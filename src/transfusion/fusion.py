@@ -217,6 +217,12 @@ class TwistedBundle:
     def support(self) -> Tuple[int, ...]:
         return tuple(g for g, d in enumerate(self.dims) if d)
 
+    @cached_property
+    def traces(self) -> Dict[Tuple[int, int], Cyclotomic]:
+        """trace_table of this bundle, computed once: a bundle's maps are
+        not changed after it is built."""
+        return trace_table(self)
+
 
 def bundle_violation(v: TwistedBundle) -> Optional[Tuple[str, tuple]]:
     """First failed bundle axiom as (kind, witness), or None if none fail.
@@ -590,7 +596,7 @@ def basis_bundles(ctx: TwistContext) -> List[TwistedBundle]:
         w = bundle_violation(v)
         if w is not None:
             raise AssertionError(f"constructed basis bundle invalid: {w[0]} at {w[1]}")
-    _, _, gram = character_gram(ctx, [trace_table(v) for v in out])
+    _, _, gram = character_gram(ctx, [v.traces for v in out])
     n = ctx.group.order
     for i, row in enumerate(gram):
         for j, x in enumerate(row):
@@ -774,16 +780,16 @@ def fusion_table(
 ) -> FusionTable:
     """Multiply every ordered pair of basis bundles and expand the products.
 
-    The basis is taken as validated, as basis_bundles returns it; its
-    characters need only be independent. Each product is validated at the
-    bundle level and its character solved exactly over the basis
-    characters. A product that is invalid, outside the span or non-integral
-    is recorded, never raised. Commutativity is compared on characters;
-    associativity and the unit are checked on the integer table. With
-    workers > 1 the unordered pairs are spread over a fork pool; the result
-    does not depend on the worker count.
+    The basis is taken as validated, as basis_bundles returns it, with the
+    trace tables cached there; its characters need only be independent.
+    Each product is validated at the bundle level and its character solved
+    exactly over the basis characters. A product that is invalid, outside
+    the span or non-integral is recorded, never raised. Commutativity is
+    compared on characters; associativity and the unit are checked on the
+    integer table. With workers > 1 the unordered pairs are spread over a
+    fork pool; the result does not depend on the worker count.
     """
-    tables = [trace_table(v) for v in basis]
+    tables = [v.traces for v in basis]
     solver = CharacterSolver(ctx, tables)
     unit = character(unit_bundle(ctx))
     unit_candidates = [k for k, t in enumerate(tables) if kclass_eq(KClass(ctx, t), unit)]

@@ -2,23 +2,35 @@
 
 The solver answers "does A x = d have a rational solution x modulo Z^m"
 exactly, which is the coboundary-solving primitive: A is the integer
-coboundary matrix, d the target angles. The elimination carries the
-right-hand side along as a companion column instead of building the
-rows x rows transform.
+coboundary matrix, d the target angles. Each distinct matrix is eliminated
+once: pivots are chosen from A alone, so the elimination records its row
+operations, and every right-hand side (the companion) replays them instead
+of building the rows x rows transform.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
+IntRows = Tuple[Tuple[int, ...], ...]
+# a row operation (kind, i, j, factor): "swap" rows i and j, "add" factor
+# times row i to row j, or "neg" (negate) row i
+RowOp = Tuple[str, int, int, int]
 
 
-def _swap_rows(m: Matrix, i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
+def _row_op(m: Matrix, op: RowOp) -> None:
+    kind, i, j, factor = op
+    if kind == "add":
+        m[j] = [x + factor * y for x, y in zip(m[j], m[i])]
+    elif kind == "swap":
+        m[i], m[j] = m[j], m[i]
+    else:
+        m[i] = [-e for e in m[i]]
 
 
 def _swap_cols(m: Matrix, i: int, j: int) -> None:
@@ -26,13 +38,27 @@ def _swap_cols(m: Matrix, i: int, j: int) -> None:
         row[i], row[j] = row[j], row[i]
 
 
-def _add_row(m: Matrix, src: int, dst: int, factor: int) -> None:
-    m[dst] = [x + factor * y for x, y in zip(m[dst], m[src])]
-
-
 def _add_col(m: Matrix, src: int, dst: int, factor: int) -> None:
     for row in m:
         row[dst] += factor * row[src]
+
+
+def _int_rows(m: Sequence[Sequence[int]], what: str) -> IntRows:
+    """m as a tuple of integer row tuples, all as long as its first row.
+    Raises ValueError naming the first row that is ragged or holds an entry
+    that is not an integer."""
+    out: List[Tuple[int, ...]] = []
+    for i, row in enumerate(m):
+        try:
+            r = tuple(map(int, row))
+        except (TypeError, ValueError):
+            r = None
+        if r is None or r != tuple(row):
+            raise ValueError(f"{what} row {i} holds an entry that is not an integer")
+        if out and len(r) != len(out[0]):
+            raise ValueError(f"{what} row {i} has {len(r)} entries, row 0 has {len(out[0])}")
+        out.append(r)
+    return tuple(out)
 
 
 def _nearest_quotient(e: int, p: int) -> int:
@@ -58,51 +84,56 @@ def _least(s: Matrix, cells) -> Optional[Tuple[int, int]]:
     return best
 
 
-def _move_pivot(s: Matrix, w: Matrix, v: Matrix, t: int, cell) -> None:
-    """Swap the entry of s at cell (i, j) to position (t, t), carrying the
-    row swap to w and the column swap to v."""
-    i, j = cell
-    if i != t:
-        _swap_rows(s, t, i)
-        _swap_rows(w, t, i)
-    if j != t:
-        _swap_cols(s, t, j)
-        _swap_cols(v, t, j)
-
-
-def smith_normal_form(
-    a: Sequence[Sequence[int]], companion: Sequence[Sequence[int]]
-) -> Tuple[Matrix, Matrix, Matrix]:
-    """Return (s, w, v) with u*a*v = s and w = u*companion, for some
-    unimodular u that is never built; v is unimodular, s diagonal.
-
-    The companion has one row per row of a and receives every row operation
-    applied to a; the identity as companion gives u itself. Diagonal
-    entries of s are nonnegative and each divides the next.
-    """
-    s = [list(map(int, row)) for row in a]
+# One memo entry holds the key, s, v and the row operations. Under
+# cochains.SOLVE_ENTRY_CAP (rows * cols <= 10**6, and cols <= rows for a
+# coboundary matrix, since every chain extends by an identity arrow):
+# - key and s: 8 bytes per entry plus 56 per row tuple, at most 128 MB
+#   together (their entries are small ints, which CPython shares);
+# - v: cols**2 <= 10**6 entries, at most 8 MB;
+# - operations: 80 to 136 bytes each. A unit pivot takes at most rows + 1,
+#   so all-unit pivots give at most about 10**6 of them, 136 MB; each
+#   halving of a non-unit pivot adds at most rows + 1 more.
+# So an entry at the cap holds under 300 MB and four entries under 1.2 GB.
+# The CLI's order**4 budget keeps its solves far smaller: the largest
+# transgress matrix it allows (1369 x 37, cyclic:37) holds 1.4 MB with its
+# key, and the 256 x 16 one of transgress-e16 0.23 MB in 1,623 operations.
+# Four entries keep every repeat on the benchmark workloads.
+@functools.lru_cache(maxsize=4)
+def _eliminate(a: IntRows) -> Tuple[Tuple[RowOp, ...], IntRows, IntRows]:
+    """Smith elimination of a as (row operations in order, s, v): replaying
+    the operations on the identity gives u with u*a*v = s."""
+    s = [list(row) for row in a]
     rows = len(s)
     cols = len(s[0]) if rows else 0
-    if len(companion) != rows:
-        raise ValueError("companion must have one row per matrix row")
-    w = [list(map(int, row)) for row in companion]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    ops: List[RowOp] = []
+
+    def row_op(op: RowOp) -> None:
+        _row_op(s, op)
+        ops.append(op)
+
+    def move_pivot(t: int, cell: Tuple[int, int]) -> None:
+        # swap the entry at cell to position (t, t); column swaps go to v
+        i, j = cell
+        if i != t:
+            row_op(("swap", t, i, 0))
+        if j != t:
+            _swap_cols(s, t, j)
+            _swap_cols(v, t, j)
 
     t = 0
     while t < min(rows, cols):
         found = _least(s, ((i, j) for i in range(t, rows) for j in range(t, cols)))
         if found is None:
             break
-        _move_pivot(s, w, v, t, found)
+        move_pivot(t, found)
         while True:
             # reduce the whole pivot column and row by the nearest multiple
             # of the pivot; the smallest remainder, if any, is the next pivot
             p = s[t][t]
             for i in range(t + 1, rows):
                 if s[i][t]:
-                    q = _nearest_quotient(s[i][t], p)
-                    _add_row(s, t, i, -q)
-                    _add_row(w, t, i, -q)
+                    row_op(("add", t, i, -_nearest_quotient(s[i][t], p)))
             for j in range(t + 1, cols):
                 if s[t][j]:
                     q = _nearest_quotient(s[t][j], p)
@@ -117,7 +148,7 @@ def smith_normal_form(
             )
             if found is None:
                 break
-            _move_pivot(s, w, v, t, found)
+            move_pivot(t, found)
         # divisibility: fold any non-multiple into the pivot position
         pivot = s[t][t]
         offender = None
@@ -127,14 +158,34 @@ def smith_normal_form(
                     offender = i
                     break
         if offender is not None:
-            _add_row(s, offender, t, 1)
-            _add_row(w, offender, t, 1)
+            row_op(("add", offender, t, 1))
             continue
         if pivot < 0:
-            s[t] = [-e for e in s[t]]
-            w[t] = [-e for e in w[t]]
+            row_op(("neg", t, t, 0))
         t += 1
-    return s, w, v
+    return tuple(ops), tuple(map(tuple, s)), tuple(map(tuple, v))
+
+
+def smith_normal_form(
+    a: Sequence[Sequence[int]], companion: Sequence[Sequence[int]]
+) -> Tuple[Matrix, Matrix, Matrix]:
+    """Return (s, w, v) with u*a*v = s and w = u*companion, for some
+    unimodular u that is never built; v is unimodular, s diagonal.
+
+    The companion has one row per row of a and receives every row operation
+    applied to a; the identity as companion gives u itself. Diagonal
+    entries of s are nonnegative and each divides the next. The elimination
+    of each distinct a is memoized; the lists returned are fresh copies.
+    Raises ValueError on a ragged or non-integer a or companion.
+    """
+    key = _int_rows(a, "matrix")
+    w = [list(row) for row in _int_rows(companion, "companion")]
+    if len(w) != len(key):
+        raise ValueError("companion must have one row per matrix row")
+    ops, s, v = _eliminate(key)
+    for op in ops:
+        _row_op(w, op)
+    return [list(row) for row in s], w, [list(row) for row in v]
 
 
 def solve_mod1(

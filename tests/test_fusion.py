@@ -398,6 +398,20 @@ def test_fusion_table_reports_non_integer_coefficients():
     assert table.constants[0][1] == (0, 2, 0, 0)
 
 
+def test_fusion_table_reuses_the_basis_traces(monkeypatch):
+    # basis_bundles traced every basis bundle to check orthonormality;
+    # fusion_table traces only the products and the unit bundle
+    ctx = s3_context()
+    basis = basis_bundles(ctx)
+    traced = []
+    real = fusion.trace_table
+    monkeypatch.setattr(fusion, "trace_table", lambda v: traced.append(v) or real(v))
+    table = fusion_table(ctx, basis)
+    assert table.complete()
+    assert len(traced) == len(basis) ** 2 + 1
+    assert not any(v in traced for v in basis)
+
+
 def test_fusion_table_reports_products_outside_the_span():
     # without the trivial line over the identity, the squares land on it
     ctx = z2_context()
