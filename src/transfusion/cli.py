@@ -56,9 +56,10 @@ from .projrep import BasisError, normalize_cocycle, twisted_rank
 
 # verify refuses, before building any groupoid, a group whose largest sweep
 # (order^(degree+1) tuples, the nerve size of the one-object groupoid in
-# degree + 1) or 2-sector composition table (order^4 entries) is larger;
-# transgress and fusion-table refuse, before reading the twist, a group whose
-# degree-3 twist sweep and 2-sector composition table (order^4) are larger
+# degree + 1) or whose 2-sector composable pairs (order^4, each checked by
+# the evaluation homs) are more; transgress and fusion-table refuse, before
+# reading the twist, a group whose degree-3 twist sweep and 2-sector
+# composable pairs (order^4 each) are more
 VERIFY_SWEEP_CAP = 2_000_000
 
 
@@ -129,13 +130,14 @@ def resolve_group(spec: str) -> FiniteGroup:
 
 
 def check_twist_budget(command: str, group: FiniteGroup) -> None:
-    """Refuse a group whose degree-3 twist sweep and 2-sector composition
-    table, order^4 entries each, exceed VERIFY_SWEEP_CAP."""
+    """Refuse a group whose degree-3 twist sweep and 2-sector composable
+    pairs, which the evaluation homs check, number order^4 each and exceed
+    VERIFY_SWEEP_CAP."""
     n = group.order
     if n**4 > VERIFY_SWEEP_CAP:
         raise InputError(
             f"{command} on order {n} would sweep {n**4} degree-3 twist tuples"
-            f" and 2-sector composition entries, over the cap {VERIFY_SWEEP_CAP}"
+            f" and 2-sector composable pairs, over the cap {VERIFY_SWEEP_CAP}"
         )
 
 
@@ -348,8 +350,8 @@ def cmd_verify(args) -> Report:
         )
     if n**4 > VERIFY_SWEEP_CAP:
         raise InputError(
-            f"verify on order {n} would build a 2-sector composition table of"
-            f" {n**4} entries, over the cap {VERIFY_SWEEP_CAP}"
+            f"verify on order {n} would check {n**4} composable pairs of the"
+            f" 2-sector groupoid, over the cap {VERIFY_SWEEP_CAP}"
         )
     base = point_groupoid(group)
     state = {

@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groups import FiniteGroup, centralizer, subgroup_as_group
 from .groupoids import (
+    ActionCompose,
     FiniteGroupoid,
     GroupoidHom,
     SectorGroupoid,
@@ -195,10 +196,11 @@ def delta(c: Cochain) -> Cochain:
         δc(t0..tk) = c(t1..tk) + Σ_{i=1..k} (-1)^i c(.., t_{i-1}t_i, ..)
                      + (-1)^(k+1) c(t0..t_{k-1}),
 
-    and δc(a) = c(target a) - c(source a) in degree 0. Degrees 1, 2 and 3
-    sweep the nerve as nested loops, each composite and face value taken
-    in the outermost loop that fixes it; higher degrees run the generic
-    face loop. All of them visit the tuples in ``nerve`` order."""
+    and δc(a) = c(target a) - c(source a) in degree 0. On an action
+    groupoid, degrees 1, 2 and 3 sweep the nerve as nested loops, each
+    composite read from the group table and each face value taken in the
+    outermost loop that fixes it; other groupoids and higher degrees run
+    the generic face loop. All of them visit the tuples in ``nerve`` order."""
     g = c.groupoid
     k = c.degree
     n = c.modulus
@@ -211,42 +213,60 @@ def delta(c: Cochain) -> Cochain:
                 out[(a,)] = v
         return _cochain(g, 1, n, out)
     compose, out_arrows, target = g.compose, g.out_arrows, g.target
-    if k == 1:
-        for t0 in range(g.n_arrows):
-            c0 = get((t0,), 0)
-            for t1 in out_arrows[target[t0]]:
-                v = (get((t1,), 0) - get((compose[t0, t1],), 0) + c0) % n
-                if v:
-                    out[t0, t1] = v
-        return _cochain(g, 2, n, out)
-    if k == 2:
-        for t0 in range(g.n_arrows):
-            for t1 in out_arrows[target[t0]]:
-                t01 = compose[t0, t1]
-                c01 = get((t0, t1), 0)
-                for t2 in out_arrows[target[t1]]:
-                    v = (
-                        get((t1, t2), 0)
-                        - get((t01, t2), 0)
-                        + get((t0, compose[t1, t2]), 0)
-                        - c01
-                    ) % n
+    if isinstance(compose, ActionCompose) and k <= 3:
+        # arrow off + e, with off the first arrow at its source and e its
+        # group element, then any arrow out of its target with element f:
+        # the composite is off + mult[e][f]
+        order, mult = compose.order, compose.mult
+        if k == 1:
+            for t0 in range(g.n_arrows):
+                e0 = t0 % order
+                off0 = t0 - e0
+                c0 = get((t0,), 0)
+                for t1, m01 in zip(out_arrows[target[t0]], mult[e0]):
+                    v = (get((t1,), 0) - get((off0 + m01,), 0) + c0) % n
                     if v:
-                        out[t0, t1, t2] = v
-        return _cochain(g, 3, n, out)
-    if k == 3:
+                        out[t0, t1] = v
+            return _cochain(g, 2, n, out)
+        if k == 2:
+            for t0 in range(g.n_arrows):
+                e0 = t0 % order
+                off0, m0 = t0 - e0, mult[e0]
+                out1 = out_arrows[target[t0]]
+                off1 = out1[0]
+                for e1, t1 in enumerate(out1):
+                    t01 = off0 + m0[e1]
+                    c01 = get((t0, t1), 0)
+                    for t2, m12 in zip(out_arrows[target[t1]], mult[e1]):
+                        v = (
+                            get((t1, t2), 0)
+                            - get((t01, t2), 0)
+                            + get((t0, off1 + m12), 0)
+                            - c01
+                        ) % n
+                        if v:
+                            out[t0, t1, t2] = v
+            return _cochain(g, 3, n, out)
+        # k == 3
         for t0 in range(g.n_arrows):
-            for t1 in out_arrows[target[t0]]:
-                t01 = compose[t0, t1]
-                for t2 in out_arrows[target[t1]]:
-                    t12 = compose[t1, t2]
+            e0 = t0 % order
+            off0, m0 = t0 - e0, mult[e0]
+            out1 = out_arrows[target[t0]]
+            off1 = out1[0]
+            for e1, t1 in enumerate(out1):
+                t01 = off0 + m0[e1]
+                m1 = mult[e1]
+                out2 = out_arrows[target[t1]]
+                off2 = out2[0]
+                for e2, t2 in enumerate(out2):
+                    t12 = off1 + m1[e2]
                     c012 = get((t0, t1, t2), 0)
-                    for t3 in out_arrows[target[t2]]:
+                    for t3, m23 in zip(out_arrows[target[t2]], mult[e2]):
                         v = (
                             get((t1, t2, t3), 0)
                             - get((t01, t2, t3), 0)
                             + get((t0, t12, t3), 0)
-                            - get((t0, t1, compose[t2, t3]), 0)
+                            - get((t0, t1, off2 + m23), 0)
                             + c012
                         ) % n
                         if v:

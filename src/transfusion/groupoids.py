@@ -1,4 +1,4 @@
-"""Finite groupoids as dense arrow tables with validated composition.
+"""Finite groupoids as dense arrow tables.
 
 Conventions used throughout:
   - compose(a, b) means "a then b" and is defined iff target(a) == source(b)
@@ -8,16 +8,21 @@ Conventions used throughout:
     the action groupoid of G acting on G^k by simultaneous conjugation;
     action_groupoid builds it from the group table, and the action axiom,
     swept once, stands in for the groupoid laws
-  - make_groupoid is the generic validator, for tables assembled arrow by
-    arrow (fibered products, subgroupoids)
+  - an action groupoid stores no composition table: its compose is an
+    ActionCompose, a read-only mapping that computes each composite from
+    the group table
+  - make_groupoid is the generic validator, for composition dicts assembled
+    arrow by arrow (fibered products, subgroupoids)
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .groups import FiniteGroup, from_table, groups_isomorphic
 
@@ -31,6 +36,68 @@ class GroupoidValidationError(ValueError):
     pass
 
 
+class ActionCompose(Mapping):
+    """Composition of the action groupoid of a group on points, computed.
+
+    Arrow x*order + g runs from point x to act[x][g]; followed by arrow
+    act[x][g]*order + h it composes to x*order + mult[g][h]. As a mapping
+    from composable pairs to composites it reads like the dict it replaces:
+    a pair that cannot be composed raises KeyError, and iteration runs over
+    the first arrow, then the second, both by index.
+    """
+
+    __slots__ = ("order", "mult", "act", "_n_arrows")
+
+    def __init__(
+        self,
+        order: int,
+        mult: Sequence[Sequence[int]],
+        act: Tuple[Tuple[int, ...], ...],
+    ):
+        self.order = order
+        self.mult = mult
+        self.act = act
+        self._n_arrows = len(act) * order
+
+    def __getitem__(self, pair: Tuple[int, int]) -> int:
+        try:
+            a, b = pair
+            if 0 <= a < self._n_arrows:
+                order = self.order
+                g = a % order
+                # b's place among the arrows out of the target of a
+                h = b - self.act[a // order][g] * order
+                if 0 <= h < order:
+                    return a - g + self.mult[g][h]
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(pair)
+
+    def __len__(self) -> int:
+        return self._n_arrows * self.order
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        for key, _ in self._entries():
+            yield key
+
+    def items(self) -> ItemsView:
+        return _ActionItems(self)
+
+    def _entries(self) -> Iterator[Tuple[Tuple[int, int], int]]:
+        order, mult = self.order, self.mult
+        for x, row in enumerate(self.act):
+            xoff = x * order
+            for g, y in enumerate(row):
+                a, mg, yoff = xoff + g, mult[g], y * order
+                for h in range(order):
+                    yield (a, yoff + h), xoff + mg[h]
+
+
+class _ActionItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._entries()
+
+
 @dataclass(eq=False)
 class FiniteGroupoid:
     n_objects: int
@@ -38,7 +105,7 @@ class FiniteGroupoid:
     target: Tuple[int, ...]
     identity: Tuple[int, ...]
     inverse: Tuple[int, ...]
-    compose: Dict[Tuple[int, int], int] = field(repr=False, default_factory=dict)
+    compose: Mapping[Tuple[int, int], int] = field(repr=False, default_factory=dict)
     out_arrows: Tuple[Tuple[int, ...], ...] = field(repr=False, default=())
     loops: Tuple[Tuple[int, ...], ...] = field(repr=False, default=())
     cache: dict = field(default_factory=dict, repr=False)
@@ -79,6 +146,11 @@ def make_groupoid(
         raise GroupoidValidationError("arrow table lengths disagree")
     if len(identity) != n_objects:
         raise GroupoidValidationError("identity table length is not the object count")
+    for x, e in enumerate(identity):
+        if not 0 <= e < n:
+            raise GroupoidValidationError(
+                f"identity arrow {e} of object {x} out of range"
+            )
     for a in range(n):
         if not (0 <= source[a] < n_objects and 0 <= target[a] < n_objects):
             raise GroupoidValidationError(f"arrow {a} has endpoint out of range")
@@ -154,6 +226,12 @@ def make_hom(
     am = tuple(arrow_map)
     if len(om) != source.n_objects or len(am) != source.n_arrows:
         raise GroupoidValidationError("hom table lengths disagree with source")
+    for x, y in enumerate(om):
+        if not 0 <= y < target.n_objects:
+            raise GroupoidValidationError(f"hom sends object {x} to {y}, out of range")
+    for a, b in enumerate(am):
+        if not 0 <= b < target.n_arrows:
+            raise GroupoidValidationError(f"hom sends arrow {a} to {b}, out of range")
     for a in range(source.n_arrows):
         if target.source[am[a]] != om[source.source[a]]:
             raise GroupoidValidationError(f"hom breaks source at arrow {a}")
@@ -162,10 +240,47 @@ def make_hom(
     for x in range(source.n_objects):
         if am[source.identity[x]] != target.identity[om[x]]:
             raise GroupoidValidationError(f"hom breaks identity at object {x}")
-    for (a, b), c in source.compose.items():
-        if target.compose[(am[a], am[b])] != am[c]:
-            raise GroupoidValidationError(f"hom breaks composition at ({a},{b})")
+    bad = _first_broken_pair(source.compose, target.compose, am)
+    if bad is not None:
+        raise GroupoidValidationError(f"hom breaks composition at ({bad[0]},{bad[1]})")
     return GroupoidHom(source=source, target=target, object_map=om, arrow_map=am)
+
+
+def _first_broken_pair(
+    sc: Mapping[Tuple[int, int], int],
+    tc: Mapping[Tuple[int, int], int],
+    am: Tuple[int, ...],
+) -> Optional[Tuple[int, int]]:
+    """The first composable pair (a, b), in the order of sc's items, whose
+    images under am do not compose to the image of a.b; None if there is
+    none. The hom must preserve endpoints already."""
+    if not (isinstance(tc, ActionCompose) and isinstance(sc, ActionCompose)):
+        for (a, b), c in sc.items():
+            if tc[(am[a], am[b])] != am[c]:
+                return a, b
+        return None
+    # arrow a, then each arrow b out of its target y, one row of b at a
+    # time. el[a] is the group element of am[a]; all arrows out of x map to
+    # arrows out of om[x], so the images of a row agree iff their elements
+    # do: tmult[el[a]][el[b]] against el[a.b], each side picked out of its
+    # table in one call
+    order, smult, tmult = sc.order, sc.mult, tc.mult
+    el = [b % tc.order for b in am]
+    pick_row = [
+        itemgetter(*el[yoff : yoff + order]) for yoff in range(0, len(am), order)
+    ]
+    pick_products = [itemgetter(*row) for row in smult]
+    for x, row in enumerate(sc.act):
+        xoff = x * order
+        elx = el[xoff : xoff + order]
+        for g, y in enumerate(row):
+            tg = tmult[el[xoff + g]]
+            if pick_row[y](tg) != pick_products[g](elx):
+                yoff = y * order
+                for h, m in enumerate(smult[g]):
+                    if tg[el[yoff + h]] != elx[m]:
+                        return xoff + g, yoff + h
+    return None
 
 
 # constructions
@@ -198,18 +313,15 @@ def action_groupoid(
             if not 0 <= y < n_points:
                 raise GroupoidValidationError("action lands outside the point set")
 
+    act = tuple(tuple(row) for row in act)
     elements = group.elements()
-    # every table below refers to these int objects rather than new equal
-    # ones: the compose dict of a 2-sector groupoid has |G|^4 entries
     out_arrows = tuple(
         tuple(range(x * order, (x + 1) * order)) for x in range(n_points)
     )
     source: List[int] = []
     target: List[int] = []
     inverse: List[int] = []
-    compose: Dict[Tuple[int, int], int] = {}
     for x, row in enumerate(act):
-        xout = out_arrows[x]
         for g in elements:
             y = row[g]
             yrow = act[y]
@@ -219,20 +331,16 @@ def action_groupoid(
                 raise GroupoidValidationError(
                     f"action axiom fails at point {x}, elements ({g},{h})"
                 )
-            a = xout[g]
-            yout = out_arrows[y]
             source.append(x)
             target.append(y)
-            inverse.append(yout[group.inv[g]])
-            for h in elements:
-                compose[(a, yout[h])] = xout[mg[h]]
+            inverse.append(out_arrows[y][group.inv[g]])
     return FiniteGroupoid(
         n_objects=n_points,
         source=tuple(source),
         target=tuple(target),
         identity=tuple(xout[0] for xout in out_arrows),
         inverse=tuple(inverse),
-        compose=compose,
+        compose=ActionCompose(order, group.mult, act),
         out_arrows=out_arrows,
         loops=tuple(
             tuple(xout[g] for g in elements if row[g] == x)
@@ -464,12 +572,11 @@ def fibered_product(
     for j, (i, alpha, beta) in enumerate(arrows):
         t = target[j]
         ty, _, tz = objects[t]
+        right = [(beta2, B.compose[(beta, beta2)]) for beta2 in B.out_arrows[tz]]
         for alpha2 in A.out_arrows[ty]:
             ca = A.compose[(alpha, alpha2)]
-            for beta2 in B.out_arrows[tz]:
-                compose[(j, arrow_index[(t, alpha2, beta2)])] = arrow_index[
-                    (i, ca, B.compose[(beta, beta2)])
-                ]
+            for beta2, cb in right:
+                compose[(j, arrow_index[(t, alpha2, beta2)])] = arrow_index[(i, ca, cb)]
 
     gpd = make_groupoid(
         len(objects), source, target, identity, inverse, compose, arrow_cap=arrow_cap

@@ -434,7 +434,7 @@ def test_verify_budget_refuses_before_building(capsys):
     assert code == 2 and elapsed < 1.0
     assert err.count("\n") == 1
     assert str(64**6) in err and "2000000" in err
-    # the 2-sector composition table is budgeted too: 64^3 tuples fit, 64^4 entries do not
+    # the 2-sector composable pairs are budgeted too: 64^3 tuples fit, 64^4 pairs do not
     code = main(["verify", "--group", "cyclic:64", "--degree", "2"])
     err = capsys.readouterr().err
     assert code == 2 and str(64**4) in err and "2-sector" in err

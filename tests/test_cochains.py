@@ -37,6 +37,7 @@ from transfusion.groupoids import (
     action_groupoid,
     evaluation_hom,
     fibered_product,
+    full_subgroupoid,
     inertia,
     k_sectors,
     point_groupoid,
@@ -132,7 +133,9 @@ def test_delta_matches_generic_face_loop():
         inertia(s3_base).groupoid,
         s3_two,
         action_groupoid(cyclic(2), 2, [[0, 1], [1, 0]]),
+        # built by make_groupoid, so delta runs its generic face loop
         fibered_product(evaluation_hom(c2_two, "e12"), evaluation_hom(c2_two, "e1")).groupoid,
+        full_subgroupoid(s3_two, range(0, s3_two.n_objects, 3))[0],
     ]
 
     def check(c):

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -21,6 +22,8 @@ from transfusion.groups import (
     symmetric,
 )
 from transfusion.groupoids import (
+    ActionCompose,
+    FiniteGroupoid,
     GroupoidValidationError,
     action_groupoid,
     connected_components,
@@ -471,6 +474,179 @@ def test_sectors_refuse_a_base_with_two_objects():
     z2 = cyclic(2)
     with pytest.raises(ValueError):
         k_sectors(action_groupoid(z2, 2, [[0, 1], [1, 0]]), 2)
+
+
+def test_make_hom_refuses_out_of_range_indices():
+    base = point_groupoid(cyclic(3))
+    for bad in (-1, 5):
+        with pytest.raises(GroupoidValidationError, match=f"sends arrow 2 to {bad},"):
+            make_hom(base, base, [0], [0, 1, bad])
+        with pytest.raises(GroupoidValidationError, match=f"sends object 0 to {bad},"):
+            make_hom(base, base, [bad], [0, 1, 2])
+    # the first bad entry is the one named
+    with pytest.raises(GroupoidValidationError, match="sends arrow 1 to 7,"):
+        make_hom(base, base, [0], [0, 7, -2])
+    # a target built by make_groupoid is checked the same way
+    disc = discrete_groupoid(2)
+    with pytest.raises(GroupoidValidationError, match="sends arrow 0 to -1,"):
+        make_hom(discrete_groupoid(1), full_subgroupoid(disc, [0, 1])[0], [0], [-1])
+
+
+def test_make_groupoid_refuses_out_of_range_identity():
+    g = point_groupoid(cyclic(2))
+    for bad in (-1, 2):
+        match = f"identity arrow {bad} of object 0"
+        with pytest.raises(GroupoidValidationError, match=match):
+            make_groupoid(1, g.source, g.target, [bad], g.inverse, dict(g.compose))
+
+
+def _dict_action_groupoid(group, n_points, act):
+    """The action groupoid with its composition stored as a dict, one entry
+    per composable pair, built as action_groupoid once built it: the oracle
+    for ActionCompose and for the arithmetic composition sweep of make_hom."""
+    order = group.order
+    elements = group.elements()
+    out_arrows = tuple(
+        tuple(range(x * order, (x + 1) * order)) for x in range(n_points)
+    )
+    source, target, inverse, compose = [], [], [], {}
+    for x, row in enumerate(act):
+        xout = out_arrows[x]
+        for g in elements:
+            y = row[g]
+            mg = group.mult[g]
+            a = xout[g]
+            yout = out_arrows[y]
+            source.append(x)
+            target.append(y)
+            inverse.append(yout[group.inv[g]])
+            for h in elements:
+                compose[(a, yout[h])] = xout[mg[h]]
+    return FiniteGroupoid(
+        n_objects=n_points,
+        source=tuple(source),
+        target=tuple(target),
+        identity=tuple(xout[0] for xout in out_arrows),
+        inverse=tuple(inverse),
+        compose=compose,
+        out_arrows=out_arrows,
+        loops=tuple(
+            tuple(xout[g] for g in elements if row[g] == x)
+            for x, (row, xout) in enumerate(zip(act, out_arrows))
+        ),
+    )
+
+
+def _action_table(gpd, order):
+    return [list(gpd.target[x * order : (x + 1) * order]) for x in range(gpd.n_objects)]
+
+
+def _composition_cases():
+    """(name, group, action table, homs into or out of it) for the view
+    tests; a hom is (source key, target key, object map, arrow map), the key
+    "self" naming the case's own groupoid and "base" its group's point."""
+    grp = cyclic(5)
+    yield "cyclic:5", grp, [[0] * 5], [("self", "self", [0], list(range(5)))]
+    for spec in ("symmetric:3", "dihedral:4"):
+        grp = construct_group(spec)
+        base = point_groupoid(grp)
+        for k in (1, 2, 3):
+            sect = k_sectors(base, k)
+            homs = [("base", "self", sect.unit.object_map, sect.unit.arrow_map)]
+            if k == 1:
+                homs.append(("self", "self", range(grp.order), range(grp.order**2)))
+            else:
+                e1 = evaluation_hom(sect, "e1")
+                homs.append(("self", "one", e1.object_map, e1.arrow_map))
+            yield f"{spec}:{k}", grp, _action_table(sect.groupoid, grp.order), homs
+    # the swap of two points, and its map onto the point groupoid of C2
+    yield "swap", cyclic(2), [[0, 1], [1, 0]], [("self", "base", [0, 0], [0, 1, 0, 1])]
+
+
+@pytest.mark.parametrize("case", list(_composition_cases()), ids=lambda c: c[0])
+def test_action_compose_reads_like_the_dict_it_replaces(case):
+    _, grp, act, _ = case
+    view = action_groupoid(grp, len(act), act).compose
+    oracle = _dict_action_groupoid(grp, len(act), act).compose
+    assert isinstance(view, ActionCompose)
+    assert len(view) == len(oracle)
+    assert list(view) == list(oracle)
+    assert list(view.items()) == list(oracle.items())
+    assert view == oracle and oracle == view
+    for (a, b), c in oracle.items():
+        assert view[(a, b)] == c and view.get((a, b)) == c and (a, b) in view
+    n = len(act) * grp.order
+    rng = random.Random(n)
+    pairs = [(a, b) for a in range(min(n, 40)) for b in range(min(n, 40))]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
+    pairs += [(-1, 0), (0, -1), (n, 0), (0, n), (n - 1, n)]
+    for pair in pairs:
+        assert view.get(pair) == oracle.get(pair)
+        assert (pair in view) == (pair in oracle)
+        if pair not in oracle:
+            with pytest.raises(KeyError):
+                view[pair]
+    assert sum(pair not in oracle for pair in pairs) > 0
+
+
+@pytest.mark.parametrize("case", list(_composition_cases()), ids=lambda c: c[0])
+def test_make_hom_composition_sweep_matches_the_dict_sweep(case):
+    """Arrow maps planted with a wrong arrow that keeps its endpoints pass
+    the source, target and identity checks; the arithmetic sweeps must
+    refuse each at the same pair as the dict sweep."""
+    name, grp, act, homs = case
+    base_act = [[0] * grp.order]
+    one_act = _action_table(k_sectors(point_groupoid(grp), 1).groupoid, grp.order)
+    tables = {"self": act, "base": base_act, "one": one_act}
+    computed = {key: action_groupoid(grp, len(t), t) for key, t in tables.items()}
+    stored = {key: _dict_action_groupoid(grp, len(t), t) for key, t in tables.items()}
+    rng = random.Random(name)
+    planted = 0
+    for src, tgt, om, am in homs:
+        am = list(am)
+        make_hom(computed[src], computed[tgt], om, am)
+        make_hom(stored[src], stored[tgt], om, am)
+        s_gpd, t_gpd = computed[src], computed[tgt]
+        candidates = [
+            a for a in range(s_gpd.n_arrows) if not s_gpd.is_identity_arrow(a)
+        ]
+        for a in rng.sample(candidates, min(6, len(candidates))):
+            img = am[a]
+            # another arrow with the endpoints of img: img followed by a loop
+            others = [
+                t_gpd.compose[(img, u)]
+                for u in t_gpd.loops[t_gpd.target[img]]
+                if not t_gpd.is_identity_arrow(u)
+            ]
+            if not others:
+                continue
+            bad = am[:]
+            bad[a] = rng.choice(others)
+            with pytest.raises(GroupoidValidationError, match="composition") as want:
+                make_hom(stored[src], stored[tgt], om, bad)
+            # both ends computed, then a dict-composed source into a
+            # computed target, read through the view
+            for hom_source in (s_gpd, stored[src]):
+                with pytest.raises(GroupoidValidationError) as got:
+                    make_hom(hom_source, t_gpd, om, bad)
+                assert str(got.value) == str(want.value)
+            planted += 1
+    assert planted > 0
+
+
+def test_two_sectors_of_s4_allocate_under_8_mb():
+    grp = symmetric(4)
+    # equal to point_groupoid(grp), but fresh, so no sectors are cached on it
+    base = action_groupoid(grp, 1, [[0] * grp.order])
+    tracemalloc.start()
+    try:
+        two = k_sectors(base, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert two.groupoid.n_arrows == grp.order**3
+    # a composition dict of 24^4 entries took 32 MB
+    assert peak < 8 * 2**20
 
 
 def _digest(c):
