@@ -267,9 +267,10 @@ def _verify_trial(t: int) -> Dict[str, Optional[Tuple[int, ...]]]:
 def _run_trials(state: Dict[str, object], trials: int, workers: int):
     global _VERIFY_STATE
     _VERIFY_STATE = state
-    if workers > 1:
+    size = min(workers, trials, os.cpu_count() or 1)
+    if size > 1:
         # fork inherits the state dict; map keeps trial order
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
+        with multiprocessing.get_context("fork").Pool(size) as pool:
             return pool.map(_verify_trial, range(trials))
     return [_verify_trial(t) for t in range(trials)]
 

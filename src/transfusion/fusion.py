@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -46,6 +47,7 @@ from .cyclotomic import (
 from .groups import (
     ConjugacyPartition,
     FiniteGroup,
+    all_subgroups,
     centralizer,
     conjugacy_classes,
     subgroup_as_group,
@@ -58,8 +60,7 @@ from .groupoids import (
 from .projrep import (
     BasisError,
     TwoCocycleGroup,
-    abelian_projective_irreps,
-    group_irreducibles,
+    projective_irreducibles,
     twisted_rank,
 )
 
@@ -502,59 +503,55 @@ def kclass_star(x: KClass, y: KClass) -> KClass:
 # basis construction and integer structure constants
 
 
-def _abelian_basis(ctx: TwistContext) -> List[TwistedBundle]:
+def _class_basis(ctx: TwistContext) -> List[TwistedBundle]:
+    """One bundle per projective irreducible of each class representative's
+    centralizer, moved across the class.
+
+    The fiber over h is the fiber over the representative g carried by the
+    transporter x_h. Since x_h*u = z*x_hu with z in the centralizer, the map
+    at (h, u) is the irreducible at z times the phase of tau_g(x_h, u) -
+    tau_g(z, x_hu), the twisted groupoid algebra's rule for that rewriting.
+    """
     group = ctx.group
     n = group.order
-    out = []
-    for g in group.elements():
-        values = tuple(
-            tuple(ctx.tau_value(g, u1, u2) for u2 in group.elements())
-            for u1 in group.elements()
-        )
-        tc = TwoCocycleGroup(group=group, values=values)
-        irreps = abelian_projective_irreps(tc)
-        if len(irreps) != twisted_rank(tc):
-            raise BasisError(
-                f"sector {g}: built {len(irreps)} irreducibles, rank says {twisted_rank(tc)}"
-            )
-        for mats in irreps:
-            dims = tuple(len(mats[0]) if h == g else 0 for h in range(n))
-            maps = {(g, u): mats[u] for u in group.elements()}
-            out.append(TwistedBundle(context=ctx, dims=dims, maps=maps))
-    return out
-
-
-def _untwisted_class_basis(ctx: TwistContext) -> List[TwistedBundle]:
-    group = ctx.group
-    n = group.order
+    mult, inv = group.mult, group.inv
     part = ctx.conjugacy
+    modulus = ctx.tau.modulus
+    subgroups = all_subgroups(group)
     out = []
     for cls in part.classes:
-        rep = cls[0]
-        zgrp, zmem = subgroup_as_group(centralizer(group, rep))
-        irreps = group_irreducibles(zgrp)
-        trivial = TwoCocycleGroup(
-            group=zgrp,
-            values=tuple(
-                tuple(Fraction(0) for _ in range(zgrp.order))
-                for _ in range(zgrp.order)
-            ),
-        )
-        if len(irreps) != twisted_rank(trivial):
-            raise BasisError(
-                f"class of {rep}: irreducible count disagrees with the class count"
-            )
+        g = cls[0]
+        tau_g = ctx.tau_table[g]
+        zgrp, zmem = subgroup_as_group(centralizer(group, g))
         zpos = {m: i for i, m in enumerate(zmem)}
-        for w in irreps:
-            d = len(w[0])
+        tau_z = [[tau_g[a][b] for b in zmem] for a in zmem]
+        # zmem ascends, so relabelled subgroups stay sorted
+        inside = [
+            tuple(zpos[m] for m in sub) for sub in subgroups if all(m in zpos for m in sub)
+        ]
+        irreps = projective_irreducibles(zgrp, tau_z, modulus, inside)
+        rank = twisted_rank(
+            TwoCocycleGroup(
+                group=zgrp,
+                values=tuple(tuple(Fraction(v, modulus) for v in row) for row in tau_z),
+            )
+        )
+        if len(irreps) != rank:
+            raise BasisError(
+                f"class of {g}: built {len(irreps)} irreducibles, twisted rank says {rank}"
+            )
+        for mats in irreps:
+            d = len(mats[0])
             dims = tuple(d if h in cls else 0 for h in range(n))
             maps = {}
             for h in cls:
                 xh = part.transporter[h]
-                for u in group.elements():
-                    hu = group.conjugate(h, u)
-                    z = group.mult[group.mult[xh][u]][group.inv[part.transporter[hu]]]
-                    maps[(h, u)] = w[zpos[z]]
+                for u in range(n):
+                    xhu = part.transporter[group.conjugate(h, u)]
+                    z = mult[mult[xh][u]][inv[xhu]]
+                    eps = (tau_g[xh][u] - tau_g[z][xhu]) % modulus
+                    mat = mats[zpos[z]]
+                    maps[(h, u)] = mat.scale(Fraction(eps, modulus)) if eps else mat
             out.append(TwistedBundle(context=ctx, dims=dims, maps=maps))
     return out
 
@@ -573,25 +570,18 @@ def character_gram(ctx: TwistContext, tables: Sequence[Dict[Tuple[int, int], Cyc
 def basis_bundles(ctx: TwistContext) -> List[TwistedBundle]:
     """Irreducible twisted bundles, one per sector-level irreducible.
 
-    Abelian groups are handled for any twist through projective
-    irreducibles of each sector cocycle; nonabelian groups are handled for
-    the trivial twist through induced class bundles. Every bundle is
-    validated, the per-sector counts are cross-checked against the regular
-    class counts, and the characters must be orthonormal: their Gram matrix
-    equals |G| times the identity, which makes them independent, each
-    irreducible and no two equivalent.
+    For each conjugacy class, the projective irreducibles of the
+    representative's centralizer against its sector cocycle are built by
+    monomial induction and moved across the class, for any group and any
+    twist; a centralizer with a non-monomial irreducible raises BasisError.
+    Every bundle is validated, the per-class counts are cross-checked
+    against the regular class counts, and the characters must be
+    orthonormal: their Gram matrix equals |G| times the identity, which
+    makes them independent, each irreducible and no two equivalent.
     """
     if not ctx.normalized:
         raise ValueError("basis construction needs a normalized context")
-    if ctx.group.is_abelian():
-        out = _abelian_basis(ctx)
-    elif ctx.tau.is_zero() and ctx.mu.is_zero():
-        out = _untwisted_class_basis(ctx)
-    else:
-        raise BasisError(
-            "basis construction covers abelian groups with any twist and "
-            "nonabelian groups with a trivial twist"
-        )
+    out = _class_basis(ctx)
     for v in out:
         w = bundle_violation(v)
         if w is not None:
@@ -787,7 +777,8 @@ def fusion_table(
     the span or non-integral is recorded, never raised. Commutativity is
     compared on characters; associativity and the unit are checked on the
     integer table. With workers > 1 the unordered pairs are spread over a
-    fork pool; the result does not depend on the worker count.
+    fork pool with no more processes than workers, pairs or cores; the
+    result does not depend on the worker count.
     """
     tables = [v.traces for v in basis]
     solver = CharacterSolver(ctx, tables)
@@ -796,9 +787,10 @@ def fusion_table(
 
     n = len(basis)
     tasks = [(i, j) for i in range(n) for j in range(i, n)]
-    if workers > 1:
+    size = min(workers, len(tasks), os.cpu_count() or 1)
+    if size > 1:
         with multiprocessing.get_context("fork").Pool(
-            workers, initializer=_init_worker, initargs=(basis, solver)
+            size, initializer=_init_worker, initargs=(basis, solver)
         ) as pool:
             results = pool.map(_worker_pair, tasks)
     else:

@@ -1,4 +1,4 @@
-"""Projective representation counts over an explicit 2-cocycle.
+"""Projective representations over an explicit 2-cocycle.
 
 A 2-cocycle on a finite group twists its group algebra; the number of
 irreducible projective representations for that cocycle equals the number
@@ -7,6 +7,10 @@ symmetric against every element of the centralizer of g). That count is
 validated here against an independent oracle: the dimension of the center
 of the twisted group algebra, computed by exact linear algebra over a
 cyclotomic field.
+
+The irreducibles themselves are built by one construction for every
+cocycle, the zero one included: monomial induction of alpha-characters,
+the 1-cochains on a subgroup whose coboundary is the cocycle there.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .cochains import (
     Cochain,
@@ -34,7 +38,6 @@ from .cyclotomic import (
 from .groups import (
     FiniteGroup,
     Subgroup,
-    all_subgroups,
     centralizer,
     conjugacy_classes,
     subgroup_as_group,
@@ -243,36 +246,6 @@ def _right_coset_reps(group: FiniteGroup, members: Tuple[int, ...]) -> List[int]
     return reps
 
 
-def induced_monomial_rep(
-    group: FiniteGroup,
-    members: Tuple[int, ...],
-    lam_parent: Dict[int, Fraction],
-) -> Dict[int, MonomialMatrix]:
-    """Representation induced from a linear character of a subgroup.
-
-    Basis vectors sit on the cosets H*t; the matrix for u moves coset j to
-    the coset of t_j*u with entry lam(t_j * u * t_j'^-1). Multiplicativity
-    R(u1) @ R(u2) = R(u1 u2) holds on the nose in the row convention.
-    """
-    reps = _right_coset_reps(group, members)
-    coset_of = {}
-    for j, t in enumerate(reps):
-        for h in members:
-            coset_of[group.mult[h][t]] = j
-    mats = {}
-    for u in group.elements():
-        perm = []
-        angles = []
-        for t in reps:
-            tu = group.mult[t][u]
-            jp = coset_of[tu]
-            h = group.mult[tu][group.inv[reps[jp]]]
-            perm.append(jp)
-            angles.append(lam_parent[h])
-        mats[u] = MonomialMatrix.from_angles(perm, angles)
-    return mats
-
-
 def _char_key(vals: List[Cyclotomic]) -> Tuple[Tuple[Fraction, ...], ...]:
     m = 1
     for v in vals:
@@ -280,40 +253,99 @@ def _char_key(vals: List[Cyclotomic]) -> Tuple[Tuple[Fraction, ...], ...]:
     return tuple(v.key_at(m) for v in vals)
 
 
-def group_irreducibles(group: FiniteGroup) -> List[Dict[int, MonomialMatrix]]:
-    """Ordinary irreducible matrix representations, by monomial induction.
+def projective_irreducibles(
+    group: FiniteGroup,
+    tau: Sequence[Sequence[int]],
+    modulus: int,
+    subgroups: Sequence[Tuple[int, ...]],
+) -> List[List[MonomialMatrix]]:
+    """Irreducible projective representations whose multiplier is exactly
+    tau, by induction of alpha-characters from subgroups.
 
-    Inductions of linear characters of subgroups are screened with the exact
-    character inner product; distinct irreducible characters are collected
-    until their squared dimensions exhaust the group order. Groups with a
-    non-monomial irreducible make that impossible, and raise BasisError
-    instead of returning a short list.
+    tau is a normalized 2-cocycle as integers over the modulus, and
+    subgroups is every subgroup of the group as a sorted member tuple. Each
+    result is indexed by element and satisfies mats[u] @ mats[v] ==
+    zeta^tau[u][v] * mats[uv] with zeta = exp(2 pi i / modulus); the callers
+    check that equation on every pair.
+
+    Subgroups H are taken largest first. An alpha-character of H is a
+    1-cochain alpha with delta(alpha) = tau on H: a coboundary solve gives
+    one, lambda, and the others are lambda + chi for the linear characters
+    chi. tau restricted to H is a coboundary only if tau(a,b) = tau(b,a) on
+    every commuting pair, so other subgroups are skipped unsolved. Inducing
+    along the right cosets H*t, the element u moves coset j to the coset of
+    t_j*u = h*t_j' with exponent tau(t_j,u) - tau(h,t_j') + alpha(h).
+    Inductions are screened with the exact character inner product and kept
+    when irreducible and new, until their squared dimensions exhaust the
+    group order. A group with a non-monomial irreducible makes that
+    impossible, and raises BasisError instead of returning a short list.
+    With the zero cocycle these are the ordinary irreducibles.
     """
     n = group.order
-    found: List[Dict[int, MonomialMatrix]] = []
+    mult = group.mult
+    found: List[List[MonomialMatrix]] = []
     seen_chars = set()
     total = 0
-    for members in sorted(all_subgroups(group), key=lambda mm: (-len(mm), mm)):
+    for members in sorted(subgroups, key=lambda mm: (-len(mm), mm)):
         if total == n:
             break
-        subgrp, mem = subgroup_as_group(Subgroup(parent=group, members=members))
         d = n // len(members)
         if total + d * d > n:
             continue
-        for lam in linear_characters(subgrp):
-            lam_parent = {mem[i]: lam[i] for i in range(len(mem))}
-            rep = induced_monomial_rep(group, members, lam_parent)
-            char = [rep[u].trace() for u in group.elements()]
-            ip = as_cyclotomic(0)
+        if any(
+            tau[a][b] != tau[b][a]
+            for a in members
+            for b in members
+            if mult[a][b] == mult[b][a]
+        ):
+            continue
+        sub, mem = subgroup_as_group(Subgroup(parent=group, members=members))
+        table = {
+            (i, j): Fraction(tau[a][b], modulus)
+            for i, a in enumerate(mem)
+            for j, b in enumerate(mem)
+            if tau[a][b]
+        }
+        if table:
+            lam = coboundary_solve(group_cochain(sub, 2, table))
+            if lam is None:
+                continue
+        else:
+            # zero is the coboundary of zero, without a Smith solve
+            lam = group_cochain(sub, 1, {})
+        reps = _right_coset_reps(group, members)
+        coset_of = {mult[h][t]: (j, h) for j, t in enumerate(reps) for h in members}
+        moves = [[coset_of[mult[t][u]] for t in reps] for u in group.elements()]
+        for chi in linear_characters(sub):
+            alpha = [lam.value((i,)) + chi[i] for i in range(len(mem))]
+            m = modulus
+            for a in alpha:
+                m = math.lcm(m, a.denominator)
+            step = m // modulus
+            alpha_at = {h: a.numerator * (m // a.denominator) for h, a in zip(mem, alpha)}
+            mats = []
             for u in group.elements():
-                ip = ip + char[u] * char[u].conj()
+                perm = []
+                exps = []
+                for t, (jp, h) in zip(reps, moves[u]):
+                    perm.append(jp)
+                    exps.append(
+                        ((tau[t][u] - tau[h][reps[jp]]) * step + alpha_at[h]) % m
+                    )
+                # each matrix at its smallest modulus
+                c = math.gcd(m, *exps)
+                mats.append(MonomialMatrix(perm, [e // c for e in exps], m // c))
+            char = [x.trace() for x in mats]
+            ip = as_cyclotomic(0)
+            for x in char:
+                ip = ip + x * x.conj()
             if not (ip.is_rational() and ip.rational_value() == n):
                 continue
             key = _char_key(char)
             if key in seen_chars:
                 continue
             seen_chars.add(key)
-            found.append(rep)
+            found.append(mats)
             total += d * d
             if total == n:
                 break
@@ -322,103 +354,3 @@ def group_irreducibles(group: FiniteGroup) -> List[Dict[int, MonomialMatrix]]:
             f"monomial induction reached squared-dimension total {total} of {n}"
         )
     return found
-
-
-def abelian_projective_irreps(tc: TwoCocycleGroup) -> List[Dict[int, MonomialMatrix]]:
-    """Irreducible projective representations of an abelian group whose
-    multiplier is exactly the given normalized cocycle (not just one in its
-    class): mats[u] @ mats[v] == phase(tc(u,v)) * mats[uv] for all u, v.
-
-    The commutator pairing beta(u,v) = tc(u,v) - tc(v,u) has a radical R;
-    a maximal isotropic subgroup L splits tc restricted to L as a
-    coboundary, and inducing the resulting rank-one L-modules inside the
-    twisted regular representation gives all |R| distinct irreducibles of
-    dimension [G:L]. Closure of each induced span is verified entrywise, so
-    a wrong phase anywhere raises instead of producing a bad matrix.
-    """
-    group = tc.group
-    if not group.is_abelian():
-        raise ValueError("projective irreducibles implemented for abelian groups only")
-    n = group.order
-
-    def beta(u: int, v: int) -> Fraction:
-        return (tc.value(u, v) - tc.value(v, u)) % 1
-
-    radical = [u for u in group.elements() if all(beta(u, v) == 0 for v in group.elements())]
-    members = tuple(radical)
-    mset = set(members)
-    for g in group.elements():
-        if g not in mset and all(beta(g, l) == 0 for l in members):
-            members = subgroup_generated(group, list(members) + [g]).members
-            mset = set(members)
-    if len(members) ** 2 != n * len(radical):
-        raise AssertionError("greedy isotropic subgroup is not maximal")
-
-    lgrp, lmem = subgroup_as_group(Subgroup(parent=group, members=members))
-    ltab = {
-        (i, j): tc.value(lmem[i], lmem[j])
-        for i in range(len(lmem))
-        for j in range(len(lmem))
-    }
-    nu = coboundary_solve(group_cochain(lgrp, 2, ltab))
-    if nu is None:
-        raise AssertionError("cocycle restricted to an isotropic subgroup must split")
-
-    reps = _right_coset_reps(group, members)
-    coset_of = {}
-    for j, t in enumerate(reps):
-        for l in members:
-            coset_of[group.mult[l][t]] = j
-
-    collected = []
-    seen_chars = set()
-    for chi in linear_characters(lgrp):
-        # vector for coset j inside the twisted regular representation: its
-        # support (the coset) mapped to the angle of each phase entry
-        f_rows = []
-        for t in reps:
-            f_rows.append(
-                {
-                    group.mult[l][t]: -(nu.value((i,)) + chi[i] + tc.value(l, t)) % 1
-                    for i, l in enumerate(lmem)
-                }
-            )
-        mats = {}
-        for u in group.elements():
-            perm = []
-            angles = []
-            for j, t in enumerate(reps):
-                image = {
-                    group.mult[h][u]: (a + tc.value(h, u)) % 1
-                    for h, a in f_rows[j].items()
-                }
-                jp = coset_of[group.mult[t][u]]
-                target = f_rows[jp]
-                anchor = group.mult[members[0]][reps[jp]]
-                c = (image.get(anchor, 0) - target[anchor]) % 1
-                if image.keys() != target.keys() or any(
-                    (image[x] - c - target[x]) % 1 for x in target
-                ):
-                    raise AssertionError("induced span not closed under the twisted action")
-                perm.append(jp)
-                angles.append(c)
-            mats[u] = MonomialMatrix.from_angles(perm, angles)
-        key = _char_key([mats[u].trace() for u in group.elements()])
-        if key not in seen_chars:
-            seen_chars.add(key)
-            collected.append(mats)
-
-    if len(collected) != len(radical):
-        raise BasisError(
-            f"expected {len(radical)} projective irreducibles, found {len(collected)}"
-        )
-    for mats in collected:
-        for u in group.elements():
-            for v in group.elements():
-                lhs = mats[u] @ mats[v]
-                rhs = mats[group.mult[u][v]].scale(tc.value(u, v))
-                if lhs != rhs:
-                    raise AssertionError(
-                        f"induced representation has the wrong multiplier at ({u},{v})"
-                    )
-    return collected

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -188,7 +190,7 @@ def test_fusion_table_json_structure(capsys):
         assert constants[u][j] == [1 if m == j else 0 for m in range(n)]
 
 
-def test_fusion_table_refuses_twisted_nonabelian(tmp_path, capsys):
+def test_fusion_table_covers_twisted_nonabelian(tmp_path, capsys):
     from transfusion.cochains import cup_one_cochains, write_cochain
     from transfusion.projrep import linear_characters
 
@@ -197,14 +199,60 @@ def test_fusion_table_refuses_twisted_nonabelian(tmp_path, capsys):
     phi = cup_one_cochains(s3, [sign, sign, sign])
     path = tmp_path / "sign_cup.cochain"
     path.write_text("\n".join(write_cochain(phi)) + "\n")
-    code = main(
-        ["fusion-table", "--group", "symmetric:3", "--cocycle", str(path)]
+    code, out = run_main(
+        capsys, "fusion-table", "--group", "symmetric:3", "--cocycle", str(path)
     )
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and errors[0].startswith("error: basis construction covers")
+    assert code == 0
+    assert "basis: 8 bundles" in out
+    assert out.endswith("result: pass\n")
+
+
+class _InlinePool:
+    """Stands in for a fork pool: records its size and maps in this process."""
+
+    def __init__(self, sizes, size, initializer=None, initargs=()):
+        sizes.append(size)
+        if initializer is not None:
+            initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return [func(x) for x in items]
+
+
+def test_worker_pools_are_clamped(monkeypatch, capsys):
+    from transfusion import fusion
+
+    sizes = []
+
+    class ForkContext:
+        def Pool(self, *args, **kwargs):
+            return _InlinePool(sizes, *args, **kwargs)
+
+    def get_context(method):
+        assert method == "fork"
+        return ForkContext()
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    # the inline initializer sets the worker globals in this process
+    monkeypatch.setattr(fusion, "_worker_args", ())
+    table = ["fusion-table", "--group", "cyclic:2", "--zero", "--workers"]
+    verify = ["verify", "--group", "cyclic:2", "--trials", "3", "--seed", "0", "--workers"]
+    _, table_out = run_main(capsys, *table, "1")
+    _, verify_out = run_main(capsys, *verify, "1")
+    assert sizes == []
+    # 10 unordered pairs of 4 basis bundles, 3 trials
+    for cores, want in ((64, [10, 3]), (4, [4, 3]), (None, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        sizes.clear()
+        assert run_main(capsys, *table, "5000") == (0, table_out)
+        assert run_main(capsys, *verify, "5000") == (0, verify_out)
+        assert sizes == want
 
 
 def test_fusion_table_deterministic_across_worker_counts(capsys):

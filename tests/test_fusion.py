@@ -26,6 +26,7 @@ from transfusion.cyclotomic import (
 )
 from transfusion.fusion import (
     CharacterSolver,
+    KClass,
     associativity_violation,
     basis_bundles,
     bundle_violation,
@@ -530,13 +531,13 @@ def test_gram_solver_matches_subsystem_solver():
 
 def test_orthonormality_check_refuses_planted_bases(monkeypatch):
     ctx = z2_context()
-    real = fusion._abelian_basis
+    real = fusion._class_basis
     basis = real(ctx)
 
-    monkeypatch.setattr(fusion, "_abelian_basis", lambda c: real(c) + [real(c)[1]])
+    monkeypatch.setattr(fusion, "_class_basis", lambda c: real(c) + [real(c)[1]])
     with pytest.raises(BasisError, match=r"Gram entry \(1, 4\)"):
         basis_bundles(ctx)
-    monkeypatch.setattr(fusion, "_abelian_basis", lambda c: [_doubled_line(c)] + real(c)[1:])
+    monkeypatch.setattr(fusion, "_class_basis", lambda c: [_doubled_line(c)] + real(c)[1:])
     with pytest.raises(BasisError, match=r"Gram entry \(0, 0\)"):
         basis_bundles(ctx)
     monkeypatch.undo()
@@ -590,13 +591,20 @@ def test_associativity_violation_matches_dense_scan_on_planted_defects():
         assert associativity_violation(rows) == _dense_associativity_violation(rows)
 
 
-def test_twisted_nonabelian_basis_refused():
+def test_twisted_nonabelian_sign_cup_table_is_complete():
     s3 = symmetric(3)
     sign = list(linear_characters(s3)[1])
     ctx = make_context(s3, cup_one_cochains(s3, [sign, sign, sign]))
     assert not ctx.tau.is_zero()
-    with pytest.raises(BasisError):
-        basis_bundles(ctx)
+    basis = basis_bundles(ctx)
+    assert len(basis) == 8
+    table = fusion_table(ctx, basis)
+    assert table.complete() and table.nonassociative is None
+    assert table.non_commuting == []
+    assert len(table.unit_candidates) == 1 and table.is_unit(table.unit_candidates[0])
+    for a, b in itertools.product(basis, repeat=2):
+        want = kclass_star(KClass(ctx, a.traces), KClass(ctx, b.traces))
+        assert fusion.trace_table(star(a, b)) == want.table
 
 
 def test_kclass_arithmetic():
