@@ -305,7 +305,9 @@ def is_cocycle(c: Cochain) -> bool:
 
 
 def pullback(h: GroupoidHom, c: Cochain) -> Cochain:
-    """(h*c)(tuple) = c(image tuple)."""
+    """(h*c)(tuple) = c(image tuple). Degrees 1 and 2 sweep the source's
+    arrows, and composable pairs, as nested loops; higher degrees walk
+    ``nerve``. Both visit the tuples in ``nerve`` order."""
     if c.groupoid is not h.target:
         raise ValueError("cochain does not live on the hom's target groupoid")
     src = h.source
@@ -317,6 +319,19 @@ def pullback(h: GroupoidHom, c: Cochain) -> Cochain:
             v = get((h.object_map[x],))
             if v:
                 table[(x,)] = v
+    elif k == 1:
+        for t, b in enumerate(h.arrow_map):
+            v = get((b,))
+            if v:
+                table[(t,)] = v
+    elif k == 2:
+        # the degree-2 nerve inlined, so any source groupoid takes this path
+        amap, out_arrows, target = h.arrow_map, src.out_arrows, src.target
+        for t0, b0 in enumerate(amap):
+            for t1 in out_arrows[target[t0]]:
+                v = get((b0, amap[t1]))
+                if v:
+                    table[t0, t1] = v
     else:
         amap = h.arrow_map
         for tup in nerve(src, k):
@@ -334,7 +349,10 @@ def inverse_transgression(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
         (-1)^k phi(a, u_1..u_k)
         + sum_i (-1)^(i+k) phi(u_1..u_i, a_i, u_(i+1)..u_k)
     where a_i is a dragged along u_1..u_i. Those dragged loops are exactly
-    the loop labels of the objects along the conjugator path.
+    the loop labels of the objects along the conjugator path. For k = 1 and
+    2 the action groupoid is swept as nested loops, each loop label and
+    target read by index arithmetic; higher k walks ``nerve``. Both visit
+    the tuples in ``nerve`` order.
     """
     if sectors.k != 1:
         raise ValueError("transgression lands on the 1-sector groupoid")
@@ -353,6 +371,34 @@ def inverse_transgression(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
             if v:
                 out[(i,)] = v
         return _cochain(lam, 0, n, out)
+    compose = lam.compose
+    if isinstance(compose, ActionCompose) and k <= 2:
+        # arrow x*order + e runs from point x to act[x][e] and conjugates by
+        # members[e]; loop[x] is the loop label of point x
+        order, act = compose.order, compose.act
+        loop = [a for _, (a,) in sectors.objects]
+        members = [b for _, b in sectors.arrows[:order]]
+        if k == 1:
+            for x0, row in enumerate(act):
+                a0, off0 = loop[x0], x0 * order
+                for e, (u, x1) in enumerate(zip(members, row)):
+                    v = (get((u, loop[x1]), 0) - get((a0, u), 0)) % n
+                    if v:
+                        out[(off0 + e,)] = v
+            return _cochain(lam, 1, n, out)
+        for x0, row in enumerate(act):
+            a0, off0 = loop[x0], x0 * order
+            for e1, (u1, x1) in enumerate(zip(members, row)):
+                a1, off1, t0 = loop[x1], x1 * order, off0 + e1
+                for e2, (u2, x2) in enumerate(zip(members, act[x1])):
+                    v = (
+                        get((a0, u1, u2), 0)
+                        - get((u1, a1, u2), 0)
+                        + get((u1, u2, loop[x2]), 0)
+                    ) % n
+                    if v:
+                        out[t0, off1 + e2] = v
+        return _cochain(lam, 2, n, out)
     lead_sign = 1 if k % 2 == 0 else -1
     for tup in nerve(lam, k):
         obj0 = sectors.arrows[tup[0]][0]
@@ -384,6 +430,8 @@ def product_homotopy(phi: Cochain, two_sectors: SectorGroupoid) -> Cochain:
             = e1-pullback + e2-pullback - e12-pullback of the transgression
     to hold in every degree at once (without it the two sides differ by
     (-1)^k, so no fixed-sign variant works for both even and odd k).
+    For k = 1 and 2 the sum is unrolled over nested loops on the action
+    groupoid, as in inverse_transgression; higher k walks ``nerve``.
     """
     if two_sectors.k != 2:
         raise ValueError("product homotopy lands on the 2-sector groupoid")
@@ -403,6 +451,44 @@ def product_homotopy(phi: Cochain, two_sectors: SectorGroupoid) -> Cochain:
             if v:
                 out[(i,)] = v
         return _cochain(gpd2, 0, n, out)
+    compose = gpd2.compose
+    if isinstance(compose, ActionCompose) and k <= 2:
+        # as in inverse_transgression, with (a, b) the loop pair of a point
+        order, act = compose.order, compose.act
+        loops = [ab for _, ab in two_sectors.objects]
+        members = [v for _, v in two_sectors.arrows[:order]]
+        if k == 1:
+            for x0, row in enumerate(act):
+                a, b = loops[x0]
+                off0 = x0 * order
+                for e, (u, x1) in enumerate(zip(members, row)):
+                    a1, b1 = loops[x1]
+                    v = -(
+                        get((a, b, u), 0) - get((a, u, b1), 0) + get((u, a1, b1), 0)
+                    ) % n
+                    if v:
+                        out[(off0 + e,)] = v
+            return _cochain(gpd2, 1, n, out)
+        # the six (i, j) terms of the double sum, in its order
+        for x0, row in enumerate(act):
+            a0, b0 = loops[x0]
+            off0 = x0 * order
+            for e1, (u1, x1) in enumerate(zip(members, row)):
+                a1, b1 = loops[x1]
+                off1, t0 = x1 * order, off0 + e1
+                for e2, (u2, x2) in enumerate(zip(members, act[x1])):
+                    a2, b2 = loops[x2]
+                    v = (
+                        get((a0, b0, u1, u2), 0)
+                        - get((a0, u1, b1, u2), 0)
+                        + get((a0, u1, u2, b2), 0)
+                        + get((u1, a1, b1, u2), 0)
+                        - get((u1, a1, u2, b2), 0)
+                        + get((u1, u2, a2, b2), 0)
+                    ) % n
+                    if v:
+                        out[t0, off1 + e2] = v
+        return _cochain(gpd2, 2, n, out)
     for tup in nerve(gpd2, k):
         obj0 = two_sectors.arrows[tup[0]][0]
         us = tuple(two_sectors.arrows[t][1] for t in tup)

@@ -455,15 +455,18 @@ def evaluation_hom(sectors: SectorGroupoid, which: str) -> GroupoidHom:
     if digits[0] < 1 or digits[-1] > sectors.k:
         raise ValueError(f"evaluation {which!r} out of range for {sectors.k}-sectors")
     one = k_sectors(base, 1)
+    # point i of the k-sectors has the vertex-group elements of its loops as
+    # its base-|G| digits, and point g of the 1-sectors is the element g, so
+    # point i goes to the product of the chosen digits and arrow i*|G| + e,
+    # conjugation by e, to arrow om[i]*|G| + e
+    order, mult = one.groupoid.compose.order, one.groupoid.compose.mult
     om = []
-    for x, tup in sectors.objects:
-        prod = base.identity[x]
+    for tup in itertools.product(range(order), repeat=sectors.k):
+        prod = 0
         for d in digits:
-            prod = base.compose[(prod, tup[d - 1])]
-        om.append(one.obj_index[(x, (prod,))])
-    am = []
-    for i, v in sectors.arrows:
-        am.append(one.arrow_index[(om[i], v)])
+            prod = mult[prod][tup[d - 1]]
+        om.append(prod)
+    am = [y * order + e for y in om for e in range(order)]
     hom = make_hom(sectors.groupoid, one.groupoid, om, am)
     base.cache[key] = hom
     return hom

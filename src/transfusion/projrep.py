@@ -193,7 +193,8 @@ def linear_characters(group: FiniteGroup) -> List[Tuple[Fraction, ...]]:
     Generators are picked greedily; each assignment of generator values
     compatible with their orders is propagated and then checked against the
     full multiplication table, so nonabelian groups work too (characters of
-    the abelianization).
+    the abelianization). Both run over integers mod the lcm of the generator
+    orders; only the returned values are Fractions.
     """
     gens: List[int] = []
     reached = {0}
@@ -204,17 +205,21 @@ def linear_characters(group: FiniteGroup) -> List[Tuple[Fraction, ...]]:
     if not gens:
         return [(Fraction(0),)]
     orders = [group.element_order(g) for g in gens]
+    # values are integers mod L, standing for v/L
+    L = math.lcm(*orders)
+    mult = group.mult
     out = []
     for combo in itertools.product(*[range(o) for o in orders]):
-        vals: List[Optional[Fraction]] = [None] * group.order
-        vals[0] = Fraction(0)
+        steps = [c * (L // o) for c, o in zip(combo, orders)]
+        vals: List[Optional[int]] = [None] * group.order
+        vals[0] = 0
         frontier = [0]
         consistent = True
         while frontier and consistent:
             x = frontier.pop()
-            for gi, g in enumerate(gens):
-                y = group.mult[x][g]
-                v = (vals[x] + Fraction(combo[gi], orders[gi])) % 1
+            for g, step in zip(gens, steps):
+                y = mult[x][g]
+                v = (vals[x] + step) % L
                 if vals[y] is None:
                     vals[y] = v
                     frontier.append(y)
@@ -224,14 +229,17 @@ def linear_characters(group: FiniteGroup) -> List[Tuple[Fraction, ...]]:
         if not consistent:
             continue
         assert all(v is not None for v in vals)
+        # the full homomorphism sweep, one row of products at a time
         if all(
-            (vals[group.mult[a][b]] - vals[a] - vals[b]) % 1 == 0
-            for a in group.elements()
-            for b in group.elements()
+            [vals[m] for m in mult[a]] == [(va + vb) % L for vb in vals]
+            for a, va in enumerate(vals)
         ):
             out.append(tuple(vals))
+    # Fraction(v, L) is increasing in v, so sorting the integers sorts the
+    # value tuples
     out.sort()
-    return out
+    frac = [Fraction(v, L) for v in range(L)]
+    return [tuple([frac[v] for v in vals]) for vals in out]
 
 
 def _right_coset_reps(group: FiniteGroup, members: Tuple[int, ...]) -> List[int]:

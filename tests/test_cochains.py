@@ -32,7 +32,7 @@ from transfusion.cochains import (
     write_cochain,
     zero_cochain,
 )
-from transfusion.groups import cyclic, elementary_abelian, symmetric
+from transfusion.groups import cyclic, dihedral, elementary_abelian, symmetric
 from transfusion.groupoids import (
     action_groupoid,
     evaluation_hom,
@@ -40,6 +40,7 @@ from transfusion.groupoids import (
     full_subgroupoid,
     inertia,
     k_sectors,
+    make_groupoid,
     point_groupoid,
     nerve,
 )
@@ -155,6 +156,173 @@ def test_delta_matches_generic_face_loop():
         # none on the 2-sector groupoid, whose 5-tuples number 279,936
         if gpd is not s3_two:
             check(random_cochain(gpd, 4, rng, 12))
+
+
+def _nerve_transgression(phi, sectors):
+    """The nerve loop of inverse_transgression: (modulus, table), k >= 1."""
+    k, lam, n, get = phi.degree - 1, sectors.groupoid, phi.modulus, phi.table.get
+    lead_sign = 1 if k % 2 == 0 else -1
+    out = {}
+    for tup in nerve(lam, k):
+        a0 = sectors.objects[sectors.arrows[tup[0]][0]][1][0]
+        us = tuple(sectors.arrows[t][1] for t in tup)
+        dragged = tuple(sectors.objects[lam.target[t]][1][0] for t in tup)
+        total = lead_sign * get((a0,) + us, 0)
+        s = lead_sign
+        for i in range(1, k + 1):
+            s = -s
+            total += s * get(us[:i] + (dragged[i - 1],) + us[i:], 0)
+        total %= n
+        if total:
+            out[tup] = total
+    return n, out
+
+
+def _nerve_product_homotopy(phi, two):
+    """The nerve loop of product_homotopy: (modulus, table), k >= 1."""
+    k, gpd2, n, get = phi.degree - 2, two.groupoid, phi.modulus, phi.table.get
+    parity = -1 if k % 2 else 1
+    out = {}
+    for tup in nerve(gpd2, k):
+        us = tuple(two.arrows[t][1] for t in tup)
+        a_at = [two.objects[two.arrows[tup[0]][0]][1][0]]
+        b_at = [two.objects[two.arrows[tup[0]][0]][1][1]]
+        for t in tup:
+            _, (aj, bj) = two.objects[gpd2.target[t]]
+            a_at.append(aj)
+            b_at.append(bj)
+        total = 0
+        for i in range(k + 1):
+            for j in range(i, k + 1):
+                key = us[:i] + (a_at[i],) + us[i:j] + (b_at[j],) + us[j:]
+                if (i + j) % 2:
+                    total -= get(key, 0)
+                else:
+                    total += get(key, 0)
+        total = parity * total % n
+        if total:
+            out[tup] = total
+    return n, out
+
+
+def _nerve_pullback(h, c):
+    """The nerve loop of pullback: (modulus, table), degree >= 1."""
+    amap, get = h.arrow_map, c.table.get
+    out = {}
+    for tup in nerve(h.source, c.degree):
+        v = get(tuple(amap[a] for a in tup))
+        if v:
+            out[tup] = v
+    return c.modulus, out
+
+
+def _relabeled_point_groupoid(group, shift):
+    """The group's one-object groupoid built by make_groupoid, element g at
+    arrow (g + shift) mod |G|, so the identity is arrow shift."""
+    n = group.order
+    label = [(g + shift) % n for g in range(n)]
+    compose = {
+        (label[g], label[h]): label[group.mul(g, h)] for g in range(n) for h in range(n)
+    }
+    inverse = [0] * n
+    for g in range(n):
+        inverse[label[g]] = label[group.inverse(g)]
+    return make_groupoid(1, [0] * n, [0] * n, [shift], inverse, compose)
+
+
+def _check_sweep(got, want, gpd, degree):
+    n, table = want
+    assert got.groupoid is gpd and got.degree == degree
+    assert got.modulus == n
+    assert got.table == table
+    assert list(got.table) == list(table)
+
+
+def test_sector_sweeps_match_nerve_loops():
+    rng = random.Random("unrolled-sweeps")
+    bases = [
+        point_groupoid(cyclic(5)),
+        point_groupoid(symmetric(3)),
+        point_groupoid(elementary_abelian(2, 3)),
+        point_groupoid(dihedral(4)),
+        _relabeled_point_groupoid(symmetric(3), 2),
+    ]
+    for base in bases:
+        lam, two = inertia(base), k_sectors(base, 2)
+        homs = [evaluation_hom(two, w) for w in ("e1", "e2", "e12")]
+        homs += [lam.unit, two.unit]
+        for den in (2, 4, 6, 12):
+            for make in (random_cochain, _sparse_cochain):
+                for k in (1, 2):
+                    phi = make(base, k + 1, rng, den)
+                    _check_sweep(
+                        inverse_transgression(phi, lam),
+                        _nerve_transgression(phi, lam),
+                        lam.groupoid,
+                        k,
+                    )
+                    phi = make(base, k + 2, rng, den)
+                    _check_sweep(
+                        product_homotopy(phi, two),
+                        _nerve_product_homotopy(phi, two),
+                        two.groupoid,
+                        k,
+                    )
+                    c = make(lam.groupoid, k, rng, den)
+                    for h in homs:
+                        if h.target is lam.groupoid:
+                            _check_sweep(pullback(h, c), _nerve_pullback(h, c), h.source, k)
+                    c = make(two.groupoid, k, rng, den)
+                    _check_sweep(
+                        pullback(two.unit, c), _nerve_pullback(two.unit, c), base, k
+                    )
+    # the nerve fallbacks, once per function, on the 2-sectors of S3
+    base = point_groupoid(symmetric(3))
+    lam, two = inertia(base), k_sectors(base, 2)
+    phi = random_cochain(base, 4, rng, 12)
+    _check_sweep(inverse_transgression(phi, lam), _nerve_transgression(phi, lam), lam.groupoid, 3)
+    phi = random_cochain(base, 5, rng, 12)
+    _check_sweep(product_homotopy(phi, two), _nerve_product_homotopy(phi, two), two.groupoid, 3)
+    e12 = evaluation_hom(two, "e12")
+    c = random_cochain(lam.groupoid, 3, rng, 12)
+    _check_sweep(pullback(e12, c), _nerve_pullback(e12, c), two.groupoid, 3)
+
+
+def test_sector_sweeps_walk_the_nerve_only_above_degree_two(monkeypatch):
+    rng = random.Random("nerve-guard")
+    base = point_groupoid(symmetric(3))
+    lam, two = inertia(base), k_sectors(base, 2)
+    e12 = evaluation_hom(two, "e12")
+    # inputs first: random_cochain walks the nerve itself; output degree k
+    inputs = [
+        (
+            random_cochain(base, k + 1, rng),
+            random_cochain(base, k + 2, rng),
+            random_cochain(lam.groupoid, k, rng),
+        )
+        for k in (0, 1, 2, 3)
+    ]
+    calls = []
+    real = cochains.nerve
+
+    def counted(gpd, r):
+        calls.append(r)
+        return real(gpd, r)
+
+    monkeypatch.setattr(cochains, "nerve", counted)
+    for phi, psi, c in inputs[:3]:
+        inverse_transgression(phi, lam)
+        product_homotopy(psi, two)
+        pullback(e12, c)
+        pullback(lam.unit, c)
+    assert calls == []
+    phi, psi, c = inputs[3]
+    inverse_transgression(phi, lam)
+    assert calls == [3]
+    product_homotopy(psi, two)
+    assert calls == [3, 3]
+    pullback(e12, c)
+    assert calls == [3, 3, 3]
 
 
 def test_delta_squared_is_zero():

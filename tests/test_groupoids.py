@@ -179,6 +179,37 @@ def test_evaluation_homs():
             evaluation_hom(two, name)
 
 
+def test_evaluation_maps_match_index_lookups():
+    # the object and arrow maps read through obj_index and arrow_index, as
+    # evaluation_hom built them before it computed them from the digits
+    def by_lookup(sectors, which):
+        base, one = sectors.base, k_sectors(sectors.base, 1)
+        om = []
+        for x, tup in sectors.objects:
+            prod = base.identity[x]
+            for d in which[1:]:
+                prod = base.compose[(prod, tup[int(d) - 1])]
+            om.append(one.obj_index[(x, (prod,))])
+        return tuple(om), tuple(one.arrow_index[(om[i], v)] for i, v in sectors.arrows)
+
+    label = [2, 0, 1]
+    grp = cyclic(3)
+    compose = {
+        (label[g], label[h]): label[grp.mul(g, h)] for g in range(3) for h in range(3)
+    }
+    inverse = [0] * 3
+    for g in range(3):
+        inverse[label[g]] = label[grp.inverse(g)]
+    bases = [point_groupoid(g) for g in (cyclic(5), symmetric(3), dihedral(4))]
+    bases.append(make_groupoid(1, [0] * 3, [0] * 3, [2], inverse, compose))
+    for base in bases:
+        for k, names in ((1, ("e1",)), (2, ("e1", "e2", "e12")), (3, ("e13", "e123"))):
+            sectors = k_sectors(base, k)
+            for which in names:
+                ev = evaluation_hom(sectors, which)
+                assert (ev.object_map, ev.arrow_map) == by_lookup(sectors, which)
+
+
 def test_evaluation_e12_of_involution_pair():
     base = point_groupoid(cyclic(2))
     two = k_sectors(base, 2)
