@@ -211,12 +211,6 @@ VERIFY_CHECKS = (
 _VERIFY_STATE: Dict[str, object] = {}
 
 
-def _first_key(diff: Cochain) -> Optional[Tuple[int, ...]]:
-    if diff.is_zero():
-        return None
-    return min(diff.table)
-
-
 def _trial_cochains(state: Dict[str, object], t: int):
     """The three seeded inputs of trial t. Draw order is fixed, so every
     worker layout sees the same cochains."""
@@ -261,7 +255,7 @@ def _trial_sides(state: Dict[str, object], t: int):
 
 def _verify_trial(t: int) -> Dict[str, Optional[Tuple[int, ...]]]:
     sides = _trial_sides(_VERIFY_STATE, t)
-    return {name: _first_key(a - b) for name, (a, b) in sides.items()}
+    return {name: (a - b).first_key() for name, (a, b) in sides.items()}
 
 
 def _run_trials(state: Dict[str, object], trials: int, workers: int):
@@ -408,9 +402,9 @@ def cmd_transgress(args) -> Report:
         echo += f" --out {args.out}"
     report = Report(command=echo)
     report.body.append(f"group: {args.group} (order {group.order})")
-    report.body.append(f"twist: {desc}, support {len(phi.table)}")
+    report.body.append(f"twist: {desc}, support {phi.support_size()}")
     report.data["group"] = {"spec": args.group, "order": group.order}
-    report.data["twist"] = {"description": desc, "support": len(phi.table)}
+    report.data["twist"] = {"description": desc, "support": phi.support_size()}
 
     if args.out:
         try:

@@ -2,9 +2,9 @@
 
 A degree-k cochain assigns a rational-mod-1 value to every composable
 k-tuple of arrows (degree 0: to every object). Everything is exact: a
-cochain stores one modulus N and an integer in 1..N-1 for each nonzero
-value, standing for that integer over N mod 1, and all identities are
-tested with literal equality. Fractions appear only at the boundaries:
+cochain stores one modulus N and a dense list of integers in 0..N-1, one
+per tuple in nerve order, each standing for itself over N mod 1, and all
+identities are tested with literal equality. Fractions appear only at the boundaries:
 the public constructor, value(), the cochain file format and the right-hand
 side of a coboundary solve.
 
@@ -32,6 +32,7 @@ from .groupoids import (
     SectorGroupoid,
     evaluation_hom,
     nerve,
+    nerve_index,
     nerve_size,
     point_groupoid,
 )
@@ -61,46 +62,68 @@ class CocycleError(ValueError):
 
 
 class Cochain:
-    """Sparse table from key tuples to Q/Z values; absent keys read as 0.
+    """Dense list of Q/Z values, one per composable k-tuple, in nerve order.
 
-    Keys are tuples of arrow indices; degree-0 keys are 1-tuples holding an
-    object index instead. table[key] is an integer v in 1..modulus-1 and
-    stands for v/modulus mod 1. The constructor takes any rational values
-    and picks the lcm of their reduced denominators as the modulus.
+    values[p] is an integer v in 0..modulus-1 standing for v/modulus mod 1,
+    at the key in position p of nerve_index(groupoid, degree). Keys are
+    tuples of arrow indices; degree-0 keys are 1-tuples holding an object
+    index instead, and object x sits at position x. The constructor takes
+    a sparse table of rational values, refuses any key that is not a
+    composable tuple of the groupoid, and picks the lcm of the reduced
+    denominators as the modulus.
     """
 
-    __slots__ = ("groupoid", "degree", "modulus", "table")
+    __slots__ = ("groupoid", "degree", "modulus", "values")
 
     def __init__(self, groupoid: FiniteGroupoid, degree: int, table=None):
         if degree < 0:
             raise ValueError("cochain degree must be nonnegative")
-        fracs: Dict[Tuple[int, ...], Fraction] = {}
-        modulus = 1
-        for key, raw in (table or {}).items():
-            v = Fraction(raw) % 1
-            if v:
-                fracs[tuple(key)] = v
-                modulus = math.lcm(modulus, v.denominator)
+        index = nerve_index(groupoid, degree)
         self.groupoid = groupoid
         self.degree = degree
-        self.modulus = modulus
-        self.table = {
-            k: v.numerator * (modulus // v.denominator) for k, v in fracs.items()
-        }
+        self.modulus, self.values = _integers(
+            index.size,
+            [(index.position(key), raw) for key, raw in (table or {}).items()],
+        )
 
     def value(self, key: Sequence[int]) -> Fraction:
-        v = self.table.get(tuple(key))
+        return self.value_at(nerve_index(self.groupoid, self.degree).position(key))
+
+    def value_at(self, p: int) -> Fraction:
+        """The value at position p; in degree 1 that is the value at arrow p."""
+        v = self.values[p]
         return _angle(v, self.modulus) if v else ZERO
 
     def is_zero(self) -> bool:
-        return not self.table
+        return not any(self.values)
 
-    def _at(self, modulus: int) -> Dict[Tuple[int, ...], int]:
-        """The integer table over a multiple of the modulus."""
+    def support_size(self) -> int:
+        return len(self.values) - self.values.count(0)
+
+    def first_key(self) -> Optional[Tuple[int, ...]]:
+        """The key of the first nonzero value in nerve order (the least key);
+        None for the zero cochain."""
+        if not any(self.values):
+            return None
+        p = next(p for p, v in enumerate(self.values) if v)
+        return nerve_index(self.groupoid, self.degree).key(p)
+
+    @property
+    def table(self) -> Dict[Tuple[int, ...], int]:
+        """The nonzero values as a {key: integer} dict in nerve order, built
+        on each read for cold readers; sweeps read values."""
+        if self.degree == 0:
+            keys = [(x,) for x in range(self.groupoid.n_objects)]
+        else:
+            keys = nerve(self.groupoid, self.degree)
+        return {key: v for key, v in zip(keys, self.values) if v}
+
+    def _at(self, modulus: int) -> List[int]:
+        """The integer values over a multiple of the modulus."""
         if modulus == self.modulus:
-            return self.table
+            return self.values
         f = modulus // self.modulus
-        return {k: v * f for k, v in self.table.items()}
+        return [v * f for v in self.values]
 
     def _binop(self, other: "Cochain", flip: bool) -> "Cochain":
         if not isinstance(other, Cochain):
@@ -108,13 +131,11 @@ class Cochain:
         if other.groupoid is not self.groupoid or other.degree != self.degree:
             raise ValueError("cochain mismatch: different groupoid or degree")
         n = math.lcm(self.modulus, other.modulus)
-        out = dict(self._at(n))
-        for k, v in other._at(n).items():
-            s = (out.get(k, 0) + (-v if flip else v)) % n
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        a, b = self._at(n), other._at(n)
+        if flip:
+            out = [(x - y) % n for x, y in zip(a, b)]
+        else:
+            out = [(x + y) % n for x, y in zip(a, b)]
         return _cochain(self.groupoid, self.degree, n, out)
 
     def __add__(self, other):
@@ -125,9 +146,7 @@ class Cochain:
 
     def __neg__(self):
         n = self.modulus
-        return _cochain(
-            self.groupoid, self.degree, n, {k: n - v for k, v in self.table.items()}
-        )
+        return _cochain(self.groupoid, self.degree, n, [-v % n for v in self.values])
 
     def __eq__(self, other):
         if not isinstance(other, Cochain):
@@ -140,7 +159,7 @@ class Cochain:
     __hash__ = None
 
     def __repr__(self):
-        return f"{type(self).__name__}(degree={self.degree}, support={len(self.table)})"
+        return f"{type(self).__name__}(degree={self.degree}, support={self.support_size()})"
 
 
 class Cocycle(Cochain):
@@ -157,19 +176,36 @@ class Cocycle(Cochain):
 
 
 def _cochain(
-    groupoid: FiniteGroupoid, degree: int, modulus: int, table, cls=Cochain
+    groupoid: FiniteGroupoid, degree: int, modulus: int, values: List[int], cls=Cochain
 ) -> Cochain:
-    """Wrap an integer table whose values already lie in 1..modulus-1."""
+    """Wrap a dense value list whose entries already lie in 0..modulus-1."""
     c = object.__new__(cls)
     c.groupoid = groupoid
     c.degree = degree
     c.modulus = modulus
-    c.table = table
+    c.values = values
     return c
 
 
+def _integers(size: int, entries) -> Tuple[int, List[int]]:
+    """(modulus, values) of a dense list holding rational values at the
+    given (position, value) entries and 0 elsewhere; the modulus is the lcm
+    of the reduced denominators."""
+    fracs = []
+    modulus = 1
+    for p, raw in entries:
+        v = Fraction(raw) % 1
+        if v:
+            fracs.append((p, v))
+            modulus = math.lcm(modulus, v.denominator)
+    values = [0] * size
+    for p, v in fracs:
+        values[p] = v.numerator * (modulus // v.denominator)
+    return modulus, values
+
+
 def zero_cochain(gpd: FiniteGroupoid, degree: int) -> Cochain:
-    return Cochain(gpd, degree, {})
+    return _cochain(gpd, degree, 1, [0] * nerve_index(gpd, degree).size)
 
 
 def group_cochain(group: FiniteGroup, degree: int, table) -> Cochain:
@@ -179,15 +215,10 @@ def group_cochain(group: FiniteGroup, degree: int, table) -> Cochain:
 
 
 def random_cochain(gpd: FiniteGroupoid, degree: int, rng, denominator: int = 12) -> Cochain:
-    """Seeded dense cochain; the lexicographic fill order makes the result a
-    pure function of the rng state."""
-    keys = [(x,) for x in range(gpd.n_objects)] if degree == 0 else nerve(gpd, degree)
-    table: Dict[Tuple[int, ...], int] = {}
-    for key in keys:
-        v = rng.randrange(denominator)
-        if v:
-            table[key] = v
-    return _cochain(gpd, degree, denominator, table)
+    """Seeded dense cochain; one draw per key in nerve order makes the result
+    a pure function of the rng state."""
+    size = nerve_index(gpd, degree).size
+    return _cochain(gpd, degree, denominator, [rng.randrange(denominator) for _ in range(size)])
 
 
 def delta(c: Cochain) -> Cochain:
@@ -197,91 +228,71 @@ def delta(c: Cochain) -> Cochain:
                      + (-1)^(k+1) c(t0..t_{k-1}),
 
     and δc(a) = c(target a) - c(source a) in degree 0. On an action
-    groupoid, degrees 1, 2 and 3 sweep the nerve as nested loops, each
-    composite read from the group table and each face value taken in the
-    outermost loop that fixes it; other groupoids and higher degrees run
-    the generic face loop. All of them visit the tuples in ``nerve`` order."""
+    groupoid, degrees 1, 2 and 3 sweep the nerve as nested loops that read
+    each face from a row of |G| consecutive values; other groupoids and
+    higher degrees run the generic face loop over ``nerve``. Both write the
+    tuples in ``nerve`` order."""
     g = c.groupoid
     k = c.degree
     n = c.modulus
-    get = c.table.get
-    out: Dict[Tuple[int, ...], int] = {}
+    v = c.values
     if k == 0:
-        for a in range(g.n_arrows):
-            v = (get((g.target[a],), 0) - get((g.source[a],), 0)) % n
-            if v:
-                out[(a,)] = v
-        return _cochain(g, 1, n, out)
-    compose, out_arrows, target = g.compose, g.out_arrows, g.target
+        return _cochain(g, 1, n, [(v[y] - v[x]) % n for x, y in zip(g.source, g.target)])
+    compose, target = g.compose, g.target
+    out: List[int] = []
+    ext = out.extend
     if isinstance(compose, ActionCompose) and k <= 3:
-        # arrow off + e, with off the first arrow at its source and e its
-        # group element, then any arrow out of its target with element f:
-        # the composite is off + mult[e][f]
-        order, mult = compose.order, compose.mult
+        # arrow t = x*m + e runs from point x with group element e, and then
+        # an arrow with element f composes to x*m + mult[e][f]. Positions
+        # depend on the first arrow and the later elements only, so the
+        # k-tuples that share all but their last arrow fill one row of m
+        # values, indexed by its element; rows[q] is the q-th such row
+        m, mult = compose.order, compose.mult
+        rows = [v[i : i + m] for i in range(0, len(v), m)]
         if k == 1:
-            for t0 in range(g.n_arrows):
-                e0 = t0 % order
-                off0 = t0 - e0
-                c0 = get((t0,), 0)
-                for t1, m01 in zip(out_arrows[target[t0]], mult[e0]):
-                    v = (get((t1,), 0) - get((off0 + m01,), 0) + c0) % n
-                    if v:
-                        out[t0, t1] = v
+            # c(t1) - c(t0 t1) + c(t0)
+            for t0, y in enumerate(target):
+                e0 = t0 % m
+                r0 = rows[t0 // m]
+                c0 = r0[e0]
+                ext([(a - r0[f] + c0) % n for a, f in zip(rows[y], mult[e0])])
             return _cochain(g, 2, n, out)
         if k == 2:
-            for t0 in range(g.n_arrows):
-                e0 = t0 % order
-                off0, m0 = t0 - e0, mult[e0]
-                out1 = out_arrows[target[t0]]
-                off1 = out1[0]
-                for e1, t1 in enumerate(out1):
-                    t01 = off0 + m0[e1]
-                    c01 = get((t0, t1), 0)
-                    for t2, m12 in zip(out_arrows[target[t1]], mult[e1]):
-                        v = (
-                            get((t1, t2), 0)
-                            - get((t01, t2), 0)
-                            + get((t0, off1 + m12), 0)
-                            - c01
-                        ) % n
-                        if v:
-                            out[t0, t1, t2] = v
+            # c(t1, t2) - c(t0 t1, t2) + c(t0, t1 t2) - c(t0, t1)
+            for t0, y in enumerate(target):
+                off0, m0 = t0 - t0 % m, mult[t0 % m]
+                r0 = rows[t0]
+                for e1, t1 in enumerate(range(y * m, y * m + m)):
+                    c01 = r0[e1]
+                    ext([
+                        (a - b + r0[f] - c01) % n
+                        for a, b, f in zip(rows[t1], rows[off0 + m0[e1]], mult[e1])
+                    ])
             return _cochain(g, 3, n, out)
-        # k == 3
-        for t0 in range(g.n_arrows):
-            e0 = t0 % order
-            off0, m0 = t0 - e0, mult[e0]
-            out1 = out_arrows[target[t0]]
-            off1 = out1[0]
-            for e1, t1 in enumerate(out1):
-                t01 = off0 + m0[e1]
-                m1 = mult[e1]
-                out2 = out_arrows[target[t1]]
-                off2 = out2[0]
-                for e2, t2 in enumerate(out2):
-                    t12 = off1 + m1[e2]
-                    c012 = get((t0, t1, t2), 0)
-                    for t3, m23 in zip(out_arrows[target[t2]], mult[e2]):
-                        v = (
-                            get((t1, t2, t3), 0)
-                            - get((t01, t2, t3), 0)
-                            + get((t0, t12, t3), 0)
-                            - get((t0, t1, off2 + m23), 0)
-                            + c012
-                        ) % n
-                        if v:
-                            out[t0, t1, t2, t3] = v
+        # k == 3: c(t1, t2, t3) - c(t0 t1, t2, t3) + c(t0, t1 t2, t3)
+        #         - c(t0, t1, t2 t3) + c(t0, t1, t2)
+        for t0, y in enumerate(target):
+            off0, m0 = t0 - t0 % m, mult[t0 % m]
+            b0 = t0 * m
+            for e1, t1 in enumerate(range(y * m, y * m + m)):
+                m1, r01 = mult[e1], rows[b0 + e1]
+                b1, b01 = t1 * m, (off0 + m0[e1]) * m
+                for e2, c012 in enumerate(r01):
+                    ext([
+                        (a - b + c - r01[f] + c012) % n
+                        for a, b, c, f in zip(
+                            rows[b1 + e2], rows[b01 + e2], rows[b0 + m1[e2]], mult[e2]
+                        )
+                    ])
         return _cochain(g, 4, n, out)
+    at = nerve_index(g, k).at
     for tup in nerve(g, k + 1):
-        v = get(tup[1:], 0)
+        s = v[at(tup[1:])]
         sign = -1
         for i in range(k):
-            merged = tup[:i] + (compose[tup[i], tup[i + 1]],) + tup[i + 2 :]
-            v += sign * get(merged, 0)
+            s += sign * v[at(tup[:i] + (compose[tup[i], tup[i + 1]],) + tup[i + 2 :])]
             sign = -sign
-        v = (v + sign * get(tup[:-1], 0)) % n
-        if v:
-            out[tup] = v
+        out.append((s + sign * v[at(tup[:-1])]) % n)
     return _cochain(g, k + 1, n, out)
 
 
@@ -290,13 +301,12 @@ def cocycle(c: Cochain) -> Cocycle:
     key, in nerve order, where the coboundary does not vanish."""
     if isinstance(c, Cocycle):
         return c
-    d = delta(c)
-    if not d.is_zero():
-        key = min(d.table)
+    key = delta(c).first_key()
+    if key is not None:
         raise CocycleError(
             f"cocycle identity fails at ({','.join(map(str, key))})", key
         )
-    return _cochain(c.groupoid, c.degree, c.modulus, c.table, cls=Cocycle)
+    return _cochain(c.groupoid, c.degree, c.modulus, c.values, cls=Cocycle)
 
 
 def is_cocycle(c: Cochain) -> bool:
@@ -305,40 +315,34 @@ def is_cocycle(c: Cochain) -> bool:
 
 
 def pullback(h: GroupoidHom, c: Cochain) -> Cochain:
-    """(h*c)(tuple) = c(image tuple). Degrees 1 and 2 sweep the source's
-    arrows, and composable pairs, as nested loops; higher degrees walk
-    ``nerve``. Both visit the tuples in ``nerve`` order."""
+    """(h*c)(tuple) = c(image tuple). Degrees 0 to 2 read the images'
+    positions from the hom's maps, for any source groupoid; higher degrees
+    walk ``nerve``. Both write the tuples in ``nerve`` order."""
     if c.groupoid is not h.target:
         raise ValueError("cochain does not live on the hom's target groupoid")
     src = h.source
     k = c.degree
-    get = c.table.get
-    table: Dict[Tuple[int, ...], int] = {}
+    v = c.values
+    amap = h.arrow_map
     if k == 0:
-        for x in range(src.n_objects):
-            v = get((h.object_map[x],))
-            if v:
-                table[(x,)] = v
+        out = [v[y] for y in h.object_map]
     elif k == 1:
-        for t, b in enumerate(h.arrow_map):
-            v = get((b,))
-            if v:
-                table[(t,)] = v
+        out = [v[b] for b in amap]
     elif k == 2:
-        # the degree-2 nerve inlined, so any source groupoid takes this path
-        amap, out_arrows, target = h.arrow_map, src.out_arrows, src.target
-        for t0, b0 in enumerate(amap):
-            for t1 in out_arrows[target[t0]]:
-                v = get((b0, amap[t1]))
-                if v:
-                    table[t0, t1] = v
+        # (t0, t1) reads position start[b0] + place[b1] of its image (b0, b1);
+        # places[y] lists place[b1] over the arrows t1 out of object y
+        index = nerve_index(h.target, 2)
+        start, place = index.start, index.place
+        places = [[place[amap[t]] for t in outs] for outs in src.out_arrows]
+        out = []
+        ext = out.extend
+        for b0, y in zip(amap, src.target):
+            s = start[b0]
+            ext([v[s + p] for p in places[y]])
     else:
-        amap = h.arrow_map
-        for tup in nerve(src, k):
-            v = get(tuple([amap[a] for a in tup]))
-            if v:
-                table[tup] = v
-    return _cochain(src, k, c.modulus, table)
+        at = nerve_index(h.target, k).at
+        out = [v[at([amap[a] for a in tup])] for tup in nerve(src, k)]
+    return _cochain(src, k, c.modulus, out)
 
 
 def inverse_transgression(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
@@ -350,9 +354,9 @@ def inverse_transgression(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
         + sum_i (-1)^(i+k) phi(u_1..u_i, a_i, u_(i+1)..u_k)
     where a_i is a dragged along u_1..u_i. Those dragged loops are exactly
     the loop labels of the objects along the conjugator path. For k = 1 and
-    2 the action groupoid is swept as nested loops, each loop label and
-    target read by index arithmetic; higher k walks ``nerve``. Both visit
-    the tuples in ``nerve`` order.
+    2 the action groupoid is swept as nested loops, each loop label, target
+    and value position found by index arithmetic; higher k walks ``nerve``.
+    Both write the tuples in ``nerve`` order.
     """
     if sectors.k != 1:
         raise ValueError("transgression lands on the 1-sector groupoid")
@@ -363,42 +367,39 @@ def inverse_transgression(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
     k = phi.degree - 1
     lam = sectors.groupoid
     n = phi.modulus
-    get = phi.table.get
-    out: Dict[Tuple[int, ...], int] = {}
+    v = phi.values
+    # loop[x] is the loop label of point x; the base has one object, so
+    # phi's key (b_0..b_j) sits at the base-|G| number with those digits
+    loop = [a for _, (a,) in sectors.objects]
     if k == 0:
-        for i, (_, (a,)) in enumerate(sectors.objects):
-            v = get((a,))
-            if v:
-                out[(i,)] = v
-        return _cochain(lam, 0, n, out)
+        return _cochain(lam, 0, n, [v[a] for a in loop])
     compose = lam.compose
+    out: List[int] = []
     if isinstance(compose, ActionCompose) and k <= 2:
         # arrow x*order + e runs from point x to act[x][e] and conjugates by
-        # members[e]; loop[x] is the loop label of point x
+        # members[e]; drag[x][e] = u*order + loop label of that target
         order, act = compose.order, compose.act
-        loop = [a for _, (a,) in sectors.objects]
         members = [b for _, b in sectors.arrows[:order]]
+        drag = [[u * order + loop[y] for u, y in zip(members, row)] for row in act]
+        ext = out.extend
         if k == 1:
-            for x0, row in enumerate(act):
-                a0, off0 = loop[x0], x0 * order
-                for e, (u, x1) in enumerate(zip(members, row)):
-                    v = (get((u, loop[x1]), 0) - get((a0, u), 0)) % n
-                    if v:
-                        out[(off0 + e,)] = v
+            # phi(u, a1) - phi(a0, u)
+            for x0, a0 in enumerate(loop):
+                r0 = v[a0 * order : a0 * order + order]
+                ext([(v[q] - r0[u]) % n for u, q in zip(members, drag[x0])])
             return _cochain(lam, 1, n, out)
-        for x0, row in enumerate(act):
-            a0, off0 = loop[x0], x0 * order
-            for e1, (u1, x1) in enumerate(zip(members, row)):
-                a1, off1, t0 = loop[x1], x1 * order, off0 + e1
-                for e2, (u2, x2) in enumerate(zip(members, act[x1])):
-                    v = (
-                        get((a0, u1, u2), 0)
-                        - get((u1, a1, u2), 0)
-                        + get((u1, u2, loop[x2]), 0)
-                    ) % n
-                    if v:
-                        out[t0, off1 + e2] = v
+        # phi(a0, u1, u2) - phi(u1, a1, u2) + phi(u1, u2, a2)
+        sq = order * order
+        for a0, row in zip(loop, act):
+            for u1, x1 in zip(members, row):
+                p0, p1, b2 = a0 * sq + u1 * order, u1 * sq + loop[x1] * order, u1 * sq
+                r0, r1 = v[p0 : p0 + order], v[p1 : p1 + order]
+                ext([
+                    (r0[u2] - r1[u2] + v[b2 + q]) % n
+                    for u2, q in zip(members, drag[x1])
+                ])
         return _cochain(lam, 2, n, out)
+    at = nerve_index(sectors.base, k + 1).at
     lead_sign = 1 if k % 2 == 0 else -1
     for tup in nerve(lam, k):
         obj0 = sectors.arrows[tup[0]][0]
@@ -407,14 +408,12 @@ def inverse_transgression(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
         dragged = tuple(
             sectors.objects[lam.target[t]][1][0] for t in tup
         )
-        total = lead_sign * get((a0,) + us, 0)
+        total = lead_sign * v[at((a0,) + us)]
         s = lead_sign
         for i in range(1, k + 1):
             s = -s
-            total += s * get(us[:i] + (dragged[i - 1],) + us[i:], 0)
-        total %= n
-        if total:
-            out[tup] = total
+            total += s * v[at(us[:i] + (dragged[i - 1],) + us[i:])]
+        out.append(total % n)
     return _cochain(lam, k, n, out)
 
 
@@ -443,52 +442,50 @@ def product_homotopy(phi: Cochain, two_sectors: SectorGroupoid) -> Cochain:
     gpd2 = two_sectors.groupoid
     parity = -1 if k % 2 else 1
     n = phi.modulus
-    get = phi.table.get
-    out: Dict[Tuple[int, ...], int] = {}
+    v = phi.values
+    # positions of phi's keys are base-|G| numbers, as in
+    # inverse_transgression; pair[x] is that of point x's loop pair (a, b)
+    order = two_sectors.base.n_arrows
+    first = [a for _, (a, _) in two_sectors.objects]
+    second = [b for _, (_, b) in two_sectors.objects]
+    pair = [a * order + b for a, b in zip(first, second)]
     if k == 0:
-        for i, (_, (a, b)) in enumerate(two_sectors.objects):
-            v = get((a, b))
-            if v:
-                out[(i,)] = v
-        return _cochain(gpd2, 0, n, out)
+        return _cochain(gpd2, 0, n, [v[p] for p in pair])
     compose = gpd2.compose
+    out: List[int] = []
     if isinstance(compose, ActionCompose) and k <= 2:
-        # as in inverse_transgression, with (a, b) the loop pair of a point
-        order, act = compose.order, compose.act
-        loops = [ab for _, ab in two_sectors.objects]
-        members = [v for _, v in two_sectors.arrows[:order]]
+        # with u = members[e] and y = act[x][e]: near[x][e] = u*order + b(y)
+        # and far[x][e] = u*order^2 + pair[y]
+        act = compose.act
+        members = [u for _, u in two_sectors.arrows[:order]]
+        sq, cube = order * order, order**3
+        near = [[u * order + second[y] for u, y in zip(members, row)] for row in act]
+        far = [[u * sq + pair[y] for u, y in zip(members, row)] for row in act]
+        ext = out.extend
         if k == 1:
-            for x0, row in enumerate(act):
-                a, b = loops[x0]
-                off0 = x0 * order
-                for e, (u, x1) in enumerate(zip(members, row)):
-                    a1, b1 = loops[x1]
-                    v = -(
-                        get((a, b, u), 0) - get((a, u, b1), 0) + get((u, a1, b1), 0)
-                    ) % n
-                    if v:
-                        out[(off0 + e,)] = v
+            # -(phi(a, b, u) - phi(a, u, b1) + phi(u, a1, b1))
+            for x0, (a, p) in enumerate(zip(first, pair)):
+                rab, asq = v[p * order : p * order + order], a * sq
+                ext([
+                    -(rab[u] - v[asq + q] + v[f]) % n
+                    for u, q, f in zip(members, near[x0], far[x0])
+                ])
             return _cochain(gpd2, 1, n, out)
         # the six (i, j) terms of the double sum, in its order
         for x0, row in enumerate(act):
-            a0, b0 = loops[x0]
-            off0 = x0 * order
-            for e1, (u1, x1) in enumerate(zip(members, row)):
-                a1, b1 = loops[x1]
-                off1, t0 = x1 * order, off0 + e1
-                for e2, (u2, x2) in enumerate(zip(members, act[x1])):
-                    a2, b2 = loops[x2]
-                    v = (
-                        get((a0, b0, u1, u2), 0)
-                        - get((a0, u1, b1, u2), 0)
-                        + get((a0, u1, u2, b2), 0)
-                        + get((u1, a1, b1, u2), 0)
-                        - get((u1, a1, u2, b2), 0)
-                        + get((u1, u2, a2, b2), 0)
-                    ) % n
-                    if v:
-                        out[t0, off1 + e2] = v
+            a0c, p0 = first[x0] * cube, pair[x0] * sq
+            for u1, x1 in zip(members, row):
+                s1 = p0 + u1 * order
+                s2 = a0c + u1 * sq + second[x1] * order
+                s4 = u1 * cube + pair[x1] * order
+                b3, b5, b6 = a0c + u1 * sq, u1 * cube + first[x1] * sq, u1 * cube
+                r1, r2, r4 = v[s1 : s1 + order], v[s2 : s2 + order], v[s4 : s4 + order]
+                ext([
+                    (r1[u2] - r2[u2] + v[b3 + q] + r4[u2] - v[b5 + q] + v[b6 + f]) % n
+                    for u2, q, f in zip(members, near[x1], far[x1])
+                ])
         return _cochain(gpd2, 2, n, out)
+    at = nerve_index(two_sectors.base, k + 2).at
     for tup in nerve(gpd2, k):
         obj0 = two_sectors.arrows[tup[0]][0]
         us = tuple(two_sectors.arrows[t][1] for t in tup)
@@ -503,12 +500,10 @@ def product_homotopy(phi: Cochain, two_sectors: SectorGroupoid) -> Cochain:
             for j in range(i, k + 1):
                 key = us[:i] + (a_at[i],) + us[i:j] + (b_at[j],) + us[j:]
                 if (i + j) % 2:
-                    total -= get(key, 0)
+                    total -= v[at(key)]
                 else:
-                    total += get(key, 0)
-        total = parity * total % n
-        if total:
-            out[tup] = total
+                    total += v[at(key)]
+        out.append(parity * total % n)
     return _cochain(gpd2, k, n, out)
 
 
@@ -559,25 +554,24 @@ def shuffle_transgression(
     k = phi.degree - 1
     base = point_groupoid(zgrp)
     n = phi.modulus
-    get = phi.table.get
-    out: Dict[Tuple[int, ...], int] = {}
+    v = phi.values
     if k == 0:
-        v = get((g,))
-        if v:
-            out[(0,)] = v
-        return _cochain(base, 0, n, out), zgrp, members
-    for tup in itertools.product(range(zgrp.order), repeat=k):
-        word = tuple(members[t] for t in tup)
+        return _cochain(base, 0, n, [v[g]]), zgrp, members
+    # phi lives on the one-object groupoid of the group: its key (b_0..b_k)
+    # sits at the base-|G| number with those digits
+    order = group.order
+    out: List[int] = []
+    for word in itertools.product(members, repeat=k):
         total = 0
         for pos in range(k + 1):
-            key = word[:pos] + (g,) + word[pos:]
+            p = 0
+            for b in word[:pos] + (g,) + word[pos:]:
+                p = p * order + b
             if (k - pos) % 2:
-                total -= get(key, 0)
+                total -= v[p]
             else:
-                total += get(key, 0)
-        total %= n
-        if total:
-            out[tup] = total
+                total += v[p]
+        out.append(total % n)
     return _cochain(base, k, n, out), zgrp, members
 
 
@@ -594,39 +588,36 @@ def coboundary_solve(c: Cochain) -> Optional[Cochain]:
         raise ValueError("coboundary_solve requires a cocycle")
     g = c.groupoid
     k = c.degree
-    if k == 1:
-        unknown_keys = [(x,) for x in range(g.n_objects)]
-    else:
-        unknown_keys = list(nerve(g, k - 1))
-    col = {key: idx for idx, key in enumerate(unknown_keys)}
+    unknowns = nerve_index(g, k - 1)
+    n_cols = unknowns.size
     n_rows = nerve_size(g, k)
-    if n_rows * len(unknown_keys) > SOLVE_ENTRY_CAP:
-        raise ValueError(
-            f"solve would need a {n_rows} x {len(unknown_keys)} system, over cap"
-        )
+    if n_rows * n_cols > SOLVE_ENTRY_CAP:
+        raise ValueError(f"solve would need a {n_rows} x {n_cols} system, over cap")
 
+    # column p is the unknown at position p of the (k-1)-tuples, which in
+    # degree 0 is object p
+    at = unknowns.at
     rows: List[List[int]] = []
-    rhs: List[Fraction] = []
     for tup in nerve(g, k):
-        row = [0] * len(unknown_keys)
+        row = [0] * n_cols
         if k == 1:
-            row[col[(g.target[tup[0]],)]] += 1
-            row[col[(g.source[tup[0]],)]] -= 1
+            row[g.target[tup[0]]] += 1
+            row[g.source[tup[0]]] -= 1
         else:
-            row[col[tup[1:]]] += 1
+            row[at(tup[1:])] += 1
             sign = -1
             for i in range(k - 1):
                 merged = tup[:i] + (g.compose[(tup[i], tup[i + 1])],) + tup[i + 2 :]
-                row[col[merged]] += sign
+                row[at(merged)] += sign
                 sign = -sign
-            row[col[tup[:-1]]] += sign
+            row[at(tup[:-1])] += sign
         rows.append(row)
-        rhs.append(c.value(tup))
+    rhs = [_angle(v, c.modulus) for v in c.values]
 
     sol = solve_mod1(rows, rhs)
     if sol is None:
         return None
-    witness = Cochain(g, k - 1, dict(zip(unknown_keys, sol)))
+    witness = _cochain(g, k - 1, *_integers(n_cols, enumerate(sol)))
     if delta(witness) != c:
         raise AssertionError("solver returned a non-witness; internal inconsistency")
     return witness
@@ -853,12 +844,11 @@ def commutator_pairing(group: FiniteGroup, tau: Cochain) -> Dict[Tuple[int, int]
         raise ValueError("expected a degree-2 cochain on the group groupoid")
     if not is_cocycle(tau):
         raise ValueError("commutator pairing needs a cocycle")
-    n = tau.modulus
-    get = tau.table.get
+    n, v, order = tau.modulus, tau.values, group.order
     out = {}
     for g in group.elements():
         for h in group.elements():
-            out[(g, h)] = Fraction((get((g, h), 0) - get((h, g), 0)) % n, n)
+            out[(g, h)] = Fraction((v[g * order + h] - v[h * order + g]) % n, n)
     return out
 
 
@@ -868,8 +858,8 @@ def commutator_pairing(group: FiniteGroup, tau: Cochain) -> Dict[Tuple[int, int]
 
 def write_cochain(c: Cochain) -> List[str]:
     lines = [f"degree {c.degree}"]
-    for key in sorted(c.table):
-        v = c.value(key)
+    for key, raw in c.table.items():
+        v = _angle(raw, c.modulus)
         head = " ".join(str(i) for i in key)
         lines.append(f"{head} {v.numerator}/{v.denominator}".strip())
     return lines
@@ -893,6 +883,7 @@ def read_cochain(lines: Iterable[str], gpd: FiniteGroupoid) -> Cochain:
     degree = _int_field(parts[1], rows[0])
     if degree < 0:
         raise ValueError(f"negative degree in {rows[0]!r}")
+    index = nerve_index(gpd, degree)
     table: Dict[Tuple[int, ...], Fraction] = {}
     want = max(degree, 1) + 1
     for ln in rows[1:]:
@@ -905,18 +896,11 @@ def read_cochain(lines: Iterable[str], gpd: FiniteGroupoid) -> Cochain:
         num, den = (_int_field(t, ln) for t in toks[-1].split("/", 1))
         if den == 0:
             raise ValueError(f"zero denominator in {ln!r}")
-        val = Fraction(num, den)
-        if degree == 0:
-            if not 0 <= key[0] < gpd.n_objects:
-                raise ValueError(f"object index out of range in {ln!r}")
-        else:
-            for a in key:
-                if not 0 <= a < gpd.n_arrows:
-                    raise ValueError(f"arrow index out of range in {ln!r}")
-            for a, b in zip(key, key[1:]):
-                if gpd.target[a] != gpd.source[b]:
-                    raise ValueError(f"non-composable key in {ln!r}")
+        try:
+            index.position(key)
+        except ValueError as e:
+            raise ValueError(f"{e} in {ln!r}") from None
         if key in table:
             raise ValueError(f"duplicate key in {ln!r}")
-        table[key] = val
+        table[key] = Fraction(num, den)
     return Cochain(gpd, degree, table)

@@ -105,22 +105,12 @@ class TwistContext:
     def tau_table(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
         """The sector 2-cocycle at loop g against conjugators u1 then u2,
         as an integer over tau.modulus, indexed [g][u1][u2]."""
-        group, sec, tab = self.group, self.sectors, self.tau.table
-        n = group.order
-        arrow = [
-            [sec.arrow_index[(sec.obj_index[(0, (g,))], u)] for u in range(n)]
-            for g in range(n)
-        ]
-        return tuple(
-            tuple(
-                tuple(
-                    tab.get((arrow[g][u1], arrow[group.conjugate(g, u1)][u2]), 0)
-                    for u2 in range(n)
-                )
-                for u1 in range(n)
-            )
-            for g in range(n)
-        )
+        n, values = self.group.order, self.tau.values
+        # tau lives on the 1-sectors of the group's one-object groupoid, so
+        # arrow g*n + u1 is loop g conjugated by u1, and the n values of the
+        # pairs it starts are that row's values at u2 = 0..n-1
+        rows = [tuple(values[i : i + n]) for i in range(0, len(values), n)]
+        return tuple(tuple(rows[g * n : g * n + n]) for g in range(n))
 
     def tau_value(self, g: int, u1: int, u2: int) -> Fraction:
         """Sector 2-cocycle at loop g against conjugators u1 then u2."""
@@ -130,7 +120,7 @@ class TwistContext:
         """Product homotopy at the loop pair (g1, g2) against conjugator u."""
         o = self.two_sectors.obj_index[(0, (g1, g2))]
         a = self.two_sectors.arrow_index[(o, u)]
-        return self.mu.value((a,))
+        return self.mu.value_at(a)
 
 
 def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
@@ -194,7 +184,7 @@ def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
     ctx.normalized = normalized
     conductor = 1
     for c in (tau, mu):
-        for v in c.table.values():
+        for v in set(c.values):
             conductor = math.lcm(conductor, c.modulus // math.gcd(v, c.modulus))
     ctx.conductor = conductor
     return ctx

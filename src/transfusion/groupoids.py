@@ -13,11 +13,14 @@ Conventions used throughout:
     the group table
   - make_groupoid is the generic validator, for composition dicts assembled
     arrow by arrow (fibered products, subgroupoids)
+  - nerve_index numbers the composable k-tuples in nerve order by
+    arithmetic; cochains store one value per position
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -226,19 +229,24 @@ def make_hom(
     am = tuple(arrow_map)
     if len(om) != source.n_objects or len(am) != source.n_arrows:
         raise GroupoidValidationError("hom table lengths disagree with source")
+    n_objects, n_arrows = target.n_objects, target.n_arrows
     for x, y in enumerate(om):
-        if not 0 <= y < target.n_objects:
+        if not 0 <= y < n_objects:
             raise GroupoidValidationError(f"hom sends object {x} to {y}, out of range")
     for a, b in enumerate(am):
-        if not 0 <= b < target.n_arrows:
+        if not 0 <= b < n_arrows:
             raise GroupoidValidationError(f"hom sends arrow {a} to {b}, out of range")
-    for a in range(source.n_arrows):
-        if target.source[am[a]] != om[source.source[a]]:
+    tsource, ttarget, ssource, starget = (
+        target.source, target.target, source.source, source.target
+    )
+    for a, b in enumerate(am):
+        if tsource[b] != om[ssource[a]]:
             raise GroupoidValidationError(f"hom breaks source at arrow {a}")
-        if target.target[am[a]] != om[source.target[a]]:
+        if ttarget[b] != om[starget[a]]:
             raise GroupoidValidationError(f"hom breaks target at arrow {a}")
-    for x in range(source.n_objects):
-        if am[source.identity[x]] != target.identity[om[x]]:
+    tidentity = target.identity
+    for x, e in enumerate(source.identity):
+        if am[e] != tidentity[om[x]]:
             raise GroupoidValidationError(f"hom breaks identity at object {x}")
     bad = _first_broken_pair(source.compose, target.compose, am)
     if bad is not None:
@@ -321,12 +329,15 @@ def action_groupoid(
     source: List[int] = []
     target: List[int] = []
     inverse: List[int] = []
+    # act[y] must equal row read through right multiplication by g; an
+    # itemgetter of one index returns the item, not a 1-tuple
+    pick = [itemgetter(*mg) for mg in group.mult]
+    picked = act if order > 1 else [row[0] for row in act]
     for x, row in enumerate(act):
         for g in elements:
             y = row[g]
-            yrow = act[y]
-            mg = group.mult[g]
-            if list(yrow) != [row[m] for m in mg]:
+            if pick[g](row) != picked[y]:
+                yrow, mg = act[y], group.mult[g]
                 h = next(h for h in elements if yrow[h] != row[mg[h]])
                 raise GroupoidValidationError(
                     f"action axiom fails at point {x}, elements ({g},{h})"
@@ -490,13 +501,115 @@ def nerve(gpd: FiniteGroupoid, r: int) -> Iterator[Tuple[int, ...]]:
 def nerve_size(gpd: FiniteGroupoid, r: int) -> int:
     if r < 1:
         raise ValueError("nerve degree must be at least 1")
-    counts = [1] * gpd.n_arrows
-    for _ in range(r - 1):
-        nxt = [0] * gpd.n_arrows
-        for a in range(gpd.n_arrows):
-            nxt[a] = sum(counts[b] for b in gpd.out_arrows[gpd.target[a]])
-        counts = nxt
-    return sum(counts)
+    return nerve_index(gpd, r).size
+
+
+class NerveIndex:
+    """Positions of the composable k-tuples of a groupoid in nerve order;
+    in degree 0, of its objects (object x at position x).
+
+    Out-degree d is constant on each connected component, so the tuples
+    that start with arrow t0 number d^(k-1) and follow those of the arrows
+    before t0: start[t0] is the sum of d(a)^(k-1) over a < t0. Among them,
+    (t0, t1..t_{k-1}) sits at the base-d number whose digits are the places
+    place[t_i] of t_i among the arrows out of its source. On an action
+    groupoid of G that is t0*|G|^(k-1) + sum_i (t_i mod |G|)*|G|^(k-1-i).
+    """
+
+    __slots__ = (
+        "k", "size", "start", "place", "out_degree", "n_objects", "source",
+        "target", "out_arrows",
+    )
+
+    def __init__(self, gpd: FiniteGroupoid, k: int):
+        if k < 0:
+            raise ValueError("nerve degree must be nonnegative")
+        place, out_degree = _nerve_places(gpd)
+        self.k = k
+        self.place = place
+        self.out_degree = out_degree
+        self.n_objects = gpd.n_objects
+        self.source, self.target, self.out_arrows = gpd.source, gpd.target, gpd.out_arrows
+        if k == 0:
+            self.start = None
+            self.size = gpd.n_objects
+        else:
+            self.start = list(itertools.accumulate((d ** (k - 1) for d in out_degree), initial=0))
+            self.size = self.start[-1]
+
+    def at(self, key: Sequence[int]) -> int:
+        """Position of a composable k-tuple, k >= 1, unchecked."""
+        t0 = key[0]
+        d, place, r = self.out_degree[t0], self.place, 0
+        for t in key[1:]:
+            r = r * d + place[t]
+        return self.start[t0] + r
+
+    def position(self, key: Sequence[int]) -> int:
+        """Position of a key; ValueError unless it is a composable k-tuple
+        of arrow indices (in degree 0, a 1-tuple holding an object)."""
+        key = tuple(key)
+        k = self.k
+        if len(key) != max(k, 1):
+            raise ValueError(f"key {key} has length {len(key)}, degree is {k}")
+        bound = self.n_objects if k == 0 else len(self.place)
+        for a in key:
+            if not (isinstance(a, int) and 0 <= a < bound):
+                raise ValueError(f"key {key} has index {a} out of range")
+        if k == 0:
+            return key[0]
+        source, target = self.source, self.target
+        for a, b in zip(key, key[1:]):
+            if target[a] != source[b]:
+                raise ValueError(f"key {key} is not a composable chain")
+        return self.at(key)
+
+    def key(self, p: int) -> Tuple[int, ...]:
+        """The key at position p: the inverse of position."""
+        if not 0 <= p < self.size:
+            raise IndexError(f"position {p} out of range")
+        if self.k == 0:
+            return (p,)
+        t0 = bisect_right(self.start, p) - 1
+        d, r = self.out_degree[t0], p - self.start[t0]
+        digits = []
+        for _ in range(self.k - 1):
+            r, digit = divmod(r, d)
+            digits.append(digit)
+        key = [t0]
+        for digit in reversed(digits):
+            key.append(self.out_arrows[self.target[key[-1]]][digit])
+        return tuple(key)
+
+
+def _nerve_places(gpd: FiniteGroupoid) -> Tuple[List[int], List[int]]:
+    """place[a], the index of a among the arrows out of its source, and
+    out_degree[a], their number; built once per groupoid."""
+    hit = gpd.cache.get("nerve places")
+    if hit is None:
+        place = [0] * gpd.n_arrows
+        out_degree = [0] * gpd.n_arrows
+        for outs in gpd.out_arrows:
+            for i, a in enumerate(outs):
+                place[a] = i
+                out_degree[a] = len(outs)
+        out_arrows = gpd.out_arrows
+        for a, y in enumerate(gpd.target):
+            if len(out_arrows[y]) != out_degree[a]:
+                raise GroupoidValidationError(
+                    f"arrow {a} joins objects of different out-degree"
+                )
+        hit = gpd.cache["nerve places"] = (place, out_degree)
+    return hit
+
+
+def nerve_index(gpd: FiniteGroupoid, k: int) -> NerveIndex:
+    """The positions of gpd's k-tuples, built once per groupoid and degree."""
+    key = ("nerve index", k)
+    hit = gpd.cache.get(key)
+    if hit is None:
+        hit = gpd.cache[key] = NerveIndex(gpd, k)
+    return hit
 
 
 # fibered products

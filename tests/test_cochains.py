@@ -41,8 +41,10 @@ from transfusion.groupoids import (
     inertia,
     k_sectors,
     make_groupoid,
+    make_hom,
     point_groupoid,
     nerve,
+    nerve_index,
 )
 
 F = Fraction
@@ -122,8 +124,8 @@ def _sparse_cochain(gpd, degree, rng, denominator):
     return Cochain(gpd, degree, table)
 
 
-def test_delta_matches_generic_face_loop():
-    rng = random.Random("unrolled-delta")
+def _delta_spots():
+    """Groupoids of every construction, and the S3 2-sectors among them."""
     s3_base = point_groupoid(symmetric(3))
     s3_two = k_sectors(s3_base, 2).groupoid
     c2_two = k_sectors(point_groupoid(cyclic(2)), 2)
@@ -138,6 +140,12 @@ def test_delta_matches_generic_face_loop():
         fibered_product(evaluation_hom(c2_two, "e12"), evaluation_hom(c2_two, "e1")).groupoid,
         full_subgroupoid(s3_two, range(0, s3_two.n_objects, 3))[0],
     ]
+    return spots, s3_two
+
+
+def test_delta_matches_generic_face_loop():
+    rng = random.Random("unrolled-delta")
+    spots, s3_two = _delta_spots()
 
     def check(c):
         d = delta(c)
@@ -238,6 +246,43 @@ def _check_sweep(got, want, gpd, degree):
     assert list(got.table) == list(table)
 
 
+def test_positions_enumerate_the_nerve_in_order():
+    spots, s3_two = _delta_spots()
+    spots.append(_relabeled_point_groupoid(symmetric(3), 2))
+    for gpd in spots:
+        # degree 4 on the S3 2-sectors has 279,936 tuples
+        for k in range(4 if gpd is s3_two else 5):
+            index = nerve_index(gpd, k)
+            keys = [(x,) for x in range(gpd.n_objects)] if k == 0 else nerve(gpd, k)
+            p = -1
+            for p, key in enumerate(keys):
+                assert index.position(key) == p
+                assert index.key(p) == key
+            assert index.size == p + 1
+
+
+def test_constructor_refuses_keys_outside_the_nerve():
+    # arrow x*2 + g runs from point x to x.g; arrow 1 runs from 0 to 1
+    swap = action_groupoid(cyclic(2), 2, [[0, 1], [1, 0]])
+    assert Cochain(swap, 2, {(1, 3): H}).value((1, 3)) == H
+    refused = [
+        (2, (1, 1)),  # arrow 1 ends at point 1, arrow 1 starts at 0
+        (2, (3, 2)),
+        (2, (1, 4)),  # out of range
+        (1, (-1,)),
+        (0, (2,)),
+        (2, (1,)),  # wrong length
+        (2, (1, 3, 2)),
+        (0, (0, 1)),
+        (1, ()),
+    ]
+    for degree, key in refused:
+        with pytest.raises(ValueError):
+            Cochain(swap, degree, {key: H})
+        with pytest.raises(ValueError):
+            zero_cochain(swap, degree).value(key)
+
+
 def test_sector_sweeps_match_nerve_loops():
     rng = random.Random("unrolled-sweeps")
     bases = [
@@ -286,6 +331,21 @@ def test_sector_sweeps_match_nerve_loops():
     e12 = evaluation_hom(two, "e12")
     c = random_cochain(lam.groupoid, 3, rng, 12)
     _check_sweep(pullback(e12, c), _nerve_pullback(e12, c), two.groupoid, 3)
+
+
+def test_pullback_along_a_subgroupoid_inclusion_matches_the_nerve_loop():
+    # the arrows kept at each object of a full subgroupoid sit at different
+    # places among the parent's arrows, unlike any sector hom's
+    rng = random.Random("inclusion")
+    two = k_sectors(point_groupoid(symmetric(3)), 2).groupoid
+    sub, objects, arrows = full_subgroupoid(two, range(0, two.n_objects, 3))
+    inclusion = make_hom(sub, two, objects, arrows)
+    for k in range(4):
+        c = random_cochain(two, k, rng, 12)
+        want = (c.modulus, {(x,): c.table[(y,)] for x, y in enumerate(objects) if (y,) in c.table})
+        _check_sweep(
+            pullback(inclusion, c), want if k == 0 else _nerve_pullback(inclusion, c), sub, k
+        )
 
 
 def test_sector_sweeps_walk_the_nerve_only_above_degree_two(monkeypatch):

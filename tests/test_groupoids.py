@@ -468,8 +468,17 @@ def test_action_axiom_refuses_planted_defects_in_a_conjugation_table():
         bad = [row[:] for row in act]
         x, g = rng.randrange(len(bad)), rng.randrange(1, n)
         bad[x][g] = (bad[x][g] + rng.randrange(1, len(bad))) % len(bad)
-        with pytest.raises(GroupoidValidationError):
+        # the first (point, g, h), in loop order, with x.g.h != x.(gh)
+        want = next(
+            (x, g, h)
+            for x in range(len(bad))
+            for g in range(n)
+            for h in range(n)
+            if bad[bad[x][g]][h] != bad[x][grp.mul(g, h)]
+        )
+        with pytest.raises(GroupoidValidationError) as exc:
             action_groupoid(grp, len(bad), bad)
+        assert str(exc.value) == "action axiom fails at point {}, elements ({},{})".format(*want)
 
 
 def test_sectors_of_a_base_whose_identity_is_not_arrow_zero():
