@@ -57,7 +57,7 @@ from .projrep import BasisError, normalize_cocycle, twisted_rank
 # verify refuses, before building any groupoid, a group whose largest sweep
 # (order^(degree+1) tuples, the nerve size of the one-object groupoid in
 # degree + 1) or whose 2-sector composable pairs (order^4, each checked by
-# the evaluation homs) are more; transgress and fusion-table refuse, before
+# the action axiom) are more; transgress and fusion-table refuse, before
 # reading the twist, a group whose degree-3 twist sweep and 2-sector
 # composable pairs (order^4 each) are more
 VERIFY_SWEEP_CAP = 2_000_000
@@ -131,7 +131,7 @@ def resolve_group(spec: str) -> FiniteGroup:
 
 def check_twist_budget(command: str, group: FiniteGroup) -> None:
     """Refuse a group whose degree-3 twist sweep and 2-sector composable
-    pairs, which the evaluation homs check, number order^4 each and exceed
+    pairs, which the action axiom checks, number order^4 each and exceed
     VERIFY_SWEEP_CAP."""
     n = group.order
     if n**4 > VERIFY_SWEEP_CAP:

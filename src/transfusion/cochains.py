@@ -61,6 +61,13 @@ class CocycleError(ValueError):
         self.witness = witness
 
 
+class InconsistencyError(RuntimeError):
+    """Cochains that cannot meet: a sum of cochains on different groupoids
+    or degrees, or a coboundary solve of a non-cocycle. No input the
+    command line accepts leads to either, so it is not a ValueError: the
+    command line reports it as an internal fault, not as bad input."""
+
+
 class Cochain:
     """Dense list of Q/Z values, one per composable k-tuple, in nerve order.
 
@@ -129,7 +136,7 @@ class Cochain:
         if not isinstance(other, Cochain):
             return NotImplemented
         if other.groupoid is not self.groupoid or other.degree != self.degree:
-            raise ValueError("cochain mismatch: different groupoid or degree")
+            raise InconsistencyError("cochain mismatch: different groupoid or degree")
         n = math.lcm(self.modulus, other.modulus)
         a, b = self._at(n), other._at(n)
         if flip:
@@ -379,7 +386,7 @@ def inverse_transgression(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
         # arrow x*order + e runs from point x to act[x][e] and conjugates by
         # members[e]; drag[x][e] = u*order + loop label of that target
         order, act = compose.order, compose.act
-        members = [b for _, b in sectors.arrows[:order]]
+        members = sectors.members
         drag = [[u * order + loop[y] for u, y in zip(members, row)] for row in act]
         ext = out.extend
         if k == 1:
@@ -401,13 +408,11 @@ def inverse_transgression(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
         return _cochain(lam, 2, n, out)
     at = nerve_index(sectors.base, k + 1).at
     lead_sign = 1 if k % 2 == 0 else -1
+    order, members, target = len(sectors.members), sectors.members, lam.target
     for tup in nerve(lam, k):
-        obj0 = sectors.arrows[tup[0]][0]
-        a0 = sectors.objects[obj0][1][0]
-        us = tuple(sectors.arrows[t][1] for t in tup)
-        dragged = tuple(
-            sectors.objects[lam.target[t]][1][0] for t in tup
-        )
+        a0 = loop[tup[0] // order]
+        us = tuple(members[t % order] for t in tup)
+        dragged = tuple(loop[target[t]] for t in tup)
         total = lead_sign * v[at((a0,) + us)]
         s = lead_sign
         for i in range(1, k + 1):
@@ -457,7 +462,7 @@ def product_homotopy(phi: Cochain, two_sectors: SectorGroupoid) -> Cochain:
         # with u = members[e] and y = act[x][e]: near[x][e] = u*order + b(y)
         # and far[x][e] = u*order^2 + pair[y]
         act = compose.act
-        members = [u for _, u in two_sectors.arrows[:order]]
+        members = two_sectors.members
         sq, cube = order * order, order**3
         near = [[u * order + second[y] for u, y in zip(members, row)] for row in act]
         far = [[u * sq + pair[y] for u, y in zip(members, row)] for row in act]
@@ -486,15 +491,13 @@ def product_homotopy(phi: Cochain, two_sectors: SectorGroupoid) -> Cochain:
                 ])
         return _cochain(gpd2, 2, n, out)
     at = nerve_index(two_sectors.base, k + 2).at
+    members, target = two_sectors.members, gpd2.target
     for tup in nerve(gpd2, k):
-        obj0 = two_sectors.arrows[tup[0]][0]
-        us = tuple(two_sectors.arrows[t][1] for t in tup)
-        a_at = [two_sectors.objects[obj0][1][0]]
-        b_at = [two_sectors.objects[obj0][1][1]]
-        for t in tup:
-            _, (aj, bj) = two_sectors.objects[gpd2.target[t]]
-            a_at.append(aj)
-            b_at.append(bj)
+        us = tuple(members[t % order] for t in tup)
+        # the loop pair at the source of tup[0], then at each arrow's target
+        xs = [tup[0] // order] + [target[t] for t in tup]
+        a_at = [first[x] for x in xs]
+        b_at = [second[x] for x in xs]
         total = 0
         for i in range(k + 1):
             for j in range(i, k + 1):
@@ -585,7 +588,7 @@ def coboundary_solve(c: Cochain) -> Optional[Cochain]:
     if c.degree < 1:
         raise ValueError("degree-0 cochains have no coboundary predecessors")
     if not is_cocycle(c):
-        raise ValueError("coboundary_solve requires a cocycle")
+        raise InconsistencyError("coboundary_solve requires a cocycle")
     g = c.groupoid
     k = c.degree
     unknowns = nerve_index(g, k - 1)

@@ -118,9 +118,11 @@ class TwistContext:
 
     def mu_value(self, g1: int, g2: int, u: int) -> Fraction:
         """Product homotopy at the loop pair (g1, g2) against conjugator u."""
-        o = self.two_sectors.obj_index[(0, (g1, g2))]
-        a = self.two_sectors.arrow_index[(o, u)]
-        return self.mu.value_at(a)
+        # as in tau_table: the 2-sectors of the group's one-object groupoid
+        # number its elements as the group does, so the pair (g1, g2) is
+        # point g1*n + g2 and its arrow along u is that times n, plus u
+        n = self.group.order
+        return self.mu.value_at((g1 * n + g2) * n + u)
 
 
 def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:

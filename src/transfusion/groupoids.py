@@ -13,6 +13,12 @@ Conventions used throughout:
     the group table
   - make_groupoid is the generic validator, for composition dicts assembled
     arrow by arrow (fibered products, subgroupoids)
+  - make_hom checks every composable pair; between action groupoids, a hom
+    that maps every point's arrows by the same element map f (the sector
+    evaluation and unit maps) preserves composition iff f is a group
+    homomorphism, which is checked over G x G instead
+  - a SectorGroupoid stores its objects; object and arrow numbers are
+    computed from base-|G| digits
   - nerve_index numbers the composable k-tuples in nerve order by
     arithmetic; cochains store one value per position
 """
@@ -229,21 +235,30 @@ def make_hom(
     am = tuple(arrow_map)
     if len(om) != source.n_objects or len(am) != source.n_arrows:
         raise GroupoidValidationError("hom table lengths disagree with source")
+    # each sweep is first run whole, as one comparison of tables; only a
+    # table that fails is walked entry by entry, to name the first culprit
     n_objects, n_arrows = target.n_objects, target.n_arrows
-    for x, y in enumerate(om):
-        if not 0 <= y < n_objects:
-            raise GroupoidValidationError(f"hom sends object {x} to {y}, out of range")
-    for a, b in enumerate(am):
-        if not 0 <= b < n_arrows:
-            raise GroupoidValidationError(f"hom sends arrow {a} to {b}, out of range")
+    if om and not (0 <= min(om) and max(om) < n_objects):
+        for x, y in enumerate(om):
+            if not 0 <= y < n_objects:
+                raise GroupoidValidationError(f"hom sends object {x} to {y}, out of range")
+    if am and not (0 <= min(am) and max(am) < n_arrows):
+        for a, b in enumerate(am):
+            if not 0 <= b < n_arrows:
+                raise GroupoidValidationError(f"hom sends arrow {a} to {b}, out of range")
     tsource, ttarget, ssource, starget = (
         target.source, target.target, source.source, source.target
     )
-    for a, b in enumerate(am):
-        if tsource[b] != om[ssource[a]]:
-            raise GroupoidValidationError(f"hom breaks source at arrow {a}")
-        if ttarget[b] != om[starget[a]]:
-            raise GroupoidValidationError(f"hom breaks target at arrow {a}")
+    image_of = om.__getitem__
+    if not (
+        list(map(tsource.__getitem__, am)) == list(map(image_of, ssource))
+        and list(map(ttarget.__getitem__, am)) == list(map(image_of, starget))
+    ):
+        for a, b in enumerate(am):
+            if tsource[b] != om[ssource[a]]:
+                raise GroupoidValidationError(f"hom breaks source at arrow {a}")
+            if ttarget[b] != om[starget[a]]:
+                raise GroupoidValidationError(f"hom breaks target at arrow {a}")
     tidentity = target.identity
     for x, e in enumerate(source.identity):
         if am[e] != tidentity[om[x]]:
@@ -267,13 +282,27 @@ def _first_broken_pair(
             if tc[(am[a], am[b])] != am[c]:
                 return a, b
         return None
-    # arrow a, then each arrow b out of its target y, one row of b at a
-    # time. el[a] is the group element of am[a]; all arrows out of x map to
-    # arrows out of om[x], so the images of a row agree iff their elements
-    # do: tmult[el[a]][el[b]] against el[a.b], each side picked out of its
-    # table in one call
+    # el[a] is the group element of am[a]; all arrows out of x map to
+    # arrows out of om[x], so a pair's images compose to the image of its
+    # composite iff tmult[el[a]][el[b]] == el[a.b]
     order, smult, tmult = sc.order, sc.mult, tc.mult
     el = [b % tc.order for b in am]
+    f = el[:order]
+    if el and el == f * len(sc.act):
+        # every point maps its arrows by the same f, so the pair (x, g),
+        # (y, h) holds iff tmult[f[g]][f[h]] == f[g h], whatever x is: the
+        # hom preserves composition iff f is a group homomorphism, and the
+        # first failure is at point 0, which the sweep below reaches first
+        pick_f = itemgetter(*f)
+        for g, fg in enumerate(f):
+            if pick_f(tmult[fg]) != itemgetter(*smult[g])(f):
+                tg = tmult[fg]
+                h = next(h for h, m in enumerate(smult[g]) if tg[f[h]] != f[m])
+                return g, sc.act[0][g] * order + h
+        return None
+    # f varies with the point: arrow a, then each arrow b out of its target
+    # y, one row of b at a time, each side picked out of its table in one
+    # call
     pick_row = [
         itemgetter(*el[yoff : yoff + order]) for yoff in range(0, len(am), order)
     ]
@@ -368,21 +397,50 @@ def point_groupoid(group: FiniteGroup) -> FiniteGroupoid:
 
 @dataclass(eq=False)
 class SectorGroupoid:
-    """k-tuples of loops at a common object, conjugated simultaneously.
+    """k-tuples of loops at the base's one object, conjugated simultaneously.
 
-    objects[i] = (base object x, k-tuple of loop arrows at x)
-    arrows[j] = (sector object index, base arrow out of x); the arrow lands
-    on the tuple conjugated by the base arrow.
+    members lists the base's loops, identity first; place inverts it.
+    objects[i] = (0, k-tuple of loops): the loops members[d] for the k
+    base-|G| digits d of i. Arrow (i, v), from object i along base loop v,
+    has index i*|G| + place[v] and lands on the tuple conjugated by v.
+    Both numberings are computed: only objects is stored.
     """
 
     base: FiniteGroupoid
     k: int
     groupoid: FiniteGroupoid
     objects: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    obj_index: Dict[Tuple[int, Tuple[int, ...]], int] = field(repr=False)
-    arrows: Tuple[Tuple[int, int], ...] = field(repr=False)
-    arrow_index: Dict[Tuple[int, int], int] = field(repr=False)
+    members: Tuple[int, ...] = field(repr=False)
     unit: GroupoidHom = field(repr=False)
+    place: Dict[int, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.place = {v: e for e, v in enumerate(self.members)}
+
+    def obj_index(self, ob: Tuple[int, Tuple[int, ...]]) -> int:
+        """The index of object (0, loops); KeyError if there is none."""
+        x, loops = ob
+        place, order, i = self.place, len(self.members), 0
+        if x != 0 or len(loops) != self.k:
+            raise KeyError(ob)
+        for v in loops:
+            if v not in place:
+                raise KeyError(ob)
+            i = i * order + place[v]
+        return i
+
+    def arrow_index(self, i: int, v: int) -> int:
+        """The index of arrow (i, v); KeyError if there is none."""
+        if v not in self.place or not 0 <= i < len(self.objects):
+            raise KeyError((i, v))
+        return i * len(self.members) + self.place[v]
+
+    def arrow(self, j: int) -> Tuple[int, int]:
+        """(i, v) of arrow j: the inverse of arrow_index."""
+        if not 0 <= j < self.groupoid.n_arrows:
+            raise IndexError(f"arrow {j} out of range")
+        i, e = divmod(j, len(self.members))
+        return i, self.members[e]
 
 
 def k_sectors(
@@ -425,19 +483,14 @@ def k_sectors(
         (0, tuple(members[g] for g in tup))
         for tup in itertools.product(range(n), repeat=k)
     )
-    arrows = tuple((i, v) for i in range(len(objects)) for v in members)
-    arrow_index = {ar: j for j, ar in enumerate(arrows)}
-    # the tuple of identity loops is point 0
-    unit = make_hom(base, gpd, [0], [arrow_index[(0, v)] for v in range(n)])
+    # the tuple of identity loops is point 0, and base loop members[e] is
+    # its arrow e
+    unit_am = [0] * n
+    for e, v in enumerate(members):
+        unit_am[v] = e
+    unit = make_hom(base, gpd, [0], unit_am)
     sect = SectorGroupoid(
-        base=base,
-        k=k,
-        groupoid=gpd,
-        objects=objects,
-        obj_index={ob: i for i, ob in enumerate(objects)},
-        arrows=arrows,
-        arrow_index=arrow_index,
-        unit=unit,
+        base=base, k=k, groupoid=gpd, objects=objects, members=members, unit=unit
     )
     base.cache[key] = sect
     return sect
@@ -798,8 +851,8 @@ def sector_triple_product(
     target: List[int] = []
     for n, (i, j) in enumerate(objects):
         for v in base.out_arrows[two.objects[i][0]]:
-            alpha = two.arrow_index[(i, v)]
-            beta = two.arrow_index[(j, v)]
+            alpha = two.arrow_index(i, v)
+            beta = two.arrow_index(j, v)
             arrows.append((n, alpha, beta))
             source.append(n)
             target.append(
@@ -820,8 +873,8 @@ def sector_triple_product(
         t = target[m]
         ti, tj = objects[t]
         for v in base.out_arrows[two.objects[ti][0]]:
-            alpha2 = two.arrow_index[(ti, v)]
-            beta2 = two.arrow_index[(tj, v)]
+            alpha2 = two.arrow_index(ti, v)
+            beta2 = two.arrow_index(tj, v)
             compose[(m, arrow_index[(t, alpha2, beta2)])] = arrow_index[
                 (n, two_g.compose[(alpha, alpha2)], two_g.compose[(beta, beta2)])
             ]
@@ -832,11 +885,11 @@ def sector_triple_product(
     for i, j in objects:
         x, (a1, a2) = two.objects[i]
         _, (_, b2) = two.objects[j]
-        om.append(three.obj_index[(x, (a1, a2, b2))])
+        om.append(three.obj_index((x, (a1, a2, b2))))
     am = []
     for n, alpha, beta in arrows:
-        v = two.arrows[alpha][1]
-        am.append(three.arrow_index[(om[n], v)])
+        v = two.arrow(alpha)[1]
+        am.append(three.arrow_index(om[n], v))
     iso = make_hom(gpd, three.groupoid, om, am)
     if sorted(om) != list(range(three.groupoid.n_objects)):
         raise GroupoidValidationError("matching part is not bijective on 3-sector objects")

@@ -112,8 +112,8 @@ def theta_sector(group, phi, g):
     th = inverse_transgression(phi, lam)
     zgrp, members = subgroup_as_group(centralizer(group, g))
     zbase = point_groupoid(zgrp)
-    obj = lam.obj_index[(0, (g,))]
-    am = [lam.arrow_index[(obj, members[u])] for u in zgrp.elements()]
+    obj = lam.obj_index((0, (g,)))
+    am = [lam.arrow_index(obj, members[u]) for u in zgrp.elements()]
     hom = make_hom(zbase, lam.groupoid, [obj], am)
     return pullback(hom, th), zgrp, members
 

@@ -422,7 +422,7 @@ def test_twist_closedness_swept_once_and_refused(tmp_path, monkeypatch, capsys, 
 def _bumped_at_identity(c, sectors, loops):
     """c with half a turn added at one key: the identity arrow of the
     sector object of the given loops, once per degree."""
-    e = sectors.arrow_index[(sectors.obj_index[(0, loops)], 0)]
+    e = sectors.arrow_index(sectors.obj_index((0, loops)), 0)
     table = {k: c.value(k) for k in c.table}
     key = (e,) * c.degree
     table[key] = table.get(key, 0) + Fraction(1, 2)
@@ -470,6 +470,34 @@ def test_internal_fault_exits_three_on_one_line(monkeypatch, capsys):
     assert captured.err == (
         "error: internal fault in transgress: AssertionError: planted inconsistency\n"
     )
+
+
+def test_library_inconsistency_exits_three_and_bad_input_two(monkeypatch, capsys, tmp_path):
+    from transfusion import cli
+
+    real = cli.coboundary_solve
+
+    def handed_a_non_cocycle(tg):
+        # 1/2 at (0, 1) alone has coboundary 1/2 at (0, 0, 1)
+        return real(Cochain(tg.groupoid, tg.degree, {(0, 1): Fraction(1, 2)}))
+
+    monkeypatch.setattr(cli, "coboundary_solve", handed_a_non_cocycle)
+    code = main(["transgress", "--group", "cyclic:2", "--zero"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal fault in transgress: InconsistencyError:"
+        " coboundary_solve requires a cocycle\n"
+    )
+    malformed = tmp_path / "twist.txt"
+    malformed.write_text("degree 3\n0 0 0 1/0\n")
+    for argv in (
+        ["transgress", "--group", "cyclic:x", "--zero"],
+        ["transgress", "--group", "cyclic:2", "--cocycle", str(malformed)],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_verify_budget_refuses_before_building(capsys):

@@ -8,6 +8,7 @@ from transfusion.cochains import (
     Cochain,
     Cocycle,
     CocycleError,
+    InconsistencyError,
     bockstein_lift,
     coboundary_solve,
     cocycle,
@@ -172,8 +173,8 @@ def _nerve_transgression(phi, sectors):
     lead_sign = 1 if k % 2 == 0 else -1
     out = {}
     for tup in nerve(lam, k):
-        a0 = sectors.objects[sectors.arrows[tup[0]][0]][1][0]
-        us = tuple(sectors.arrows[t][1] for t in tup)
+        a0 = sectors.objects[sectors.arrow(tup[0])[0]][1][0]
+        us = tuple(sectors.arrow(t)[1] for t in tup)
         dragged = tuple(sectors.objects[lam.target[t]][1][0] for t in tup)
         total = lead_sign * get((a0,) + us, 0)
         s = lead_sign
@@ -192,9 +193,9 @@ def _nerve_product_homotopy(phi, two):
     parity = -1 if k % 2 else 1
     out = {}
     for tup in nerve(gpd2, k):
-        us = tuple(two.arrows[t][1] for t in tup)
-        a_at = [two.objects[two.arrows[tup[0]][0]][1][0]]
-        b_at = [two.objects[two.arrows[tup[0]][0]][1][1]]
+        us = tuple(two.arrow(t)[1] for t in tup)
+        a_at = [two.objects[two.arrow(tup[0])[0]][1][0]]
+        b_at = [two.objects[two.arrow(tup[0])[0]][1][1]]
         for t in tup:
             _, (aj, bj) = two.objects[gpd2.target[t]]
             a_at.append(aj)
@@ -321,13 +322,18 @@ def test_sector_sweeps_match_nerve_loops():
                     _check_sweep(
                         pullback(two.unit, c), _nerve_pullback(two.unit, c), base, k
                     )
-    # the nerve fallbacks, once per function, on the 2-sectors of S3
-    base = point_groupoid(symmetric(3))
-    lam, two = inertia(base), k_sectors(base, 2)
-    phi = random_cochain(base, 4, rng, 12)
-    _check_sweep(inverse_transgression(phi, lam), _nerve_transgression(phi, lam), lam.groupoid, 3)
-    phi = random_cochain(base, 5, rng, 12)
-    _check_sweep(product_homotopy(phi, two), _nerve_product_homotopy(phi, two), two.groupoid, 3)
+    # the nerve fallbacks, once per function, on the sectors of S3, with
+    # its arrows numbered as a group and relabeled
+    for base in (_relabeled_point_groupoid(symmetric(3), 2), point_groupoid(symmetric(3))):
+        lam, two = inertia(base), k_sectors(base, 2)
+        phi = random_cochain(base, 4, rng, 12)
+        _check_sweep(
+            inverse_transgression(phi, lam), _nerve_transgression(phi, lam), lam.groupoid, 3
+        )
+        phi = random_cochain(base, 5, rng, 12)
+        _check_sweep(
+            product_homotopy(phi, two), _nerve_product_homotopy(phi, two), two.groupoid, 3
+        )
     e12 = evaluation_hom(two, "e12")
     c = random_cochain(lam.groupoid, 3, rng, 12)
     _check_sweep(pullback(e12, c), _nerve_pullback(e12, c), two.groupoid, 3)
@@ -440,7 +446,7 @@ def test_transgression_abelian_two_term_form():
     phi = random_cochain(gpd, 2, random.Random("ab2"))
     th = inverse_transgression(phi, lam)
     for t in nerve(lam.groupoid, 1):
-        obj, u = lam.arrows[t[0]]
+        obj, u = lam.arrow(t[0])
         a = lam.objects[obj][1][0]
         assert th.value(t) == (phi.value((u, a)) - phi.value((a, u))) % 1
 
@@ -452,9 +458,9 @@ def test_transgression_matches_hand_expansion_degree_three():
     phi = random_cochain(gpd, 3, random.Random("hand3"))
     th = inverse_transgression(phi, lam)
     for tup in nerve(lam.groupoid, 2):
-        obj, u1 = lam.arrows[tup[0]]
+        obj, u1 = lam.arrow(tup[0])
         a = lam.objects[obj][1][0]
-        u2 = lam.arrows[tup[1]][1]
+        u2 = lam.arrow(tup[1])[1]
         a1 = s3.conjugate(a, u1)
         a2 = s3.conjugate(a, s3.mul(u1, u2))
         want = (
@@ -489,7 +495,7 @@ def test_product_homotopy_small_expansions():
         phi3 = random_cochain(gpd, 3, random.Random("mu1"))
         m1 = product_homotopy(phi3, two)
         for t in nerve(two.groupoid, 1):
-            obj, u = two.arrows[t[0]]
+            obj, u = two.arrow(t[0])
             a, b = two.objects[obj][1]
             a1 = grp.conjugate(a, u)
             b1 = grp.conjugate(b, u)
@@ -549,12 +555,12 @@ def test_unit_pullback_identity_for_cocycles():
         assert rhs == delta(pullback(two.unit, mu))
         # the pullback along the unit section reads off values at the
         # identity loop
-        unit_obj = lam.obj_index[(0, (0,))]
+        unit_obj = lam.obj_index((0, (0,)))
         for u in grp.elements():
             for v in grp.elements():
-                a1 = lam.arrow_index[(unit_obj, u)]
+                a1 = lam.arrow_index(unit_obj, u)
                 next_obj = lam.groupoid.target[a1]
-                a2 = lam.arrow_index[(next_obj, v)]
+                a2 = lam.arrow_index(next_obj, v)
                 assert lhs.value((u, v)) == th.value((a1, a2))
 
 
@@ -577,10 +583,10 @@ def test_shuffle_matches_loop_transgression_on_centralizer_words():
                     for t2 in range(zgrp.order)
                 ]
             for word in words:
-                obj = lam.obj_index[(0, (g,))]
+                obj = lam.obj_index((0, (g,)))
                 sector_word = []
                 for t in word:
-                    arrow = lam.arrow_index[(obj, members[t])]
+                    arrow = lam.arrow_index(obj, members[t])
                     sector_word.append(arrow)
                     obj = lam.groupoid.target[arrow]
                 assert shuffled.value(word) == th.value(tuple(sector_word))
@@ -646,10 +652,18 @@ def test_coboundary_solve_refuses_and_detects():
 
     s3 = symmetric(3)
     bad = random_cochain(point_groupoid(s3), 2, random.Random("bad"))
-    with pytest.raises(ValueError):
+    # a non-cocycle is a caller's inconsistency, not bad input
+    with pytest.raises(InconsistencyError, match="requires a cocycle"):
         coboundary_solve(bad)
     with pytest.raises(ValueError):
         coboundary_solve(Cochain(point_groupoid(s3), 0, {(0,): H}))
+    # and so is arithmetic across groupoids or degrees
+    other = random_cochain(point_groupoid(cyclic(6)), 2, random.Random("bad"))
+    for wrong in (other, random_cochain(point_groupoid(s3), 3, random.Random("bad"))):
+        for op in (bad.__add__, bad.__sub__):
+            with pytest.raises(InconsistencyError, match="cochain mismatch"):
+                op(wrong)
+    assert not issubclass(InconsistencyError, ValueError)
 
 
 def test_cup_validation():

@@ -160,10 +160,19 @@ def test_bundle_validator_negative_controls():
 def _sector_tau(ctx, g, u1, u2):
     """tau at loop g against u1 then u2, read from the cochain itself."""
     sec = ctx.sectors
-    a1 = sec.arrow_index[(sec.obj_index[(0, (g,))], u1)]
+    a1 = sec.arrow_index(sec.obj_index((0, (g,))), u1)
     g1 = ctx.group.conjugate(g, u1)
-    a2 = sec.arrow_index[(sec.obj_index[(0, (g1,))], u2)]
+    a2 = sec.arrow_index(sec.obj_index((0, (g1,))), u2)
     return ctx.tau.value((a1, a2))
+
+
+def test_context_values_read_the_cochains_at_their_sector_arrows():
+    for ctx in (cube_context(), s3_context(), d4_context()):
+        two, n = ctx.two_sectors, ctx.group.order
+        for g1, g2, u in itertools.product(range(n), repeat=3):
+            a = two.arrow_index(two.obj_index((0, (g1, g2))), u)
+            assert ctx.mu_value(g1, g2, u) == ctx.mu.value((a,))
+            assert ctx.tau_value(g1, g2, u) == _sector_tau(ctx, g1, g2, u)
 
 
 def _monomial_bundle_violation(v):

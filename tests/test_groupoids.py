@@ -100,7 +100,7 @@ def test_inertia_of_z2():
     assert sect.groupoid.n_objects == 2
     assert sect.groupoid.n_arrows == 4
     # unit embedding picks the identity loop object
-    assert sect.unit.object_map == (sect.obj_index[(0, (0,))],)
+    assert sect.unit.object_map == (sect.obj_index((0, (0,))),)
 
 
 def test_inertia_orbits_match_classes():
@@ -131,20 +131,20 @@ def test_sector_compose_is_simultaneous_conjugation():
     sect = k_sectors(base, 2)
     for i, (_, (a, b)) in enumerate(sect.objects):
         for v in range(grp.order):
-            j = sect.groupoid.target[sect.arrow_index[(i, v)]]
+            j = sect.groupoid.target[sect.arrow_index(i, v)]
             _, (ca, cb) = sect.objects[j]
             assert ca == grp.conjugate(a, v)
             assert cb == grp.conjugate(b, v)
     # (A, v) then (A^v, w) = (A, vw)
     for i in range(0, sect.groupoid.n_objects, 7):
         for v in range(grp.order):
-            av = sect.arrow_index[(i, v)]
+            av = sect.arrow_index(i, v)
             j = sect.groupoid.target[av]
             for w in range(grp.order):
-                aw = sect.arrow_index[(j, w)]
-                assert sect.groupoid.compose[(av, aw)] == sect.arrow_index[
-                    (i, grp.mul(v, w))
-                ]
+                aw = sect.arrow_index(j, w)
+                assert sect.groupoid.compose[(av, aw)] == sect.arrow_index(
+                    i, grp.mul(v, w)
+                )
 
 
 def test_nerve_counts_and_order():
@@ -189,8 +189,11 @@ def test_evaluation_maps_match_index_lookups():
             prod = base.identity[x]
             for d in which[1:]:
                 prod = base.compose[(prod, tup[int(d) - 1])]
-            om.append(one.obj_index[(x, (prod,))])
-        return tuple(om), tuple(one.arrow_index[(om[i], v)] for i, v in sectors.arrows)
+            om.append(one.obj_index((x, (prod,))))
+        return tuple(om), tuple(
+            one.arrow_index(om[i], v)
+            for i, v in map(sectors.arrow, range(sectors.groupoid.n_arrows))
+        )
 
     label = [2, 0, 1]
     grp = cyclic(3)
@@ -215,7 +218,7 @@ def test_evaluation_e12_of_involution_pair():
     two = k_sectors(base, 2)
     e12 = evaluation_hom(two, "e12")
     one = k_sectors(base, 1)
-    i = two.obj_index[(0, (1, 1))]
+    i = two.obj_index((0, (1, 1)))
     assert one.objects[e12.object_map[i]][1] == (0,)
 
 
@@ -417,11 +420,13 @@ def test_sector_groupoids_are_the_conjugation_action_groupoids(spec, k):
     base = point_groupoid(construct_group(spec))
     sect = k_sectors(base, k)
     gpd = sect.groupoid
+    # the numberings are computed; materialise them to compare every entry
+    arrows = tuple(map(sect.arrow, range(gpd.n_arrows)))
     built = {
         "objects": sect.objects,
-        "obj_index": sect.obj_index,
-        "arrows": sect.arrows,
-        "arrow_index": sect.arrow_index,
+        "obj_index": {ob: sect.obj_index(ob) for ob in sect.objects},
+        "arrows": arrows,
+        "arrow_index": {ar: sect.arrow_index(*ar) for ar in arrows},
         "source": gpd.source,
         "target": gpd.target,
         "identity": gpd.identity,
@@ -506,6 +511,22 @@ def test_sectors_of_a_base_whose_identity_is_not_arrow_zero():
     one = k_sectors(base, 1)
     for i, (_, (a, b)) in enumerate(two.objects):
         assert one.objects[e12.object_map[i]][1] == (base.compose[(a, b)],)
+    # the computed numberings read loops by their places, identity first,
+    # invert each other, and refuse keys outside the tables
+    assert [two.obj_index(ob) for ob in two.objects] == list(range(9))
+    assert two.arrow(1) == (0, 0) and two.arrow_index(0, 2) == 0
+    for j in range(gpd.n_arrows):
+        i, v = two.arrow(j)
+        assert two.arrow_index(i, v) == j and gpd.source[j] == i
+    for ob in ((1, (2, 2)), (0, (2,)), (0, (2, 3)), (0, (-1, 2)), (0, (2, 2, 2))):
+        with pytest.raises(KeyError):
+            two.obj_index(ob)
+    for i, v in ((-1, 0), (9, 0), (0, 3), (0, -1)):
+        with pytest.raises(KeyError):
+            two.arrow_index(i, v)
+    for j in (-1, 27):
+        with pytest.raises(IndexError):
+            two.arrow(j)
 
 
 def test_sectors_refuse_a_base_with_two_objects():
@@ -518,9 +539,10 @@ def test_sectors_refuse_a_base_with_two_objects():
 
 def test_make_hom_refuses_out_of_range_indices():
     base = point_groupoid(cyclic(3))
-    for bad in (-1, 5):
+    for bad in (-1, 3, 5):
         with pytest.raises(GroupoidValidationError, match=f"sends arrow 2 to {bad},"):
             make_hom(base, base, [0], [0, 1, bad])
+    for bad in (-1, 1, 5):
         with pytest.raises(GroupoidValidationError, match=f"sends object 0 to {bad},"):
             make_hom(base, base, [bad], [0, 1, 2])
     # the first bad entry is the one named
@@ -530,6 +552,36 @@ def test_make_hom_refuses_out_of_range_indices():
     disc = discrete_groupoid(2)
     with pytest.raises(GroupoidValidationError, match="sends arrow 0 to -1,"):
         make_hom(discrete_groupoid(1), full_subgroupoid(disc, [0, 1])[0], [0], [-1])
+
+
+def test_make_hom_names_the_first_arrow_that_breaks_an_endpoint():
+    # the identity hom of the S3 inertia groupoid and of a fibered product,
+    # with arrows replanted; the first arrow, in index order, whose image
+    # leaves from or lands on the wrong object is named, source first
+    lam = inertia(point_groupoid(symmetric(3)))
+    fp = fibered_product(lam.unit, lam.unit).groupoid
+    assert fp.n_objects > 1 and not isinstance(fp.compose, ActionCompose)
+    rng = random.Random("endpoints")
+    for gpd in (lam.groupoid, fp):
+        om, am = list(range(gpd.n_objects)), list(range(gpd.n_arrows))
+        make_hom(gpd, gpd, om, am)
+        for _ in range(30):
+            bad = am[:]
+            for a in rng.sample(range(gpd.n_arrows), rng.randrange(1, 4)):
+                bad[a] = rng.randrange(gpd.n_arrows)
+            first = next(
+                (
+                    (a, "source" if gpd.source[b] != gpd.source[a] else "target")
+                    for a, b in enumerate(bad)
+                    if (gpd.source[b], gpd.target[b]) != (gpd.source[a], gpd.target[a])
+                ),
+                None,
+            )
+            if first is None:
+                continue
+            with pytest.raises(GroupoidValidationError) as exc:
+                make_hom(gpd, gpd, om, bad)
+            assert str(exc.value) == "hom breaks {1} at arrow {0}".format(*first)
 
 
 def test_make_groupoid_refuses_out_of_range_identity():
@@ -674,7 +726,86 @@ def test_make_hom_composition_sweep_matches_the_dict_sweep(case):
     assert planted > 0
 
 
-def test_two_sectors_of_s4_allocate_under_8_mb():
+def _same_verdict_as_the_dict_sweep(source, target, om, am):
+    """make_hom between action groupoids given as (group, action table)
+    pairs: both ends computed, and each end in turn dict-composed, accept
+    or refuse om, am with the same text as both ends dict-composed. Returns
+    that text, or None if the hom is accepted."""
+    computed = [action_groupoid(grp, len(act), act) for grp, act in (source, target)]
+    stored = [_dict_action_groupoid(grp, len(act), act) for grp, act in (source, target)]
+    try:
+        make_hom(stored[0], stored[1], om, am)
+        want = None
+    except GroupoidValidationError as e:
+        want = str(e)
+    for s_gpd, t_gpd in (computed, (stored[0], computed[1]), (computed[0], stored[1])):
+        if want is None:
+            make_hom(s_gpd, t_gpd, om, am)
+        else:
+            with pytest.raises(GroupoidValidationError) as got:
+                make_hom(s_gpd, t_gpd, om, am)
+            assert str(got.value) == want
+    return want
+
+
+def test_make_hom_refuses_planted_maps_like_the_dict_sweep():
+    """Maps whose element map f is the same at every point, whether or not
+    f is a homomorphism, maps whose f varies with the point, and maps
+    between action groupoids of two different groups."""
+    verdicts = []
+    # f the same at every point: the S3 2-sectors onto C2 acting trivially
+    # on two points, the pair (a, b) going to the sign of ab
+    s3, c2 = symmetric(3), cyclic(2)
+    two_act = _action_table(k_sectors(point_groupoid(s3), 2).groupoid, s3.order)
+    even = {s3.mul(h, h) for h in s3.elements()}
+    sign = [0 if g in even else 1 for g in s3.elements()]
+    om = [sign[s3.mul(a, b)] for a in s3.elements() for b in s3.elements()]
+    inertia_c2 = (c2, [[0, 0], [1, 1]])
+    rng = random.Random("uniform f")
+    maps = [sign] + [[0] + [rng.randrange(2) for _ in range(5)] for _ in range(12)]
+    for f in maps:
+        am = [y * 2 + f[g] for y in om for g in s3.elements()]
+        verdicts.append(_same_verdict_as_the_dict_sweep((s3, two_act), inertia_c2, om, am))
+    assert verdicts[0] is None
+    # f varying with the point: the S3 inertia onto the S3 point groupoid,
+    # (x, g) going to c[x]^-1 g c[x.g], a hom for every choice of c; then
+    # one arrow replanted
+    one_act = _action_table(k_sectors(point_groupoid(s3), 1).groupoid, s3.order)
+    s3_point = (s3, [[0] * s3.order])
+    for seed in range(6):
+        rng = random.Random(seed)
+        c = [rng.randrange(s3.order) for _ in one_act]
+        am = [
+            s3.mul(s3.mul(s3.inverse(c[x]), g), c[y])
+            for x, row in enumerate(one_act)
+            for g, y in enumerate(row)
+        ]
+        assert len({tuple(am[x * 6 : x * 6 + 6]) for x in range(6)}) > 1
+        verdicts.append(_same_verdict_as_the_dict_sweep((s3, one_act), s3_point, [0] * 6, am))
+        assert verdicts[-1] is None
+        bad = am[:]
+        a = rng.choice([a for a in range(36) if a % 6])
+        bad[a] = rng.choice([h for h in range(1, 6) if h != am[a]])
+        verdicts.append(_same_verdict_as_the_dict_sweep((s3, one_act), s3_point, [0] * 6, bad))
+        assert verdicts[-1] is not None
+    # C4 onto C2: every element map fixing the identity, on the point
+    # groupoids and on the inertia groupoids, point x going to x mod 2
+    c4 = cyclic(4)
+    for f in itertools.product(range(2), repeat=3):
+        f = (0,) + f
+        verdicts.append(
+            _same_verdict_as_the_dict_sweep((c4, [[0] * 4]), (c2, [[0, 0]]), [0], f)
+        )
+        assert (verdicts[-1] is None) == (f in ((0, 0, 0, 0), (0, 1, 0, 1)))
+        am = [(x % 2) * 2 + f[g] for x in range(4) for g in range(4)]
+        inertia_c4 = (c4, [[x] * 4 for x in range(4)])
+        verdict = _same_verdict_as_the_dict_sweep(inertia_c4, inertia_c2, [0, 1, 0, 1], am)
+        assert verdict == verdicts[-1]
+    refused = [v for v in verdicts if v is not None]
+    assert len(refused) > 12 and all("breaks composition" in v for v in refused)
+
+
+def test_two_sectors_of_s4_allocate_under_2_5_mb():
     grp = symmetric(4)
     # equal to point_groupoid(grp), but fresh, so no sectors are cached on it
     base = action_groupoid(grp, 1, [[0] * grp.order])
@@ -685,8 +816,9 @@ def test_two_sectors_of_s4_allocate_under_8_mb():
     finally:
         tracemalloc.stop()
     assert two.groupoid.n_arrows == grp.order**3
-    # a composition dict of 24^4 entries took 32 MB
-    assert peak < 8 * 2**20
+    # a composition dict of 24^4 entries took 32 MB, and the stored arrow
+    # tables about 1.7 MB more than the 1.8 MB the groupoid peaks at now
+    assert peak < 2.5 * 2**20
 
 
 def _digest(c):
