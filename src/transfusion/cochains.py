@@ -22,6 +22,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import add, itemgetter, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groups import FiniteGroup, centralizer, subgroup_as_group
@@ -235,63 +237,41 @@ def delta(c: Cochain) -> Cochain:
                      + (-1)^(k+1) c(t0..t_{k-1}),
 
     and δc(a) = c(target a) - c(source a) in degree 0. On an action
-    groupoid, degrees 1, 2 and 3 sweep the nerve as nested loops that read
-    each face from a row of |G| consecutive values; other groupoids and
-    higher degrees run the generic face loop over ``nerve``. Both write the
-    tuples in ``nerve`` order."""
+    groupoid every degree is one sweep, a point at a time; other groupoids
+    run the face loop over ``nerve``. Both write the tuples in ``nerve``
+    order."""
     g = c.groupoid
     k = c.degree
     n = c.modulus
     v = c.values
     if k == 0:
         return _cochain(g, 1, n, [(v[y] - v[x]) % n for x, y in zip(g.source, g.target)])
-    compose, target = g.compose, g.target
+    compose = g.compose
     out: List[int] = []
-    ext = out.extend
-    if isinstance(compose, ActionCompose) and k <= 3:
-        # arrow t = x*m + e runs from point x with group element e, and then
-        # an arrow with element f composes to x*m + mult[e][f]. Positions
-        # depend on the first arrow and the later elements only, so the
-        # k-tuples that share all but their last arrow fill one row of m
-        # values, indexed by its element; rows[q] is the q-th such row
-        m, mult = compose.order, compose.mult
-        rows = [v[i : i + m] for i in range(0, len(v), m)]
-        if k == 1:
-            # c(t1) - c(t0 t1) + c(t0)
-            for t0, y in enumerate(target):
-                e0 = t0 % m
-                r0 = rows[t0 // m]
-                c0 = r0[e0]
-                ext([(a - r0[f] + c0) % n for a, f in zip(rows[y], mult[e0])])
-            return _cochain(g, 2, n, out)
-        if k == 2:
-            # c(t1, t2) - c(t0 t1, t2) + c(t0, t1 t2) - c(t0, t1)
-            for t0, y in enumerate(target):
-                off0, m0 = t0 - t0 % m, mult[t0 % m]
-                r0 = rows[t0]
-                for e1, t1 in enumerate(range(y * m, y * m + m)):
-                    c01 = r0[e1]
-                    ext([
-                        (a - b + r0[f] - c01) % n
-                        for a, b, f in zip(rows[t1], rows[off0 + m0[e1]], mult[e1])
-                    ])
-            return _cochain(g, 3, n, out)
-        # k == 3: c(t1, t2, t3) - c(t0 t1, t2, t3) + c(t0, t1 t2, t3)
-        #         - c(t0, t1, t2 t3) + c(t0, t1, t2)
-        for t0, y in enumerate(target):
-            off0, m0 = t0 - t0 % m, mult[t0 % m]
-            b0 = t0 * m
-            for e1, t1 in enumerate(range(y * m, y * m + m)):
-                m1, r01 = mult[e1], rows[b0 + e1]
-                b1, b01 = t1 * m, (off0 + m0[e1]) * m
-                for e2, c012 in enumerate(r01):
-                    ext([
-                        (a - b + c - r01[f] + c012) % n
-                        for a, b, c, f in zip(
-                            rows[b1 + e2], rows[b01 + e2], rows[b0 + m1[e2]], mult[e2]
-                        )
-                    ])
-        return _cochain(g, 4, n, out)
+    if isinstance(compose, ActionCompose):
+        # block x holds the tuples out of point x, |G| arrow blocks; face 0
+        # reads the targets' blocks, face 1 the point's arrow blocks in the
+        # order of the products, and the last face repeats each value |G| times
+        m, act = compose.order, compose.act
+        size = m**k
+        first, later = _delta_faces(g, k)
+        blocks = [v[i : i + size] for i in range(0, len(v), size)]
+        arrows = [slice(i, i + size // m) for i in range(0, size, size // m)]
+        chained = chain.from_iterable
+        for block, row in zip(blocks, act):
+            arrow_blocks = list(map(block.__getitem__, arrows))
+            # faces 2 to k+1 with signs + - + ..., folded from the last
+            rest = chained(map(repeat, block, repeat(m)))
+            for get in reversed(later):
+                rest = map(sub, chained(map(get, arrow_blocks)), rest)
+            faces = zip(chained(map(blocks.__getitem__, row)), chained(first(arrow_blocks)), rest)
+            part = [(a - b + r) % n for a, b, r in faces]
+            # a one-point groupoid's part is the whole output: keep, not copy
+            if out:
+                out += part
+            else:
+                out = part
+        return _cochain(g, k + 1, n, out)
     at = nerve_index(g, k).at
     for tup in nerve(g, k + 1):
         s = v[at(tup[1:])]
@@ -301,6 +281,31 @@ def delta(c: Cochain) -> Cochain:
             sign = -sign
         out.append((s + sign * v[at(tup[:-1])]) % n)
     return _cochain(g, k + 1, n, out)
+
+
+def _delta_faces(gpd: FiniteGroupoid, k: int):
+    """(first, later) for delta in degree k, cached per groupoid: face i
+    merges digits i-1 and i of a tuple by their product. first picks face
+    1's arrow blocks, later reads faces 2..k of one arrow's block."""
+    key = ("delta faces", k)
+    if key not in gpd.cache:
+        m, mult = gpd.compose.order, gpd.compose.mult
+        ints = list(range(m**k))
+        products = [g for row in mult for g in row]
+
+        def merged(digits: int, i: int):
+            # a run of the digits after i per digits t before i-1 and product g
+            low = m ** (digits - 1 - i)
+            positions = tuple(chain.from_iterable(
+                ints[(t * m + g) * low : (t * m + g + 1) * low]
+                for t in range(m ** (i - 1))
+                for g in products
+            ))
+            # one position (the trivial group): itemgetter returns it bare
+            return itemgetter(*positions) if len(positions) > 1 else itemgetter(slice(0, 1))
+
+        gpd.cache[key] = (merged(2, 1), [merged(k, i) for i in range(1, k)])
+    return gpd.cache[key]
 
 
 def cocycle(c: Cochain) -> Cocycle:
@@ -360,10 +365,8 @@ def inverse_transgression(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
         (-1)^k phi(a, u_1..u_k)
         + sum_i (-1)^(i+k) phi(u_1..u_i, a_i, u_(i+1)..u_k)
     where a_i is a dragged along u_1..u_i. Those dragged loops are exactly
-    the loop labels of the objects along the conjugator path. For k = 1 and
-    2 the action groupoid is swept as nested loops, each loop label, target
-    and value position found by index arithmetic; higher k walks ``nerve``.
-    Both write the tuples in ``nerve`` order.
+    the loop labels of the objects along the conjugator path. The sweep is
+    _insert_loops with one loop.
     """
     if sectors.k != 1:
         raise ValueError("transgression lands on the 1-sector groupoid")
@@ -371,55 +374,7 @@ def inverse_transgression(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
         raise ValueError("cochain does not live on the sector base")
     if phi.degree < 1:
         raise ValueError("transgression needs degree at least 1")
-    k = phi.degree - 1
-    lam = sectors.groupoid
-    n = phi.modulus
-    v = phi.values
-    # loop[x] is the loop label of point x; the base has one object, so
-    # phi's key (b_0..b_j) sits at the base-|G| number with those digits
-    loop = [a for _, (a,) in sectors.objects]
-    if k == 0:
-        return _cochain(lam, 0, n, [v[a] for a in loop])
-    compose = lam.compose
-    out: List[int] = []
-    if isinstance(compose, ActionCompose) and k <= 2:
-        # arrow x*order + e runs from point x to act[x][e] and conjugates by
-        # members[e]; drag[x][e] = u*order + loop label of that target
-        order, act = compose.order, compose.act
-        members = sectors.members
-        drag = [[u * order + loop[y] for u, y in zip(members, row)] for row in act]
-        ext = out.extend
-        if k == 1:
-            # phi(u, a1) - phi(a0, u)
-            for x0, a0 in enumerate(loop):
-                r0 = v[a0 * order : a0 * order + order]
-                ext([(v[q] - r0[u]) % n for u, q in zip(members, drag[x0])])
-            return _cochain(lam, 1, n, out)
-        # phi(a0, u1, u2) - phi(u1, a1, u2) + phi(u1, u2, a2)
-        sq = order * order
-        for a0, row in zip(loop, act):
-            for u1, x1 in zip(members, row):
-                p0, p1, b2 = a0 * sq + u1 * order, u1 * sq + loop[x1] * order, u1 * sq
-                r0, r1 = v[p0 : p0 + order], v[p1 : p1 + order]
-                ext([
-                    (r0[u2] - r1[u2] + v[b2 + q]) % n
-                    for u2, q in zip(members, drag[x1])
-                ])
-        return _cochain(lam, 2, n, out)
-    at = nerve_index(sectors.base, k + 1).at
-    lead_sign = 1 if k % 2 == 0 else -1
-    order, members, target = len(sectors.members), sectors.members, lam.target
-    for tup in nerve(lam, k):
-        a0 = loop[tup[0] // order]
-        us = tuple(members[t % order] for t in tup)
-        dragged = tuple(loop[target[t]] for t in tup)
-        total = lead_sign * v[at((a0,) + us)]
-        s = lead_sign
-        for i in range(1, k + 1):
-            s = -s
-            total += s * v[at(us[:i] + (dragged[i - 1],) + us[i:])]
-        out.append(total % n)
-    return _cochain(lam, k, n, out)
+    return _insert_loops(phi, sectors)
 
 
 def product_homotopy(phi: Cochain, two_sectors: SectorGroupoid) -> Cochain:
@@ -434,8 +389,7 @@ def product_homotopy(phi: Cochain, two_sectors: SectorGroupoid) -> Cochain:
             = e1-pullback + e2-pullback - e12-pullback of the transgression
     to hold in every degree at once (without it the two sides differ by
     (-1)^k, so no fixed-sign variant works for both even and odd k).
-    For k = 1 and 2 the sum is unrolled over nested loops on the action
-    groupoid, as in inverse_transgression; higher k walks ``nerve``.
+    The sweep is _insert_loops with two loops.
     """
     if two_sectors.k != 2:
         raise ValueError("product homotopy lands on the 2-sector groupoid")
@@ -443,71 +397,76 @@ def product_homotopy(phi: Cochain, two_sectors: SectorGroupoid) -> Cochain:
         raise ValueError("cochain does not live on the sector base")
     if phi.degree < 2:
         raise ValueError("product homotopy needs degree at least 2")
-    k = phi.degree - 2
-    gpd2 = two_sectors.groupoid
-    parity = -1 if k % 2 else 1
-    n = phi.modulus
-    v = phi.values
-    # positions of phi's keys are base-|G| numbers, as in
-    # inverse_transgression; pair[x] is that of point x's loop pair (a, b)
-    order = two_sectors.base.n_arrows
-    first = [a for _, (a, _) in two_sectors.objects]
-    second = [b for _, (_, b) in two_sectors.objects]
-    pair = [a * order + b for a, b in zip(first, second)]
+    return _insert_loops(phi, two_sectors)
+
+
+def _insert_loops(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
+    """At loops l_1..l_r of the r = sectors.k sectors, with conjugators
+    u_1..u_k, the value for phi of degree k + r on the base is
+
+        (-1)^k Σ_{0 <= i_1 <= .. <= i_r <= k} (-1)^(i_1 + .. + i_r)
+            phi(u_1..u_{i_1}, l_1 dragged i_1 steps, .., u_k),
+
+    l_j as it is where the path is after u_{i_j}. A prefix (x_0, e_1..e_{k-1})
+    is a row of |G| outputs, one per last conjugator e; a term reads it as
+    a slice of phi or, if s of its loops follow e, through dragged[s-1].
+    """
+    gpd, r = sectors.groupoid, sectors.k
+    m, act = gpd.compose.order, gpd.compose.act
+    k, n, v = phi.degree - r, phi.modulus, phi.values
+    if sectors.members != tuple(range(m)):
+        # phi's keys name base arrows: renumber its digits by place
+        digits = [[e * m**i for e in sectors.members] for i in reversed(range(phi.degree))]
+        v = [v[p] for p in map(sum, itertools.product(*digits))]
     if k == 0:
-        return _cochain(gpd2, 0, n, [v[p] for p in pair])
-    compose = gpd2.compose
+        return _cochain(gpd, 0, n, v[:])
+    key = ("dragged loops", r)
+    if key not in gpd.cache:
+        # dragged[s-1][x][e] = e*|G|^s + the number of the last s loops of
+        # act[x][e], which are those of act[x mod |G|^s][e]: rows repeat
+        rows = [
+            [list(map(add, range(0, m ** (s + 1), m**s), act[x])) for x in range(m**s)]
+            for s in range(1, r + 1)
+        ]
+        gpd.cache[key] = [[rs[x % len(rs)] for x in range(len(act))] for rs in rows]
+    dragged = gpd.cache[key]
+    # the terms by their loops' places, a term of sign + first to start the fold
+    insertions = itertools.combinations_with_replacement(range(k + 1), r)
+    terms = sorted(insertions, key=lambda ins: (k + sum(ins)) % 2)
+    # per level j and term: the loops placed after u_j are y // dv % sc at
+    # point y, and sc is their scale
+    levels = [
+        [(m ** ins.count(j), m ** (r - sum(i <= j for i in ins))) for ins in terms]
+        for j in range(k)
+    ]
+    get, chained, every_row = v.__getitem__, chain.from_iterable, repeat(m)
     out: List[int] = []
-    if isinstance(compose, ActionCompose) and k <= 2:
-        # with u = members[e] and y = act[x][e]: near[x][e] = u*order + b(y)
-        # and far[x][e] = u*order^2 + pair[y]
-        act = compose.act
-        members = two_sectors.members
-        sq, cube = order * order, order**3
-        near = [[u * order + second[y] for u, y in zip(members, row)] for row in act]
-        far = [[u * sq + pair[y] for u, y in zip(members, row)] for row in act]
-        ext = out.extend
-        if k == 1:
-            # -(phi(a, b, u) - phi(a, u, b1) + phi(u, a1, b1))
-            for x0, (a, p) in enumerate(zip(first, pair)):
-                rab, asq = v[p * order : p * order + order], a * sq
-                ext([
-                    -(rab[u] - v[asq + q] + v[f]) % n
-                    for u, q, f in zip(members, near[x0], far[x0])
-                ])
-            return _cochain(gpd2, 1, n, out)
-        # the six (i, j) terms of the double sum, in its order
-        for x0, row in enumerate(act):
-            a0c, p0 = first[x0] * cube, pair[x0] * sq
-            for u1, x1 in zip(members, row):
-                s1 = p0 + u1 * order
-                s2 = a0c + u1 * sq + second[x1] * order
-                s4 = u1 * cube + pair[x1] * order
-                b3, b5, b6 = a0c + u1 * sq, u1 * cube + first[x1] * sq, u1 * cube
-                r1, r2, r4 = v[s1 : s1 + order], v[s2 : s2 + order], v[s4 : s4 + order]
-                ext([
-                    (r1[u2] - r2[u2] + v[b3 + q] + r4[u2] - v[b5 + q] + v[b6 + f]) % n
-                    for u2, q, f in zip(members, near[x1], far[x1])
-                ])
-        return _cochain(gpd2, 2, n, out)
-    at = nerve_index(two_sectors.base, k + 2).at
-    members, target = two_sectors.members, gpd2.target
-    for tup in nerve(gpd2, k):
-        us = tuple(members[t % order] for t in tup)
-        # the loop pair at the source of tup[0], then at each arrow's target
-        xs = [tup[0] // order] + [target[t] for t in tup]
-        a_at = [first[x] for x in xs]
-        b_at = [second[x] for x in xs]
-        total = 0
-        for i in range(k + 1):
-            for j in range(i, k + 1):
-                key = us[:i] + (a_at[i],) + us[i:j] + (b_at[j],) + us[j:]
-                if (i + j) % 2:
-                    total -= v[at(key)]
-                else:
-                    total += v[at(key)]
-        out.append(parity * total % n)
-    return _cochain(gpd2, k, n, out)
+    # depth first: the prefixes of level j below one prefix, given by the
+    # terms' words so far and by the conjugators and points extending it
+    stack = [([0] * len(terms), [0] * len(act), range(len(act)), 0)]
+    while stack:
+        prefix, es, ys, j = stack.pop()
+        words = [
+            [(b * m + e) * sc + y // dv % sc for e, y in zip(es, ys)]
+            for b, (sc, dv) in zip(prefix, levels[j])
+        ]
+        if j < k - 1:
+            for w, y in zip(reversed(list(zip(*words))), reversed(ys)):
+                stack.append((w, range(m), act[y], j + 1))
+            continue
+        # these prefixes are rows: a term reads row i from starts[i] on
+        acc = None
+        for ins, w in zip(terms, words):
+            s = ins.count(k)
+            starts = [b * m ** (s + 1) for b in w]
+            if s:
+                at = chained(map(repeat, starts, every_row))
+                col = map(get, map(add, at, chained(map(dragged[s - 1].__getitem__, ys))))
+            else:
+                col = chained(map(get, map(slice, starts, map(m.__add__, starts))))
+            acc = col if acc is None else map(sub if (k + sum(ins)) % 2 else add, acc, col)
+        out += [a % n for a in acc]
+    return _cochain(gpd, k, n, out)
 
 
 def product_identity_sides(

@@ -13,10 +13,10 @@ Conventions used throughout:
     the group table
   - make_groupoid is the generic validator, for composition dicts assembled
     arrow by arrow (fibered products, subgroupoids)
-  - make_hom checks every composable pair; between action groupoids, a hom
-    that maps every point's arrows by the same element map f (the sector
-    evaluation and unit maps) preserves composition iff f is a group
-    homomorphism, which is checked over G x G instead
+  - make_hom checks every composable pair, but a hom between action
+    groupoids that maps every point's arrows by the same element map f
+    (the sector evaluation and unit maps) preserves composition iff f is
+    a group homomorphism, which is checked over G x G instead
   - a SectorGroupoid stores its objects; object and arrow numbers are
     computed from base-|G| digits
   - nerve_index numbers the composable k-tuples in nerve order by
@@ -277,46 +277,27 @@ def _first_broken_pair(
     """The first composable pair (a, b), in the order of sc's items, whose
     images under am do not compose to the image of a.b; None if there is
     none. The hom must preserve endpoints already."""
-    if not (isinstance(tc, ActionCompose) and isinstance(sc, ActionCompose)):
-        for (a, b), c in sc.items():
-            if tc[(am[a], am[b])] != am[c]:
-                return a, b
-        return None
-    # el[a] is the group element of am[a]; all arrows out of x map to
-    # arrows out of om[x], so a pair's images compose to the image of its
-    # composite iff tmult[el[a]][el[b]] == el[a.b]
-    order, smult, tmult = sc.order, sc.mult, tc.mult
-    el = [b % tc.order for b in am]
-    f = el[:order]
-    if el and el == f * len(sc.act):
-        # every point maps its arrows by the same f, so the pair (x, g),
-        # (y, h) holds iff tmult[f[g]][f[h]] == f[g h], whatever x is: the
-        # hom preserves composition iff f is a group homomorphism, and the
-        # first failure is at point 0, which the sweep below reaches first
-        pick_f = itemgetter(*f)
-        for g, fg in enumerate(f):
-            if pick_f(tmult[fg]) != itemgetter(*smult[g])(f):
-                tg = tmult[fg]
-                h = next(h for h, m in enumerate(smult[g]) if tg[f[h]] != f[m])
-                return g, sc.act[0][g] * order + h
-        return None
-    # f varies with the point: arrow a, then each arrow b out of its target
-    # y, one row of b at a time, each side picked out of its table in one
-    # call
-    pick_row = [
-        itemgetter(*el[yoff : yoff + order]) for yoff in range(0, len(am), order)
-    ]
-    pick_products = [itemgetter(*row) for row in smult]
-    for x, row in enumerate(sc.act):
-        xoff = x * order
-        elx = el[xoff : xoff + order]
-        for g, y in enumerate(row):
-            tg = tmult[el[xoff + g]]
-            if pick_row[y](tg) != pick_products[g](elx):
-                yoff = y * order
-                for h, m in enumerate(smult[g]):
-                    if tg[el[yoff + h]] != elx[m]:
-                        return xoff + g, yoff + h
+    if isinstance(tc, ActionCompose) and isinstance(sc, ActionCompose):
+        # el[a] is the group element of am[a]. If every point maps its
+        # arrows by the same f, the pair (x, g), (y, h) holds iff
+        # tmult[f[g]][f[h]] == f[g h], whatever x is: f must be a group
+        # homomorphism, and the first failure is at point 0, which the item
+        # sweep below reaches first
+        order, smult, tmult = sc.order, sc.mult, tc.mult
+        el = [b % tc.order for b in am]
+        f = el[:order]
+        if el and el == f * len(sc.act):
+            pick_f = itemgetter(*f)
+            for g, fg in enumerate(f):
+                if pick_f(tmult[fg]) != itemgetter(*smult[g])(f):
+                    tg = tmult[fg]
+                    h = next(h for h, m in enumerate(smult[g]) if tg[f[h]] != f[m])
+                    return g, sc.act[0][g] * order + h
+            return None
+    # any other hom: every composable pair, in order
+    for (a, b), c in sc.items():
+        if tc[(am[a], am[b])] != am[c]:
+            return a, b
     return None
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -161,10 +162,14 @@ def test_delta_matches_generic_face_loop():
             for den in (2, 4, 6, 12):
                 check(random_cochain(gpd, k, rng, den))
                 check(_sparse_cochain(gpd, k, rng, den))
-        # degree 4 runs the generic loop itself: one cochain per groupoid, and
-        # none on the 2-sector groupoid, whose 5-tuples number 279,936
+        # degree 4: one cochain per groupoid, and none on the 2-sector
+        # groupoid, whose 5-tuples number 279,936
         if gpd is not s3_two:
             check(random_cochain(gpd, 4, rng, 12))
+    # degree 5, where the face tables have four merged digits
+    c3 = point_groupoid(cyclic(3))
+    check(random_cochain(c3, 5, rng, 12))
+    check(_sparse_cochain(c3, 5, rng, 12))
 
 
 def _nerve_transgression(phi, sectors):
@@ -286,14 +291,15 @@ def test_constructor_refuses_keys_outside_the_nerve():
 
 def test_sector_sweeps_match_nerve_loops():
     rng = random.Random("unrolled-sweeps")
+    # each base with the highest degree k swept against the nerve loops
     bases = [
-        point_groupoid(cyclic(5)),
-        point_groupoid(symmetric(3)),
-        point_groupoid(elementary_abelian(2, 3)),
-        point_groupoid(dihedral(4)),
-        _relabeled_point_groupoid(symmetric(3), 2),
+        (point_groupoid(cyclic(5)), 4),
+        (point_groupoid(symmetric(3)), 4),
+        (point_groupoid(elementary_abelian(2, 3)), 3),
+        (point_groupoid(dihedral(4)), 3),
+        (_relabeled_point_groupoid(symmetric(3), 2), 3),
     ]
-    for base in bases:
+    for base, top in bases:
         lam, two = inertia(base), k_sectors(base, 2)
         homs = [evaluation_hom(two, w) for w in ("e1", "e2", "e12")]
         homs += [lam.unit, two.unit]
@@ -322,20 +328,21 @@ def test_sector_sweeps_match_nerve_loops():
                     _check_sweep(
                         pullback(two.unit, c), _nerve_pullback(two.unit, c), base, k
                     )
-    # the nerve fallbacks, once per function, on the sectors of S3, with
-    # its arrows numbered as a group and relabeled
-    for base in (_relabeled_point_groupoid(symmetric(3), 2), point_groupoid(symmetric(3))):
-        lam, two = inertia(base), k_sectors(base, 2)
-        phi = random_cochain(base, 4, rng, 12)
-        _check_sweep(
-            inverse_transgression(phi, lam), _nerve_transgression(phi, lam), lam.groupoid, 3
-        )
-        phi = random_cochain(base, 5, rng, 12)
-        _check_sweep(
-            product_homotopy(phi, two), _nerve_product_homotopy(phi, two), two.groupoid, 3
-        )
+        # the same sweep in every degree, a dense and a sparse cochain each
+        for k in range(3, top + 1):
+            for make in (random_cochain, _sparse_cochain):
+                phi = make(base, k + 1, rng, 12)
+                _check_sweep(
+                    inverse_transgression(phi, lam), _nerve_transgression(phi, lam), lam.groupoid, k
+                )
+                phi = make(base, k + 2, rng, 12)
+                _check_sweep(
+                    product_homotopy(phi, two), _nerve_product_homotopy(phi, two), two.groupoid, k
+                )
+    base = point_groupoid(symmetric(3))
+    two = k_sectors(base, 2)
     e12 = evaluation_hom(two, "e12")
-    c = random_cochain(lam.groupoid, 3, rng, 12)
+    c = random_cochain(inertia(base).groupoid, 3, rng, 12)
     _check_sweep(pullback(e12, c), _nerve_pullback(e12, c), two.groupoid, 3)
 
 
@@ -354,17 +361,18 @@ def test_pullback_along_a_subgroupoid_inclusion_matches_the_nerve_loop():
         )
 
 
-def test_sector_sweeps_walk_the_nerve_only_above_degree_two(monkeypatch):
+def test_cochain_sweeps_walk_the_nerve_only_in_pullback_above_degree_two(monkeypatch):
     rng = random.Random("nerve-guard")
     base = point_groupoid(symmetric(3))
     lam, two = inertia(base), k_sectors(base, 2)
     e12 = evaluation_hom(two, "e12")
-    # inputs first: random_cochain walks the nerve itself; output degree k
+    # inputs first: output degree k
     inputs = [
         (
             random_cochain(base, k + 1, rng),
             random_cochain(base, k + 2, rng),
             random_cochain(lam.groupoid, k, rng),
+            [random_cochain(g, k, rng) for g in (base, lam.groupoid, two.groupoid)],
         )
         for k in (0, 1, 2, 3)
     ]
@@ -376,19 +384,45 @@ def test_sector_sweeps_walk_the_nerve_only_above_degree_two(monkeypatch):
         return real(gpd, r)
 
     monkeypatch.setattr(cochains, "nerve", counted)
-    for phi, psi, c in inputs[:3]:
+    for phi, psi, c, cs in inputs:
         inverse_transgression(phi, lam)
         product_homotopy(psi, two)
+        for x in cs:
+            delta(x)
+    assert calls == []
+    for _, _, c, _ in inputs[:3]:
         pullback(e12, c)
         pullback(lam.unit, c)
     assert calls == []
-    phi, psi, c = inputs[3]
-    inverse_transgression(phi, lam)
+    pullback(e12, inputs[3][2])
     assert calls == [3]
-    product_homotopy(psi, two)
-    assert calls == [3, 3]
-    pullback(e12, c)
-    assert calls == [3, 3, 3]
+
+
+def test_loop_sweep_caches_tables_the_size_of_the_action_table():
+    grp = symmetric(4)
+    # equal to point_groupoid(grp), but fresh, so nothing is cached on it
+    base = action_groupoid(grp, 1, [[0] * grp.order])
+    two = k_sectors(base, 2)
+    rng = random.Random("sweep-memory")
+    phis = [random_cochain(base, k + 2, rng) for k in (1, 2)]
+    tracemalloc.start()
+    try:
+        product_homotopy(phis[0], two)
+        kept, peak = tracemalloc.get_traced_memory()
+        # k = 2: 331,776 outputs, and no table sized by them
+        product_homotopy(phis[1], two)
+        kept_after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the act table holds 13,824 entries (576 points, 24 each), and so
+    # does the table of both dragged loops the sweep keeps, beside 576 for
+    # one loop: 0.58 MiB measured, 0.85 MiB at the peak of the k = 1 call,
+    # which writes 13,824 outputs
+    assert kept < 0.75 * 2**20
+    assert peak < 1.25 * 2**20
+    # a table sized by the k = 2 outputs would keep 2.5 MiB; the 50 KiB
+    # measured are freed tuples that Python keeps for reuse
+    assert kept_after - kept < 0.25 * 2**20
 
 
 def test_delta_squared_is_zero():
