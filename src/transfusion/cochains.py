@@ -5,8 +5,8 @@ k-tuple of arrows (degree 0: to every object). Everything is exact: a
 cochain stores one modulus N and a dense list of integers in 0..N-1, one
 per tuple in nerve order, each standing for itself over N mod 1, and all
 identities are tested with literal equality. Fractions appear only at the boundaries:
-the public constructor, value(), the cochain file format and the right-hand
-side of a coboundary solve.
+the public constructor, value(), the cochain file format, and the
+right-hand side and solution of a coboundary solve.
 
 This module carries the transgression machinery (loop-groupoid transgression
 of a cochain, the product homotopy correcting its multiplicativity, the
@@ -249,23 +249,12 @@ def delta(c: Cochain) -> Cochain:
     compose = g.compose
     out: List[int] = []
     if isinstance(compose, ActionCompose):
-        # block x holds the tuples out of point x, |G| arrow blocks; face 0
-        # reads the targets' blocks, face 1 the point's arrow blocks in the
-        # order of the products, and the last face repeats each value |G| times
-        m, act = compose.order, compose.act
-        size = m**k
-        first, later = _delta_faces(g, k)
-        blocks = [v[i : i + size] for i in range(0, len(v), size)]
-        arrows = [slice(i, i + size // m) for i in range(0, size, size // m)]
-        chained = chain.from_iterable
-        for block, row in zip(blocks, act):
-            arrow_blocks = list(map(block.__getitem__, arrows))
+        for faces in _action_faces(g, k, v):
             # faces 2 to k+1 with signs + - + ..., folded from the last
-            rest = chained(map(repeat, block, repeat(m)))
-            for get in reversed(later):
-                rest = map(sub, chained(map(get, arrow_blocks)), rest)
-            faces = zip(chained(map(blocks.__getitem__, row)), chained(first(arrow_blocks)), rest)
-            part = [(a - b + r) % n for a, b, r in faces]
+            rest = faces.pop()
+            while len(faces) > 2:
+                rest = map(sub, faces.pop(), rest)
+            part = [(a - b + r) % n for a, b, r in zip(*faces, rest)]
             # a one-point groupoid's part is the whole output: keep, not copy
             if out:
                 out += part
@@ -281,6 +270,28 @@ def delta(c: Cochain) -> Cochain:
             sign = -sign
         out.append((s + sign * v[at(tup[:-1])]) % n)
     return _cochain(g, k + 1, n, out)
+
+
+def _action_faces(g: FiniteGroupoid, k: int, v: Sequence[int]):
+    """Per point x of an action groupoid, faces 0 to k+1 of the (k+1)-tuples
+    out of x as iterators over v, one value (or position) per k-tuple in
+    nerve order. Block x holds the k-tuples out of point x, |G| arrow
+    blocks; face 0 reads the targets' blocks, face 1 the point's arrow
+    blocks in the order of the products, faces 2 to k one arrow block at a
+    time, and the last face repeats each value |G| times."""
+    m, act = g.compose.order, g.compose.act
+    size = m**k
+    first, later = _delta_faces(g, k)
+    blocks = [v[i : i + size] for i in range(0, len(v), size)]
+    arrows = [slice(i, i + size // m) for i in range(0, size, size // m)]
+    chained = chain.from_iterable
+    for block, row in zip(blocks, act):
+        arrow_blocks = list(map(block.__getitem__, arrows))
+        yield (
+            [chained(map(blocks.__getitem__, row)), chained(first(arrow_blocks))]
+            + [chained(map(get, arrow_blocks)) for get in later]
+            + [chained(map(repeat, block, repeat(m)))]
+        )
 
 
 def _delta_faces(gpd: FiniteGroupoid, k: int):
@@ -465,7 +476,12 @@ def _insert_loops(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
             else:
                 col = chained(map(get, map(slice, starts, map(m.__add__, starts))))
             acc = col if acc is None else map(sub if (k + sum(ins)) % 2 else add, acc, col)
-        out += [a % n for a in acc]
+        part = [a % n for a in acc]
+        # at k = 1 the one batch is the whole output: keep, not copy
+        if out:
+            out += part
+        else:
+            out = part
     return _cochain(gpd, k, n, out)
 
 
@@ -550,39 +566,47 @@ def coboundary_solve(c: Cochain) -> Optional[Cochain]:
         raise InconsistencyError("coboundary_solve requires a cocycle")
     g = c.groupoid
     k = c.degree
-    unknowns = nerve_index(g, k - 1)
-    n_cols = unknowns.size
+    n_cols = nerve_index(g, k - 1).size
     n_rows = nerve_size(g, k)
     if n_rows * n_cols > SOLVE_ENTRY_CAP:
         raise ValueError(f"solve would need a {n_rows} x {n_cols} system, over cap")
 
-    # column p is the unknown at position p of the (k-1)-tuples, which in
-    # degree 0 is object p
-    at = unknowns.at
-    rows: List[List[int]] = []
-    for tup in nerve(g, k):
-        row = [0] * n_cols
-        if k == 1:
-            row[g.target[tup[0]]] += 1
-            row[g.source[tup[0]]] -= 1
-        else:
-            row[at(tup[1:])] += 1
-            sign = -1
-            for i in range(k - 1):
-                merged = tup[:i] + (g.compose[(tup[i], tup[i + 1])],) + tup[i + 2 :]
-                row[at(merged)] += sign
-                sign = -sign
-            row[at(tup[:-1])] += sign
-        rows.append(row)
-    rhs = [_angle(v, c.modulus) for v in c.values]
-
-    sol = solve_mod1(rows, rhs)
+    angles = [Fraction(v, c.modulus) for v in range(c.modulus)]
+    sol = solve_mod1(_coboundary_rows(g, k), [angles[v] for v in c.values])
     if sol is None:
         return None
     witness = _cochain(g, k - 1, *_integers(n_cols, enumerate(sol)))
     if delta(witness) != c:
         raise AssertionError("solver returned a non-witness; internal inconsistency")
     return witness
+
+
+def _coboundary_rows(g: FiniteGroupoid, k: int) -> Tuple[Tuple[int, ...], ...]:
+    """The integer matrix of delta from degree k-1 to k, rows and columns in
+    nerve order: row t holds the signs of t's faces at their positions,
+    which on an action groupoid are the faces delta reads, taken over the
+    positions instead of the values."""
+    n_cols = nerve_index(g, k - 1).size
+    if k == 1:
+        blocks = [[g.target, g.source]]
+    elif isinstance(g.compose, ActionCompose):
+        blocks = _action_faces(g, k - 1, range(n_cols))
+    else:
+        # column j is delta of the unit cochain at j, over a modulus that
+        # keeps the entries, -k-1..k+1, apart
+        signed = list(range(k + 2)) + list(range(-k - 1, 0))
+        units = ([int(i == j) for i in range(n_cols)] for j in range(n_cols))
+        deltas = (delta(_cochain(g, k - 1, 2 * k + 3, u)).values for u in units)
+        return tuple(zip(*[map(signed.__getitem__, d) for d in deltas]))
+    signs = [(-1) ** i for i in range(k + 1)]
+    rows = []
+    for faces in blocks:
+        for positions in zip(*faces):
+            row = [0] * n_cols
+            for p, sign in zip(positions, signs):
+                row[p] += sign
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 # cup products of half-valued characters, and the mod-2 polynomial toolkit

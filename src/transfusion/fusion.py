@@ -522,12 +522,7 @@ def _class_basis(ctx: TwistContext) -> List[TwistedBundle]:
             tuple(zpos[m] for m in sub) for sub in subgroups if all(m in zpos for m in sub)
         ]
         irreps = projective_irreducibles(zgrp, tau_z, modulus, inside)
-        rank = twisted_rank(
-            TwoCocycleGroup(
-                group=zgrp,
-                values=tuple(tuple(Fraction(v, modulus) for v in row) for row in tau_z),
-            )
-        )
+        rank = twisted_rank(TwoCocycleGroup(group=zgrp, modulus=modulus, values=tau_z))
         if len(irreps) != rank:
             raise BasisError(
                 f"class of {g}: built {len(irreps)} irreducibles, twisted rank says {rank}"

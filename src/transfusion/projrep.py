@@ -54,13 +54,15 @@ class BasisError(RuntimeError):
 
 @dataclass(frozen=True)
 class TwoCocycleGroup:
-    """Normalized 2-cocycle: values[1][g] = values[g][1] = 0."""
+    """Normalized 2-cocycle, values[1][g] = values[g][1] = 0: values[g][h]
+    is an integer standing for itself over the modulus, mod 1."""
 
     group: FiniteGroup
-    values: Tuple[Tuple[Fraction, ...], ...]
+    modulus: int
+    values: Sequence[Sequence[int]]
 
     def value(self, g: int, h: int) -> Fraction:
-        return self.values[g][h]
+        return Fraction(self.values[g][h], self.modulus)
 
 
 def normalize_cocycle(
@@ -74,34 +76,30 @@ def normalize_cocycle(
     skipped for a Cocycle; a failure raises CocycleError at the first
     failing triple (g, h, k). The identity forces tau(1,g) = tau(g,1) =
     tau(1,1) for all g, so the shift is the coboundary of the constant
-    1-cochain at tau(1,1). Returns the normalized cocycle and that shifting
-    1-cochain.
+    1-cochain at tau(1,1). Returns the normalized cocycle, over the least
+    modulus that holds its values, and that shifting 1-cochain.
     """
+    n = group.order
     if not isinstance(values, Cochain):
-        n = group.order
         if len(values) != n or any(len(row) != n for row in values):
             raise CocycleError("table shape does not match the group order")
         values = group_cochain(
             group, 2, {(g, h): v for g, row in enumerate(values) for h, v in enumerate(row)}
         )
-    table = cocycle_from_cochain(group, values)
-    cocycle(values)
-    c = table[0][0]
-    rho = tuple([c] * group.order)
-    shifted = tuple(tuple((v - c) % 1 for v in row) for row in table)
-    for g in group.elements():
-        if shifted[0][g] or shifted[g][0]:
-            raise AssertionError("normalization failed; identity margin nonzero")
-    return TwoCocycleGroup(group=group, values=shifted), rho
-
-
-def cocycle_from_cochain(group: FiniteGroup, c: Cochain):
-    """Raw G x G value table of a degree-2 cochain on the group groupoid."""
-    if c.groupoid is not point_groupoid(group) or c.degree != 2:
+    if values.groupoid is not point_groupoid(group) or values.degree != 2:
         raise ValueError("expected a degree-2 cochain on the group groupoid")
-    return tuple(
-        tuple(c.value((g, h)) for h in group.elements()) for g in group.elements()
+    cocycle(values)
+    # (g, h) sits at position g*|G| + h
+    modulus, c = values.modulus, values.values[0]
+    shifted = [(v - c) % modulus for v in values.values]
+    common = math.gcd(modulus, *shifted)
+    table = tuple(
+        tuple([v // common for v in shifted[g * n : (g + 1) * n]]) for g in range(n)
     )
+    if any(table[0]) or any(row[0] for row in table):
+        raise AssertionError("normalization failed; identity margin nonzero")
+    rho = tuple([Fraction(c, modulus)] * n)
+    return TwoCocycleGroup(group=group, modulus=modulus // common, values=table), rho
 
 
 def tau_regular_classes(tc: TwoCocycleGroup) -> List[int]:
@@ -111,15 +109,14 @@ def tau_regular_classes(tc: TwoCocycleGroup) -> List[int]:
     constant across the class rather than assumed.
     """
     group = tc.group
+    v, modulus = tc.values, tc.modulus
     part = conjugacy_classes(group)
     reps = []
     for cls in part.classes:
         flags = []
         for x in cls:
             zen = centralizer(group, x)
-            flags.append(
-                all((tc.value(x, h) - tc.value(h, x)) % 1 == 0 for h in zen.members)
-            )
+            flags.append(all((v[x][h] - v[h][x]) % modulus == 0 for h in zen.members))
         if any(f != flags[0] for f in flags):
             raise AssertionError(
                 f"regularity differs inside the class of {cls[0]}; convention bug"
@@ -140,7 +137,6 @@ class TwistedAlgebra:
     times the one for h is phase(tau(g,h)) times the one for gh."""
 
     cocycle: TwoCocycleGroup
-    conductor: int
 
 
 def make_twisted_algebra(tc: TwoCocycleGroup) -> TwistedAlgebra:
@@ -149,11 +145,7 @@ def make_twisted_algebra(tc: TwoCocycleGroup) -> TwistedAlgebra:
         raise ValueError(f"algebra oracle capped at order {ALGEBRA_ORDER_CAP}")
     if any(tc.values[0][g] or tc.values[g][0] for g in group.elements()):
         raise ValueError("algebra expects a normalized cocycle")
-    conductor = 1
-    for row in tc.values:
-        for v in row:
-            conductor = math.lcm(conductor, v.denominator)
-    return TwistedAlgebra(cocycle=tc, conductor=conductor)
+    return TwistedAlgebra(cocycle=tc)
 
 
 def center_dimension(alg: TwistedAlgebra) -> int:

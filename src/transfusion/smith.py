@@ -4,8 +4,8 @@ The solver answers "does A x = d have a rational solution x modulo Z^m"
 exactly, which is the coboundary-solving primitive: A is the integer
 coboundary matrix, d the target angles. Each distinct matrix is eliminated
 once: pivots are chosen from A alone, so the elimination records its row
-operations, and every right-hand side (the companion) replays them instead
-of building the rows x rows transform.
+operations, and every right-hand side replays them, one integer column at
+a time, instead of building the rows x rows transform.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -21,16 +22,6 @@ IntRows = Tuple[Tuple[int, ...], ...]
 # a row operation (kind, i, j, factor): "swap" rows i and j, "add" factor
 # times row i to row j, or "neg" (negate) row i
 RowOp = Tuple[str, int, int, int]
-
-
-def _row_op(m: Matrix, op: RowOp) -> None:
-    kind, i, j, factor = op
-    if kind == "add":
-        m[j] = [x + factor * y for x, y in zip(m[j], m[i])]
-    elif kind == "swap":
-        m[i], m[j] = m[j], m[i]
-    else:
-        m[i] = [-e for e in m[i]]
 
 
 def _swap_cols(m: Matrix, i: int, j: int) -> None:
@@ -47,13 +38,17 @@ def _int_rows(m: Sequence[Sequence[int]], what: str) -> IntRows:
     """m as a tuple of integer row tuples, all as long as its first row.
     Raises ValueError naming the first row that is ragged or holds an entry
     that is not an integer."""
+    rows = tuple(map(tuple, m))
+    entries = itertools.chain.from_iterable(rows)
+    if len(set(map(len, rows))) <= 1 and set(map(type, entries)) <= {int}:
+        return rows
     out: List[Tuple[int, ...]] = []
-    for i, row in enumerate(m):
+    for i, row in enumerate(rows):
         try:
             r = tuple(map(int, row))
         except (TypeError, ValueError):
             r = None
-        if r is None or r != tuple(row):
+        if r is None or r != row:
             raise ValueError(f"{what} row {i} holds an entry that is not an integer")
         if out and len(r) != len(out[0]):
             raise ValueError(f"{what} row {i} has {len(r)} entries, row 0 has {len(out[0])}")
@@ -96,8 +91,10 @@ def _least(s: Matrix, cells) -> Optional[Tuple[int, int]]:
 # So an entry at the cap holds under 300 MB and four entries under 1.2 GB.
 # The CLI's order**4 budget keeps its solves far smaller: the largest
 # transgress matrix it allows (1369 x 37, cyclic:37) holds 1.4 MB with its
-# key, and the 256 x 16 one of transgress-e16 0.23 MB in 1,623 operations.
-# Four entries keep every repeat on the benchmark workloads.
+# key in 4,519 operations, and the 256 x 16 one of transgress-e16 0.23 MB
+# in 1,623. A right-hand side replays them as one column of integers, one
+# Python step per operation: about 0.4 ms and 0.1 ms on a 2-core x86_64
+# host. Four entries keep every repeat on the benchmark workloads.
 @functools.lru_cache(maxsize=4)
 def _eliminate(a: IntRows) -> Tuple[Tuple[RowOp, ...], IntRows, IntRows]:
     """Smith elimination of a as (row operations in order, s, v): replaying
@@ -109,7 +106,13 @@ def _eliminate(a: IntRows) -> Tuple[Tuple[RowOp, ...], IntRows, IntRows]:
     ops: List[RowOp] = []
 
     def row_op(op: RowOp) -> None:
-        _row_op(s, op)
+        kind, i, j, factor = op
+        if kind == "add":
+            s[j] = [x + factor * y for x, y in zip(s[j], s[i])]
+        elif kind == "swap":
+            s[i], s[j] = s[j], s[i]
+        else:
+            s[i] = [-e for e in s[i]]
         ops.append(op)
 
     def move_pivot(t: int, cell: Tuple[int, int]) -> None:
@@ -166,6 +169,18 @@ def _eliminate(a: IntRows) -> Tuple[Tuple[RowOp, ...], IntRows, IntRows]:
     return tuple(ops), tuple(map(tuple, s)), tuple(map(tuple, v))
 
 
+def _replay(ops: Sequence[RowOp], col: List[int]) -> List[int]:
+    """Apply the recorded row operations, in order, to one integer column."""
+    for kind, i, j, factor in ops:
+        if kind == "add":
+            col[j] += factor * col[i]
+        elif kind == "swap":
+            col[i], col[j] = col[j], col[i]
+        else:
+            col[i] = -col[i]
+    return col
+
+
 def smith_normal_form(
     a: Sequence[Sequence[int]], companion: Sequence[Sequence[int]]
 ) -> Tuple[Matrix, Matrix, Matrix]:
@@ -173,18 +188,19 @@ def smith_normal_form(
     unimodular u that is never built; v is unimodular, s diagonal.
 
     The companion has one row per row of a and receives every row operation
-    applied to a; the identity as companion gives u itself. Diagonal
-    entries of s are nonnegative and each divides the next. The elimination
-    of each distinct a is memoized; the lists returned are fresh copies.
-    Raises ValueError on a ragged or non-integer a or companion.
+    applied to a, replayed on it column by column; the identity as
+    companion gives u itself. Diagonal entries of s are nonnegative and
+    each divides the next. The elimination of each distinct a is memoized;
+    the lists returned are fresh copies. Raises ValueError on a ragged or
+    non-integer a or companion.
     """
     key = _int_rows(a, "matrix")
-    w = [list(row) for row in _int_rows(companion, "companion")]
-    if len(w) != len(key):
+    companion = _int_rows(companion, "companion")
+    if len(companion) != len(key):
         raise ValueError("companion must have one row per matrix row")
     ops, s, v = _eliminate(key)
-    for op in ops:
-        _row_op(w, op)
+    cols = [_replay(ops, list(col)) for col in zip(*companion)]
+    w = [list(row) for row in zip(*cols)] if cols else [[] for _ in companion]
     return [list(row) for row in s], w, [list(row) for row in v]
 
 
@@ -193,37 +209,26 @@ def solve_mod1(
 ) -> Optional[List[Fraction]]:
     """Solve a*x = d modulo 1 for rational x, or return None.
 
-    Solutions are sought over all of Q/Z, so witness denominators may be
-    finer than those appearing in d. The right-hand side enters the
-    elimination as one integer column D*d, D the lcm of its denominators,
-    so memory stays at the size of a.
+    a holds integers and d integers or Fractions. Solutions are sought over
+    all of Q/Z, so witness denominators may be finer than those appearing
+    in d. The right-hand side enters as one integer column D*d, D the lcm
+    of its denominators, which replays the memoized elimination of a; the
+    back-substitution runs in integers over one common denominator, and
+    only the returned values are Fractions.
     """
     rows = len(a)
     if rows != len(d):
         raise ValueError("right-hand side length does not match matrix rows")
-    cols = len(a[0]) if rows else 0
-    if rows == 0:
-        return []
-    d = [Fraction(x) for x in d]
-    den = 1
-    for x in d:
-        den = math.lcm(den, x.denominator)
-    s, ub, v = smith_normal_form(
-        a, [[x.numerator * (den // x.denominator)] for x in d]
-    )
+    ops, s, v = _eliminate(_int_rows(a, "matrix"))
+    den = math.lcm(*[x.denominator for x in d])
+    col = _replay(ops, [x.numerator * (den // x.denominator) for x in d])
     rank = 0
-    while rank < min(rows, cols) and s[rank][rank] != 0:
+    while rank < min(rows, len(v)) and s[rank][rank] != 0:
         rank += 1
-    for i in range(rank, rows):
-        if ub[i][0] % den:
-            return None
-    y = [Fraction(ub[i][0], den * s[i][i]) for i in range(rank)]
-    x = []
-    for i in range(cols):
-        acc = Fraction(0)
-        row = v[i]
-        for j in range(rank):
-            if row[j] and y[j]:
-                acc += row[j] * y[j]
-        x.append(acc % 1)
-    return x
+    if any(e % den for e in col[rank:]):
+        return None
+    # x = v*y with y_j = col[j] / (den*s_j): integers over their lcm
+    scales = [den * s[j][j] for j in range(rank)]
+    common = math.lcm(*scales)
+    y = [e * (common // c) for e, c in zip(col, scales)]
+    return [Fraction(sum(map(operator.mul, row, y)) % common, common) for row in v]

@@ -61,7 +61,6 @@ from transfusion.groups import (
 )
 from transfusion.projrep import (
     center_dimension,
-    cocycle_from_cochain,
     make_twisted_algebra,
     normalize_cocycle,
     twisted_rank,
@@ -267,7 +266,7 @@ def test_criterion_07_rank_twenty_two(cube, capsys):
     grp, _, thetas = cube
     total = 0
     for g in grp.elements():
-        tc, _ = normalize_cocycle(grp, cocycle_from_cochain(grp, thetas[g]))
+        tc, _ = normalize_cocycle(grp, thetas[g])
         rank = twisted_rank(tc)
         expected = 8 if g == 0 else 2
         assert rank == expected, f"sector {g}: rank {rank}, expected {expected}"

@@ -202,11 +202,8 @@ def _oracle_basis(ctx):
     out = []
     if group.is_abelian():
         for g in group.elements():
-            values = tuple(
-                tuple(ctx.tau_value(g, u1, u2) for u2 in group.elements())
-                for u1 in group.elements()
-            )
-            for mats in _oracle_abelian_projective_irreps(TwoCocycleGroup(group, values)):
+            tc = TwoCocycleGroup(group, ctx.tau.modulus, ctx.tau_table[g])
+            for mats in _oracle_abelian_projective_irreps(tc):
                 dims = tuple(len(mats[0]) if h == g else 0 for h in range(n))
                 out.append((dims, {(g, u): mats[u] for u in group.elements()}))
         return out
@@ -331,8 +328,7 @@ def test_irreducibles_carry_the_multiplier_exactly():
     table = [[tau.table.get((a, b), 0) for b in group.elements()] for a in group.elements()]
     irreps = projective_irreducibles(group, table, tau.modulus, all_subgroups(group))
     assert [len(m[0]) for m in irreps] == [2, 2]
-    angles = tuple(tuple(tau.value((a, b)) for b in group.elements()) for a in group.elements())
-    assert len(irreps) == twisted_rank(TwoCocycleGroup(group, angles))
+    assert len(irreps) == twisted_rank(TwoCocycleGroup(group, tau.modulus, table))
     for mats in irreps:
         for u, v in itertools.product(group.elements(), repeat=2):
             assert mats[u] @ mats[v] == mats[group.mult[u][v]].scale(tau.value((u, v)))

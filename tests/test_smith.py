@@ -1,14 +1,23 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from transfusion import cli, smith
-from transfusion.cochains import coboundary_solve, cup_one_cochains, shuffle_transgression
-from transfusion.groups import all_subgroups, dihedral, symmetric
+from transfusion import cli, cochains, smith
+from transfusion.cochains import (
+    Cochain,
+    coboundary_solve,
+    cup_one_cochains,
+    parse_poly,
+    poly_to_cocycle,
+    shuffle_transgression,
+)
+from transfusion.groupoids import full_subgroupoid, inertia, nerve, nerve_index, point_groupoid
+from transfusion.groups import all_subgroups, construct_group, dihedral, elementary_abelian, symmetric
 from transfusion.smith import smith_normal_form, solve_mod1
 
 
@@ -270,6 +279,69 @@ def _oracle_snf(a, companion):
     return s, w, v
 
 
+def _oracle_solve_mod1(a, d):
+    """solve_mod1 as it ran before the right-hand side was replayed as one
+    integer column: the column goes through the unmemoized elimination as
+    a companion, and the back-substitution runs in Fractions."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    if rows == 0:
+        return []
+    d = [Fraction(x) for x in d]
+    den = 1
+    for x in d:
+        den = math.lcm(den, x.denominator)
+    s, ub, v = _oracle_snf(a, [[x.numerator * (den // x.denominator)] for x in d])
+    rank = 0
+    while rank < min(rows, cols) and s[rank][rank] != 0:
+        rank += 1
+    for i in range(rank, rows):
+        if ub[i][0] % den:
+            return None
+    y = [Fraction(ub[i][0], den * s[i][i]) for i in range(rank)]
+    x = []
+    for i in range(cols):
+        acc = Fraction(0)
+        for j in range(rank):
+            acc += v[i][j] * y[j]
+        x.append(acc % 1)
+    return x
+
+
+def _oracle_coboundary_rows(g, k):
+    """The coboundary matrix as coboundary_solve built it before: one nerve
+    walk over the k-tuples and one position lookup per face."""
+    at = nerve_index(g, k - 1).at
+    n_cols = nerve_index(g, k - 1).size
+    rows = []
+    for tup in nerve(g, k):
+        row = [0] * n_cols
+        if k == 1:
+            row[g.target[tup[0]]] += 1
+            row[g.source[tup[0]]] -= 1
+        else:
+            row[at(tup[1:])] += 1
+            sign = -1
+            for i in range(k - 1):
+                merged = tup[:i] + (g.compose[(tup[i], tup[i + 1])],) + tup[i + 2 :]
+                row[at(merged)] += sign
+                sign = -sign
+            row[at(tup[:-1])] += sign
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _oracle_coboundary_solve(c):
+    """coboundary_solve on the oracle rows and the oracle solve."""
+    k = c.degree
+    rhs = [c.value_at(p) for p in range(len(c.values))]
+    sol = _oracle_solve_mod1(_oracle_coboundary_rows(c.groupoid, k), rhs)
+    if sol is None:
+        return None
+    keys = [(x,) for x in range(c.groupoid.n_objects)] if k == 1 else nerve(c.groupoid, k - 1)
+    return Cochain(c.groupoid, k - 1, dict(zip(keys, sol)))
+
+
 def _random_matrices(seed, count):
     """Seeded integer matrices with non-unit and negative pivots, zero rows
     and zero columns: entries are drawn without units for half of them."""
@@ -307,7 +379,7 @@ def test_memoized_elimination_matches_the_oracle():
     assert non_unit > 10 and negative > 40
 
 
-def test_solve_mod1_replays_each_right_hand_side(monkeypatch):
+def test_solve_mod1_replays_each_right_hand_side():
     rng = random.Random("memo-rhs")
     cases = []
     for a in _random_matrices("memo-solve", 30):
@@ -319,8 +391,7 @@ def test_solve_mod1_replays_each_right_hand_side(monkeypatch):
             rhs.append([Fraction(rng.randrange(12), rng.choice((1, 2, 3, 4, 6))) % 1 for _ in range(rows)])
         cases.append((a, rhs))
     got = [[solve_mod1(a, d) for d in rhs] for a, rhs in cases]
-    monkeypatch.setattr(smith, "smith_normal_form", _oracle_snf)
-    want = [[solve_mod1(a, d) for d in rhs] for a, rhs in cases]
+    want = [[_oracle_solve_mod1(a, d) for d in rhs] for a, rhs in cases]
     assert got == want
     outcomes = [x is None for row in want for x in row]
     assert any(outcomes) and not all(outcomes)
@@ -402,11 +473,76 @@ def test_sector_solves_match_the_oracle(group, monkeypatch):
     smith._eliminate.cache_clear()
     got = [coboundary_solve(c) for c in targets]
     assert smith._eliminate.cache_info().misses < len(targets)
-    monkeypatch.setattr(smith, "smith_normal_form", _oracle_snf)
+    oracle_calls = []
+
+    def oracle(a, d):
+        oracle_calls.append(len(a))
+        return _oracle_solve_mod1(a, d)
+
+    monkeypatch.setattr(cochains, "solve_mod1", oracle)
     want = [coboundary_solve(c) for c in targets]
+    assert len(oracle_calls) == len(targets)
     for w_got, w_want in zip(got, want):
         if w_want is None:
             assert w_got is None
         else:
             assert (w_got.modulus, w_got.table) == (w_want.modulus, w_want.table)
     assert any(w is None for w in want) and any(w is not None and w.table for w in want)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:5", "symmetric:3", "elemab:2,3"])
+def test_coboundary_rows_match_the_nerve_walk(spec):
+    gpd = point_groupoid(construct_group(spec))
+    for k in (1, 2, 3):
+        assert cochains._coboundary_rows(gpd, k) == _oracle_coboundary_rows(gpd, k)
+
+
+def test_coboundary_rows_on_many_points_and_without_an_action():
+    # a groupoid without an action reads its columns as the coboundaries
+    # of unit cochains
+    loops = inertia(point_groupoid(symmetric(3))).groupoid
+    part, _, _ = full_subgroupoid(loops, [1, 2, 3])
+    assert not isinstance(part.compose, type(loops.compose))
+    for gpd in (loops, part):
+        for k in (1, 2, 3):
+            assert cochains._coboundary_rows(gpd, k) == _oracle_coboundary_rows(gpd, k)
+
+
+def test_e16_sector_solves_match_the_oracle():
+    group = elementary_abelian(2, 4)
+    phi = poly_to_cocycle(parse_poly("xyz", 4), group)
+    outcomes = []
+    for g in group.elements():
+        tg, _, _ = shuffle_transgression(group, phi, g)
+        got, want = coboundary_solve(tg), _oracle_coboundary_solve(tg)
+        if want is None:
+            assert got is None
+        else:
+            assert (got.modulus, got.table) == (want.modulus, want.table)
+        outcomes.append(want is None)
+    # as the benchmark's expected report has it: sectors 0 and 8 trivial
+    assert outcomes.count(True) == 14
+
+
+def test_coboundary_solve_hands_solve_mod1_int_rows_and_angles(monkeypatch):
+    # perfbench's tracer counts solve_mod1's entries from its two positional
+    # arguments, len(a) * len(a[0]); a keyword or a bypass must fail here
+    calls = []
+    real = cochains.solve_mod1
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cochains, "solve_mod1", recorded)
+    group = elementary_abelian(2, 3)
+    tg, _, _ = shuffle_transgression(group, poly_to_cocycle(parse_poly("xyz"), group), 1)
+    assert coboundary_solve(tg) is None
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    assert kwargs == {} and len(args) == 2
+    rows, rhs = args
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert all(type(e) is int for row in rows for e in row)
+    assert len(rows) * len(rows[0]) == 64 * 8
+    assert rhs == [tg.value_at(p) for p in range(len(tg.values))]
