@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, methodcaller, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groups import FiniteGroup, centralizer, subgroup_as_group
@@ -249,12 +249,23 @@ def delta(c: Cochain) -> Cochain:
     compose = g.compose
     out: List[int] = []
     if isinstance(compose, ActionCompose):
-        for faces in _action_faces(g, k, v):
+        # block x holds the tuples out of point x, |G| arrow blocks; face 0
+        # reads the targets' blocks, face 1 the point's arrow blocks in the
+        # order of the products, and the last face repeats each value |G| times
+        m, act = compose.order, compose.act
+        size = m**k
+        first, later = _delta_faces(g, k)
+        blocks = [v[i : i + size] for i in range(0, len(v), size)]
+        arrows = [slice(i, i + size // m) for i in range(0, size, size // m)]
+        chained = chain.from_iterable
+        for block, row in zip(blocks, act):
+            arrow_blocks = list(map(block.__getitem__, arrows))
             # faces 2 to k+1 with signs + - + ..., folded from the last
-            rest = faces.pop()
-            while len(faces) > 2:
-                rest = map(sub, faces.pop(), rest)
-            part = [(a - b + r) % n for a, b, r in zip(*faces, rest)]
+            rest = chained(map(repeat, block, repeat(m)))
+            for get in reversed(later):
+                rest = map(sub, chained(map(get, arrow_blocks)), rest)
+            faces = zip(chained(map(blocks.__getitem__, row)), chained(first(arrow_blocks)), rest)
+            part = [(a - b + r) % n for a, b, r in faces]
             # a one-point groupoid's part is the whole output: keep, not copy
             if out:
                 out += part
@@ -270,28 +281,6 @@ def delta(c: Cochain) -> Cochain:
             sign = -sign
         out.append((s + sign * v[at(tup[:-1])]) % n)
     return _cochain(g, k + 1, n, out)
-
-
-def _action_faces(g: FiniteGroupoid, k: int, v: Sequence[int]):
-    """Per point x of an action groupoid, faces 0 to k+1 of the (k+1)-tuples
-    out of x as iterators over v, one value (or position) per k-tuple in
-    nerve order. Block x holds the k-tuples out of point x, |G| arrow
-    blocks; face 0 reads the targets' blocks, face 1 the point's arrow
-    blocks in the order of the products, faces 2 to k one arrow block at a
-    time, and the last face repeats each value |G| times."""
-    m, act = g.compose.order, g.compose.act
-    size = m**k
-    first, later = _delta_faces(g, k)
-    blocks = [v[i : i + size] for i in range(0, len(v), size)]
-    arrows = [slice(i, i + size // m) for i in range(0, size, size // m)]
-    chained = chain.from_iterable
-    for block, row in zip(blocks, act):
-        arrow_blocks = list(map(block.__getitem__, arrows))
-        yield (
-            [chained(map(blocks.__getitem__, row)), chained(first(arrow_blocks))]
-            + [chained(map(get, arrow_blocks)) for get in later]
-            + [chained(map(repeat, block, repeat(m)))]
-        )
 
 
 def _delta_faces(gpd: FiniteGroupoid, k: int):
@@ -583,30 +572,19 @@ def coboundary_solve(c: Cochain) -> Optional[Cochain]:
 
 def _coboundary_rows(g: FiniteGroupoid, k: int) -> Tuple[Tuple[int, ...], ...]:
     """The integer matrix of delta from degree k-1 to k, rows and columns in
-    nerve order: row t holds the signs of t's faces at their positions,
-    which on an action groupoid are the faces delta reads, taken over the
-    positions instead of the values."""
+    nerve order, read off one delta. Column j's unit cochain is 256**j over
+    256**n_cols, so each value of its delta holds a row as signed base-256
+    digits, each at most (k+2)/2 in absolute value. With 128 added to every
+    digit they are the bytes of one integer, and with each byte's top bit
+    flipped back they read as the digits, one signed byte each."""
     n_cols = nerve_index(g, k - 1).size
-    if k == 1:
-        blocks = [[g.target, g.source]]
-    elif isinstance(g.compose, ActionCompose):
-        blocks = _action_faces(g, k - 1, range(n_cols))
-    else:
-        # column j is delta of the unit cochain at j, over a modulus that
-        # keeps the entries, -k-1..k+1, apart
-        signed = list(range(k + 2)) + list(range(-k - 1, 0))
-        units = ([int(i == j) for i in range(n_cols)] for j in range(n_cols))
-        deltas = (delta(_cochain(g, k - 1, 2 * k + 3, u)).values for u in units)
-        return tuple(zip(*[map(signed.__getitem__, d) for d in deltas]))
-    signs = [(-1) ** i for i in range(k + 1)]
-    rows = []
-    for faces in blocks:
-        for positions in zip(*faces):
-            row = [0] * n_cols
-            for p, sign in zip(positions, signs):
-                row[p] += sign
-            rows.append(tuple(row))
-    return tuple(rows)
+    n = 256**n_cols
+    top = int.from_bytes(b"\x80" * n_cols, "little")
+    packed = delta(_cochain(g, k - 1, n, [256**j for j in range(n_cols)])).values
+    flipped = map(top.__xor__, map(n.__rmod__, map(top.__add__, packed)))
+    raw = b"".join(map(methodcaller("to_bytes", n_cols, "little"), flipped))
+    digits = memoryview(raw).cast("b").tolist()
+    return tuple(zip(*[iter(digits)] * n_cols))
 
 
 # cup products of half-valued characters, and the mod-2 polynomial toolkit

@@ -38,17 +38,21 @@ def _int_rows(m: Sequence[Sequence[int]], what: str) -> IntRows:
     """m as a tuple of integer row tuples, all as long as its first row.
     Raises ValueError naming the first row that is ragged or holds an entry
     that is not an integer."""
-    rows = tuple(map(tuple, m))
-    entries = itertools.chain.from_iterable(rows)
-    if len(set(map(len, rows))) <= 1 and set(map(type, entries)) <= {int}:
-        return rows
+    try:
+        rows = tuple(map(tuple, m))
+    except TypeError:  # a row that is not iterable: named below
+        rows = m
+    else:
+        entries = itertools.chain.from_iterable(rows)
+        if len(set(map(len, rows))) <= 1 and set(map(type, entries)) <= {int}:
+            return rows
     out: List[Tuple[int, ...]] = []
     for i, row in enumerate(rows):
         try:
             r = tuple(map(int, row))
         except (TypeError, ValueError):
             r = None
-        if r is None or r != row:
+        if r is None or r != tuple(row):
             raise ValueError(f"{what} row {i} holds an entry that is not an integer")
         if out and len(r) != len(out[0]):
             raise ValueError(f"{what} row {i} has {len(r)} entries, row 0 has {len(out[0])}")
@@ -209,17 +213,18 @@ def solve_mod1(
 ) -> Optional[List[Fraction]]:
     """Solve a*x = d modulo 1 for rational x, or return None.
 
-    a holds integers and d integers or Fractions. Solutions are sought over
-    all of Q/Z, so witness denominators may be finer than those appearing
-    in d. The right-hand side enters as one integer column D*d, D the lcm
-    of its denominators, which replays the memoized elimination of a; the
-    back-substitution runs in integers over one common denominator, and
-    only the returned values are Fractions.
+    a holds integers, d integers, Fractions or anything Fraction() accepts.
+    Solutions are sought over all of Q/Z, so witness denominators may be
+    finer than those appearing in d. The right-hand side enters as one
+    integer column D*d, D the lcm of its denominators, which replays the
+    memoized elimination of a; the back-substitution runs in integers over
+    one common denominator, and only the returned values are Fractions.
     """
     rows = len(a)
     if rows != len(d):
         raise ValueError("right-hand side length does not match matrix rows")
     ops, s, v = _eliminate(_int_rows(a, "matrix"))
+    d = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in d]
     den = math.lcm(*[x.denominator for x in d])
     col = _replay(ops, [x.numerator * (den // x.denominator) for x in d])
     rank = 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -422,6 +423,8 @@ def test_malformed_matrices_are_refused():
         smith_normal_form([[Fraction(1, 2)], [1]], i2)
     with pytest.raises(ValueError, match="matrix row 1 holds"):
         smith_normal_form([[1], ["x"]], i2)
+    with pytest.raises(ValueError, match="matrix row 0 holds an entry that is not an integer"):
+        smith_normal_form([1, 2], i2)
     with pytest.raises(ValueError, match="companion row 1 has 1 entries"):
         smith_normal_form([[1], [2]], [[1, 0], [1]])
     with pytest.raises(ValueError, match="companion row 0 holds"):
@@ -430,6 +433,8 @@ def test_malformed_matrices_are_refused():
         solve_mod1([[1], [2, 7]], [Fraction(1, 2), Fraction(1, 3)])
     # an integer-valued entry of another type is that integer
     assert smith_normal_form([[Fraction(4, 2)]], [[1]]) == ([[2]], [[1]], [[1]])
+    # a right-hand side entry is anything Fraction() accepts
+    assert solve_mod1([[2]], [Decimal("0.5")]) == solve_mod1([[2]], ["1/2"]) == [Fraction(1, 4)]
 
 
 def test_e16_sectors_share_one_elimination(monkeypatch, capsys):
@@ -497,9 +502,17 @@ def test_coboundary_rows_match_the_nerve_walk(spec):
         assert cochains._coboundary_rows(gpd, k) == _oracle_coboundary_rows(gpd, k)
 
 
+def test_coboundary_rows_at_high_degree():
+    # each entry is one signed byte of a packed row, 32 bytes at degree 6
+    gpd = point_groupoid(construct_group("cyclic:2"))
+    rows = cochains._coboundary_rows(gpd, 6)
+    assert rows == _oracle_coboundary_rows(gpd, 6)
+    assert set(itertools.chain.from_iterable(rows)) == {-1, 0, 1, 2}
+
+
 def test_coboundary_rows_on_many_points_and_without_an_action():
-    # a groupoid without an action reads its columns as the coboundaries
-    # of unit cochains
+    # delta takes its nerve loop on a groupoid without an action, and the
+    # rows read off it match there too
     loops = inertia(point_groupoid(symmetric(3))).groupoid
     part, _, _ = full_subgroupoid(loops, [1, 2, 3])
     assert not isinstance(part.compose, type(loops.compose))
