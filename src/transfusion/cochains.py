@@ -327,9 +327,9 @@ def is_cocycle(c: Cochain) -> bool:
 
 
 def pullback(h: GroupoidHom, c: Cochain) -> Cochain:
-    """(h*c)(tuple) = c(image tuple). Degrees 0 to 2 read the images'
-    positions from the hom's maps, for any source groupoid; higher degrees
-    walk ``nerve``. Both write the tuples in ``nerve`` order."""
+    """(h*c)(tuple) = c(image tuple). Every degree reads the images'
+    positions from the hom's maps, for any source groupoid, and writes the
+    tuples in ``nerve`` order."""
     if c.groupoid is not h.target:
         raise ValueError("cochain does not live on the hom's target groupoid")
     src = h.source
@@ -340,20 +340,23 @@ def pullback(h: GroupoidHom, c: Cochain) -> Cochain:
         out = [v[y] for y in h.object_map]
     elif k == 1:
         out = [v[b] for b in amap]
-    elif k == 2:
-        # (t0, t1) reads position start[b0] + place[b1] of its image (b0, b1);
-        # places[y] lists place[b1] over the arrows t1 out of object y
-        index = nerve_index(h.target, 2)
-        start, place = index.start, index.place
-        places = [[place[amap[t]] for t in outs] for outs in src.out_arrows]
+    else:
+        # (t0, t1..) reads position start[b0] plus the base-d number whose
+        # digits are the places of its images b1.. among the arrows out of
+        # their sources; tails[y] lists those numbers over the (k-1)-tuples
+        # out of object y, built one digit at a time from the last
+        index = nerve_index(h.target, k)
+        start, place, degree = index.start, index.place, index.out_degree
+        target, outs = src.target, src.out_arrows
+        tails = [[place[amap[t]] for t in ts] for ts in outs]
+        for j in range(1, k - 1):
+            digit = [place[b] * degree[b] ** j for b in amap]
+            tails = [[digit[t] + r for t in ts for r in tails[target[t]]] for ts in outs]
         out = []
         ext = out.extend
-        for b0, y in zip(amap, src.target):
+        for b0, y in zip(amap, target):
             s = start[b0]
-            ext([v[s + p] for p in places[y]])
-    else:
-        at = nerve_index(h.target, k).at
-        out = [v[at([amap[a] for a in tup])] for tup in nerve(src, k)]
+            ext([v[s + r] for r in tails[y]])
     return _cochain(src, k, c.modulus, out)
 
 

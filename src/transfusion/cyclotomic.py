@@ -3,8 +3,8 @@
 An element is a polynomial in zeta_N, reduced modulo the N-th cyclotomic
 polynomial and stored as integer numerators over one denominator; since
 that polynomial is monic, reduction and the field operations are integer
-arithmetic. Fraction appears only at the edges: `coeffs`, `inverse`,
-`phase` and the value of a rational that is not an integer.
+arithmetic. Fraction appears only at the edges: `coeffs`, `phase` and the
+value of a rational that is not an integer.
 Binary operations promote both sides to the lcm conductor. This is enough
 field theory for unit-circle phases, characters, and the small exact linear
 algebra the fusion checks need.
@@ -24,93 +24,31 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
-# polynomials below are coefficient lists, lowest degree first
-
-
-def _ptrim(p: List[Fraction]) -> List[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _padd(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _ptrim(out)
-
-
-def _pscale(a: Sequence[Fraction], c: Fraction) -> List[Fraction]:
-    if c == 0:
-        return []
-    return [x * c for x in a]
-
-
-def _pmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _pdivmod(
-    num: Sequence[Fraction], den: Sequence[Fraction]
-) -> Tuple[List[Fraction], List[Fraction]]:
-    den = list(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(num)
-    quo = [Fraction(0)] * max(0, len(rem) - len(den) + 1)
-    lead = den[-1]
-    while len(rem) >= len(den):
-        c = rem[-1] / lead
-        k = len(rem) - len(den)
-        quo[k] = c
-        for i, d in enumerate(den):
-            rem[k + i] -= c * d
-        rem.pop()
-        _ptrim(rem)
-        if len(rem) < len(den):
-            break
-        # inner trim can drop several terms at once
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return _ptrim(quo), _ptrim(rem)
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, low degree
-    first. Computed by dividing x^n - 1 by the proper-divisor factors."""
+    first. Computed by dividing x^n - 1 by the proper-divisor factors; each
+    is monic, so the long division stays in the integers."""
     if n < 1:
         raise ValueError("conductor must be positive")
     if n == 1:
         return (-1, 1)
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            phi_d = [Fraction(c) for c in cyclotomic_polynomial(d)]
-            num, rem = _pdivmod(num, phi_d)
-            if rem:
+            phi_d = cyclotomic_polynomial(d)
+            deg = len(phi_d) - 1
+            quo = [0] * (len(num) - deg)
+            for i in range(len(quo) - 1, -1, -1):
+                c = quo[i] = num[i + deg]
+                if c:
+                    for j, e in enumerate(phi_d):
+                        num[i + j] -= c * e
+            if any(num):
                 raise ArithmeticError(f"cyclotomic division left remainder at {d}")
-    out = []
-    for c in num:
-        if c.denominator != 1:
-            raise ArithmeticError("cyclotomic polynomial not integral")
-        out.append(c.numerator)
-    return tuple(out)
-
-
-def _euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+            num = quo
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)
@@ -155,15 +93,9 @@ class Cyclotomic:
 
     __slots__ = ("conductor", "num", "den")
 
-    def __init__(self, conductor: int, coeffs: Sequence[Rat], reduce: bool = True):
+    def __init__(self, conductor: int, coeffs: Sequence[Rat]):
         num, den = _common_denominator(coeffs)
-        if reduce:
-            num = _reduce_ints(num, conductor)
-        else:
-            deg = _euler_phi(conductor)
-            if len(num) != deg:
-                raise ValueError(f"expected {deg} coefficients for conductor {conductor}")
-        self._set(conductor, num, den)
+        self._set(conductor, _reduce_ints(num, conductor), den)
 
     def _set(self, conductor: int, num: Sequence[int], den: int) -> None:
         if den != 1:
@@ -267,20 +199,22 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """rest / norm, where rest is the product of the Galois conjugates
+        zeta -> zeta^k over the units k != 1 mod N, so norm = self * rest
+        is a nonzero rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        # extended Euclid in Q[x]: s*self + t*phi = g with g a nonzero constant
-        r0, r1 = list(self.coeffs), phi
-        s0, s1 = [Fraction(1)], []
-        while _ptrim(list(r1)):
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _padd(s0, _pscale(_pmul(q, s1), Fraction(-1)))
-        if len(_ptrim(list(r0))) != 1:
-            raise ArithmeticError("gcd with cyclotomic polynomial not constant")
-        g = r0[0]
-        return Cyclotomic(self.conductor, _pscale(s0, 1 / g))
+        n = self.conductor
+        rest = Cyclotomic(n, (1,))
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                rest = rest * self._galois(k)
+        norm = self * rest
+        if not norm.is_rational():
+            raise ArithmeticError("norm of a cyclotomic number not rational")
+        c = norm.num[0]
+        sign = 1 if c > 0 else -1
+        return Cyclotomic._make(n, [x * norm.den * sign for x in rest.num], rest.den * abs(c))
 
     def __truediv__(self, other):
         o = Cyclotomic._coerce(other)
@@ -303,13 +237,17 @@ class Cyclotomic:
             k >>= 1
         return out
 
-    def conj(self) -> "Cyclotomic":
-        """Complex conjugation, zeta -> zeta^(N-1)."""
+    def _galois(self, k: int) -> "Cyclotomic":
+        """The Galois conjugate zeta -> zeta^k, for k prime to N."""
         n = self.conductor
         big = [0] * n
         for i, c in enumerate(self.num):
-            big[(n - i) % n] += c
+            big[i * k % n] += c
         return Cyclotomic._make(n, _reduce_ints(big, n), self.den)
+
+    def conj(self) -> "Cyclotomic":
+        """Complex conjugation, zeta -> zeta^(N-1)."""
+        return self._galois(-1)
 
     def is_zero(self) -> bool:
         return not any(self.num)

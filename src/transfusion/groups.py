@@ -87,19 +87,19 @@ class ConjugacyPartition:
         return tuple(c[0] for c in self.classes)
 
 
-def _check_order(order: int, order_cap: int) -> None:
+def _check_order(order: int) -> None:
     """Refuse an order over the cap before any table of that size is built."""
-    if order > order_cap:
-        raise GroupValidationError(f"group order {order} exceeds cap {order_cap}")
+    if order > DEFAULT_ORDER_CAP:
+        raise GroupValidationError(f"group order {order} exceeds cap {DEFAULT_ORDER_CAP}")
 
 
 def _validate_table(
-    mult: Sequence[Sequence[int]], order_cap: int
+    mult: Sequence[Sequence[int]],
 ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
     n = len(mult)
     if n == 0:
         raise GroupValidationError("empty multiplication table")
-    _check_order(n, order_cap)
+    _check_order(n)
     rows = []
     for i, row in enumerate(mult):
         if len(row) != n:
@@ -145,24 +145,23 @@ def from_table(
     mult: Sequence[Sequence[int]],
     name: str = "table",
     labels: Optional[Sequence[str]] = None,
-    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> FiniteGroup:
-    table, inv = _validate_table(mult, order_cap)
+    table, inv = _validate_table(mult)
     lab = tuple(labels) if labels is not None else None
     if lab is not None and len(lab) != len(table):
         raise GroupValidationError("labels length does not match order")
     return FiniteGroup(order=len(table), mult=table, inv=inv, name=name, labels=lab)
 
 
-def cyclic(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupValidationError("cyclic order must be positive")
-    _check_order(n, order_cap)
+    _check_order(n)
     mult = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return from_table(mult, name=f"cyclic:{n}", order_cap=order_cap)
+    return from_table(mult, name=f"cyclic:{n}")
 
 
-def elementary_abelian(p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def elementary_abelian(p: int, n: int) -> FiniteGroup:
     """(Z/p)^n with digit i of the element index as coordinate i.
 
     Generator i is the element with index p**i, so coordinates read off in
@@ -171,7 +170,7 @@ def elementary_abelian(p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> Fi
     if p < 2 or n < 1:
         raise GroupValidationError("need p >= 2 and n >= 1")
     order = p**n
-    _check_order(order, order_cap)
+    _check_order(order)
 
     def add(a: int, b: int) -> int:
         out = 0
@@ -192,14 +191,12 @@ def elementary_abelian(p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP) -> Fi
             digs.append(str(x % p))
             x //= p
         labels.append("".join(digs))
-    return from_table(mult, name=f"elemab:{p},{n}", labels=labels, order_cap=order_cap)
+    return from_table(mult, name=f"elemab:{p},{n}", labels=labels)
 
 
-def direct_product(
-    a: FiniteGroup, b: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP
-) -> FiniteGroup:
+def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     order = a.order * b.order
-    _check_order(order, order_cap)
+    _check_order(order)
 
     def enc(x: int, y: int) -> int:
         return x * b.order + y
@@ -216,12 +213,10 @@ def direct_product(
     labels = [
         f"({a.label(x)},{b.label(y)})" for x in range(a.order) for y in range(b.order)
     ]
-    return from_table(
-        mult, name=f"product:{a.name},{b.name}", labels=labels, order_cap=order_cap
-    )
+    return from_table(mult, name=f"product:{a.name},{b.name}", labels=labels)
 
 
-def symmetric(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def symmetric(n: int) -> FiniteGroup:
     """Permutations of n letters, composed left to right, in lex order."""
     if n < 1 or n > 4:
         raise GroupValidationError("symmetric group supported for 1 <= n <= 4")
@@ -233,10 +228,10 @@ def symmetric(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
     mult = [[index[compose(p, q)] for q in perms] for p in perms]
     labels = ["".join(str(i) for i in p) for p in perms]
-    return from_table(mult, name=f"symmetric:{n}", labels=labels, order_cap=order_cap)
+    return from_table(mult, name=f"symmetric:{n}", labels=labels)
 
 
-def dihedral(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def dihedral(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n.
 
     Index r for the rotation by r steps, n + r for the reflection r-step
@@ -245,7 +240,7 @@ def dihedral(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n < 1:
         raise GroupValidationError("dihedral parameter must be positive")
     order = 2 * n
-    _check_order(order, order_cap)
+    _check_order(order)
 
     def enc(r: int, f: int) -> int:
         return r % n + n * f
@@ -262,7 +257,7 @@ def dihedral(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
                 row.append(enc(r1 - r2, 1 - f2))
         mult.append(row)
     labels = [f"r{g % n}" if g < n else f"fr{g % n}" for g in range(order)]
-    return from_table(mult, name=f"dihedral:{n}", labels=labels, order_cap=order_cap)
+    return from_table(mult, name=f"dihedral:{n}", labels=labels)
 
 
 def centralizer(group: FiniteGroup, g: int) -> Subgroup:
@@ -433,24 +428,24 @@ def all_subgroups(group: FiniteGroup) -> List[Tuple[int, ...]]:
 # group-spec parsing: compact strings for the CLI and a line-based file format
 
 
-def _parse_tokens(tokens: List[str], order_cap: int) -> FiniteGroup:
+def _parse_tokens(tokens: List[str]) -> FiniteGroup:
     if not tokens:
         raise GroupValidationError("empty group spec")
     head = tokens.pop(0)
     if head == "cyclic":
-        return cyclic(_take_int(tokens), order_cap=order_cap)
+        return cyclic(_take_int(tokens))
     if head == "elemab":
         p = _take_int(tokens)
         n = _take_int(tokens)
-        return elementary_abelian(p, n, order_cap=order_cap)
+        return elementary_abelian(p, n)
     if head == "symmetric":
-        return symmetric(_take_int(tokens), order_cap=order_cap)
+        return symmetric(_take_int(tokens))
     if head == "dihedral":
-        return dihedral(_take_int(tokens), order_cap=order_cap)
+        return dihedral(_take_int(tokens))
     if head == "product":
-        a = _parse_tokens(tokens, order_cap)
-        b = _parse_tokens(tokens, order_cap)
-        return direct_product(a, b, order_cap=order_cap)
+        a = _parse_tokens(tokens)
+        b = _parse_tokens(tokens)
+        return direct_product(a, b)
     raise GroupValidationError(f"unknown group spec head {head!r}")
 
 
@@ -464,19 +459,17 @@ def _take_int(tokens: List[str]) -> int:
         raise GroupValidationError(f"expected integer in group spec, got {tok!r}")
 
 
-def parse_group_spec(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def parse_group_spec(spec: str) -> FiniteGroup:
     """Parse compact specs like cyclic:4, elemab:2,3, dihedral:4,
     product:cyclic:4,cyclic:2."""
     tokens = [t for t in spec.replace(",", ":").split(":") if t != ""]
-    group = _parse_tokens(tokens, order_cap)
+    group = _parse_tokens(tokens)
     if tokens:
         raise GroupValidationError(f"trailing tokens in group spec: {tokens}")
     return group
 
 
-def load_group_lines(
-    lines: Iterable[str], order_cap: int = DEFAULT_ORDER_CAP
-) -> FiniteGroup:
+def load_group_lines(lines: Iterable[str]) -> FiniteGroup:
     """Line format: either shorthand (cyclic N, elemab P N, symmetric N,
     dihedral N, product <specA> <specB>) or an explicit table (order N plus
     N rows)."""
@@ -493,31 +486,31 @@ def load_group_lines(
         if len(rows) != n + 1:
             raise GroupValidationError(f"expected {n} table rows, found {len(rows) - 1}")
         mult = [[int(x) for x in row.split()] for row in rows[1:]]
-        return from_table(mult, order_cap=order_cap)
+        return from_table(mult)
     if len(rows) != 1:
         raise GroupValidationError("shorthand group files are a single line")
     if kind == "product":
         if len(head) != 3:
             raise GroupValidationError("product shorthand takes two compact specs")
-        a = parse_group_spec(head[1], order_cap=order_cap)
-        b = parse_group_spec(head[2], order_cap=order_cap)
-        return direct_product(a, b, order_cap=order_cap)
+        a = parse_group_spec(head[1])
+        b = parse_group_spec(head[2])
+        return direct_product(a, b)
     if kind not in ("cyclic", "elemab", "symmetric", "dihedral"):
         raise GroupValidationError(f"unknown group file kind {kind!r}")
     tokens = list(head)
-    group = _parse_tokens(tokens, order_cap)
+    group = _parse_tokens(tokens)
     if tokens:
         raise GroupValidationError(f"trailing tokens in group file: {tokens}")
     return group
 
 
-def construct_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def construct_group(spec) -> FiniteGroup:
     """Accepts a compact spec string, an iterable of file lines, or an
     explicit multiplication table."""
     if isinstance(spec, str):
         if "\n" in spec:
-            return load_group_lines(spec.splitlines(), order_cap=order_cap)
-        return parse_group_spec(spec, order_cap=order_cap)
+            return load_group_lines(spec.splitlines())
+        return parse_group_spec(spec)
     if isinstance(spec, (list, tuple)) and spec and isinstance(spec[0], str):
-        return load_group_lines(spec, order_cap=order_cap)
-    return from_table(spec, order_cap=order_cap)
+        return load_group_lines(spec)
+    return from_table(spec)

@@ -34,7 +34,7 @@ def _add_col(m: Matrix, src: int, dst: int, factor: int) -> None:
         row[dst] += factor * row[src]
 
 
-def _int_rows(m: Sequence[Sequence[int]], what: str) -> IntRows:
+def _int_rows(m: Sequence[Sequence[int]]) -> IntRows:
     """m as a tuple of integer row tuples, all as long as its first row.
     Raises ValueError naming the first row that is ragged or holds an entry
     that is not an integer."""
@@ -53,9 +53,9 @@ def _int_rows(m: Sequence[Sequence[int]], what: str) -> IntRows:
         except (TypeError, ValueError):
             r = None
         if r is None or r != tuple(row):
-            raise ValueError(f"{what} row {i} holds an entry that is not an integer")
+            raise ValueError(f"matrix row {i} holds an entry that is not an integer")
         if out and len(r) != len(out[0]):
-            raise ValueError(f"{what} row {i} has {len(r)} entries, row 0 has {len(out[0])}")
+            raise ValueError(f"matrix row {i} has {len(r)} entries, row 0 has {len(out[0])}")
         out.append(r)
     return tuple(out)
 
@@ -185,29 +185,6 @@ def _replay(ops: Sequence[RowOp], col: List[int]) -> List[int]:
     return col
 
 
-def smith_normal_form(
-    a: Sequence[Sequence[int]], companion: Sequence[Sequence[int]]
-) -> Tuple[Matrix, Matrix, Matrix]:
-    """Return (s, w, v) with u*a*v = s and w = u*companion, for some
-    unimodular u that is never built; v is unimodular, s diagonal.
-
-    The companion has one row per row of a and receives every row operation
-    applied to a, replayed on it column by column; the identity as
-    companion gives u itself. Diagonal entries of s are nonnegative and
-    each divides the next. The elimination of each distinct a is memoized;
-    the lists returned are fresh copies. Raises ValueError on a ragged or
-    non-integer a or companion.
-    """
-    key = _int_rows(a, "matrix")
-    companion = _int_rows(companion, "companion")
-    if len(companion) != len(key):
-        raise ValueError("companion must have one row per matrix row")
-    ops, s, v = _eliminate(key)
-    cols = [_replay(ops, list(col)) for col in zip(*companion)]
-    w = [list(row) for row in zip(*cols)] if cols else [[] for _ in companion]
-    return [list(row) for row in s], w, [list(row) for row in v]
-
-
 def solve_mod1(
     a: Sequence[Sequence[int]], d: Sequence[Fraction]
 ) -> Optional[List[Fraction]]:
@@ -223,7 +200,7 @@ def solve_mod1(
     rows = len(a)
     if rows != len(d):
         raise ValueError("right-hand side length does not match matrix rows")
-    ops, s, v = _eliminate(_int_rows(a, "matrix"))
+    ops, s, v = _eliminate(_int_rows(a))
     d = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in d]
     den = math.lcm(*[x.denominator for x in d])
     col = _replay(ops, [x.numerator * (den // x.denominator) for x in d])

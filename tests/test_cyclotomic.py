@@ -53,6 +53,23 @@ def test_cyclotomic_polynomial_105():
     assert c[0] == 1 and c[-1] == 1
 
 
+def _int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    for n in range(1, 61):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _int_poly_mul(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (n - 1) + [1]
+
+
 def test_phase_basics():
     assert phase(Fraction(1, 2)) == -1
     assert phase(0) == 1
@@ -322,7 +339,9 @@ def _random_rational(rng):
 
 def test_integer_cyclotomic_matches_fraction_reference():
     rng = random.Random("cyclotomic-reference")
-    conductors = (1, 2, 3, 4, 5, 6, 8, 12, 15)
+    # a prime (7), prime powers (8, 9, 16) and conductors whose unit group
+    # is not cyclic (8, 12, 15, 16, 21, 24) for the Galois-norm inverse
+    conductors = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 21, 24)
     pairs = []
     for n in conductors:
         deg = len(cyclotomic_polynomial(n)) - 1
@@ -353,7 +372,8 @@ def test_integer_cyclotomic_matches_fraction_reference():
         _same(x - y, xr - yr)
         _same(x * y, xr * yr)
         assert (x == y) == (xr == yr)
-        assert x == Cyclotomic(x.conductor, list(x.coeffs), reduce=False)
+        assert len(x.coeffs) == len(cyclotomic_polynomial(x.conductor)) - 1
+        assert Cyclotomic(x.conductor, x.coeffs) == x
         if rng.random() < 0.2:
             # the same value entered at a multiple conductor is equal
             assert x == x.promote(x.conductor * rng.choice((2, 3, 4)))

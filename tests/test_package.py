@@ -82,7 +82,6 @@ UNCALLED_ALLOWED = {
     "kclass_star": "oracle",
     "center_dimension": "oracle",
     "make_twisted_algebra": "oracle",
-    "smith_normal_form": "public API kept for its tests",
     "mat_trace": "oracle",
     "fibered_product": "criterion-11",
     "sector_triple_product": "criterion-11",

@@ -19,7 +19,7 @@ from transfusion.cochains import (
 )
 from transfusion.groupoids import full_subgroupoid, inertia, nerve, nerve_index, point_groupoid
 from transfusion.groups import all_subgroups, construct_group, dihedral, elementary_abelian, symmetric
-from transfusion.smith import smith_normal_form, solve_mod1
+from transfusion.smith import solve_mod1
 
 
 def _mat_mul(a, b):
@@ -33,11 +33,19 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _snf(a):
+    """(s, u, v) with u*a*v = s from the memoized elimination; u is rebuilt
+    by replaying its row operations on the identity's columns."""
+    ops, s, v = smith._eliminate(tuple(map(tuple, a)))
+    u = [list(row) for row in zip(*(smith._replay(ops, col) for col in _identity(len(a))))]
+    return [list(row) for row in s], u, [list(row) for row in v]
+
+
 def _solve_through_u(a, d):
     """Reference solve of a*x = d mod 1 that builds U: U*d, divide by the
     diagonal, apply V."""
     rows, cols = len(a), len(a[0])
-    s, u, v = smith_normal_form(a, _identity(rows))
+    s, u, v = _oracle_snf(a, _identity(rows))
     rank = 0
     while rank < min(rows, cols) and s[rank][rank] != 0:
         rank += 1
@@ -79,7 +87,7 @@ def _det(m):
 
 def test_snf_known_matrix():
     # frozen: SNF of [[2,4,4],[-6,6,12],[10,4,16]] has diagonal 2, 2, 156
-    s, u, v = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], _identity(3))
+    s, u, v = _snf([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert [s[i][i] for i in range(3)] == [2, 2, 156]
 
 
@@ -89,7 +97,7 @@ def test_snf_transforms_and_divisibility():
         rows = rng.randrange(1, 6)
         cols = rng.randrange(1, 6)
         a = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
-        s, u, v = smith_normal_form(a, _identity(rows))
+        s, u, v = _snf(a)
         assert _mat_mul(_mat_mul(u, a), v) == s
         assert abs(_det(u)) == 1
         assert abs(_det(v)) == 1
@@ -123,19 +131,6 @@ def test_solve_mod1_roundtrip():
         for i in range(rows):
             acc = sum((a[i][j] * x[j] for j in range(cols)), Fraction(0))
             assert (acc - d[i]) % 1 == 0
-
-
-def test_companion_receives_the_row_operations():
-    rng = random.Random("companion")
-    for _ in range(20):
-        rows = rng.randrange(1, 7)
-        cols = rng.randrange(1, 5)
-        a = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
-        b = [[rng.randrange(-9, 10) for _ in range(2)] for _ in range(rows)]
-        s, u, v = smith_normal_form(a, _identity(rows))
-        s2, w, v2 = smith_normal_form(a, b)
-        assert (s2, v2) == (s, v)
-        assert w == _mat_mul(u, b)
 
 
 def test_solve_mod1_matches_a_solve_through_u():
@@ -364,15 +359,13 @@ def _random_matrices(seed, count):
 
 
 def test_memoized_elimination_matches_the_oracle():
-    rng = random.Random("memo-companion")
     non_unit = negative = 0
     for a in _random_matrices("memo", 80):
         rows = len(a)
-        b = [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(rows)]
         smith._eliminate.cache_clear()
-        assert smith_normal_form(a, _identity(rows)) == _oracle_snf(a, _identity(rows))
-        # the repeated call replays the memo on a different companion
-        assert smith_normal_form(a, b) == _oracle_snf(a, b)
+        assert _snf(a) == _oracle_snf(a, _identity(rows))
+        # the repeated call is the memo's
+        assert _snf(a) == _oracle_snf(a, _identity(rows))
         assert smith._eliminate.cache_info()[:2] == (1, 1)
         s = _oracle_snf(a, _identity(rows))[0]
         non_unit += any(s[i][i] > 1 for i in range(min(rows, len(a[0]))))
@@ -401,8 +394,12 @@ def test_solve_mod1_replays_each_right_hand_side():
 def test_returned_lists_do_not_alias_the_memo():
     a = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     want = _oracle_snf(a, _identity(3))
+    # the memo holds tuples, which no caller can change
+    memo = smith._eliminate(tuple(map(tuple, a)))
+    assert all(type(part) is tuple for part in memo)
+    assert all(type(row) is tuple for part in memo for row in part)
     for _ in range(2):
-        s, w, v = smith_normal_form(a, _identity(3))
+        s, w, v = _snf(a)
         assert (s, w, v) == want
         for m in (s, w, v):
             m[0][0] += 100
@@ -410,29 +407,25 @@ def test_returned_lists_do_not_alias_the_memo():
             m.append([0])
     # the input is read, not kept: a changed matrix is a new elimination
     a[2][2] = 17
-    assert smith_normal_form(a, _identity(3)) == _oracle_snf(a, _identity(3))
+    assert _snf(a) == _oracle_snf(a, _identity(3))
 
 
 def test_malformed_matrices_are_refused():
-    i2 = _identity(2)
+    zeros = [0, 0]
     with pytest.raises(ValueError, match="matrix row 1 has 2 entries"):
-        smith_normal_form([[2], [4, 5]], i2)
+        solve_mod1([[2], [4, 5]], zeros)
     with pytest.raises(ValueError, match="matrix row 1 has 1 entries"):
-        smith_normal_form([[2, 3], [4]], i2)
+        solve_mod1([[2, 3], [4]], zeros)
     with pytest.raises(ValueError, match="matrix row 0 holds an entry that is not an integer"):
-        smith_normal_form([[Fraction(1, 2)], [1]], i2)
+        solve_mod1([[Fraction(1, 2)], [1]], zeros)
     with pytest.raises(ValueError, match="matrix row 1 holds"):
-        smith_normal_form([[1], ["x"]], i2)
+        solve_mod1([[1], ["x"]], zeros)
     with pytest.raises(ValueError, match="matrix row 0 holds an entry that is not an integer"):
-        smith_normal_form([1, 2], i2)
-    with pytest.raises(ValueError, match="companion row 1 has 1 entries"):
-        smith_normal_form([[1], [2]], [[1, 0], [1]])
-    with pytest.raises(ValueError, match="companion row 0 holds"):
-        smith_normal_form([[1], [2]], [[Fraction(1, 3)], [0]])
+        solve_mod1([1, 2], zeros)
     with pytest.raises(ValueError, match="matrix row 1 has 2 entries"):
         solve_mod1([[1], [2, 7]], [Fraction(1, 2), Fraction(1, 3)])
     # an integer-valued entry of another type is that integer
-    assert smith_normal_form([[Fraction(4, 2)]], [[1]]) == ([[2]], [[1]], [[1]])
+    assert solve_mod1([[Fraction(4, 2)]], [Fraction(1, 2)]) == [Fraction(1, 4)]
     # a right-hand side entry is anything Fraction() accepts
     assert solve_mod1([[2]], [Decimal("0.5")]) == solve_mod1([[2]], ["1/2"]) == [Fraction(1, 4)]
 
