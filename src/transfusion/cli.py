@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -263,6 +262,7 @@ def _run_trials(state: Dict[str, object], trials: int, workers: int):
     _VERIFY_STATE = state
     size = min(workers, trials, os.cpu_count() or 1)
     if size > 1:
+        import multiprocessing
         # fork inherits the state dict; map keeps trial order
         with multiprocessing.get_context("fork").Pool(size) as pool:
             return pool.map(_verify_trial, range(trials))

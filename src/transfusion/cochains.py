@@ -28,7 +28,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groups import FiniteGroup, centralizer, subgroup_as_group
 from .groupoids import (
-    ActionCompose,
     FiniteGroupoid,
     GroupoidHom,
     SectorGroupoid,
@@ -236,50 +235,38 @@ def delta(c: Cochain) -> Cochain:
         δc(t0..tk) = c(t1..tk) + Σ_{i=1..k} (-1)^i c(.., t_{i-1}t_i, ..)
                      + (-1)^(k+1) c(t0..t_{k-1}),
 
-    and δc(a) = c(target a) - c(source a) in degree 0. On an action
-    groupoid every degree is one sweep, a point at a time; other groupoids
-    run the face loop over ``nerve``. Both write the tuples in ``nerve``
-    order."""
+    and δc(a) = c(target a) - c(source a) in degree 0. Every degree is one
+    sweep over the action groupoid, a point at a time, writing the tuples
+    in ``nerve`` order."""
     g = c.groupoid
     k = c.degree
     n = c.modulus
     v = c.values
     if k == 0:
         return _cochain(g, 1, n, [(v[y] - v[x]) % n for x, y in zip(g.source, g.target)])
-    compose = g.compose
+    # block x holds the tuples out of point x, |G| arrow blocks; face 0 reads
+    # the targets' blocks, face 1 the point's arrow blocks in the order of
+    # the products, and the last face repeats each value |G| times
+    m, act = g.compose.order, g.compose.act
+    size = m**k
+    first, later = _delta_faces(g, k)
+    blocks = [v[i : i + size] for i in range(0, len(v), size)]
+    arrows = [slice(i, i + size // m) for i in range(0, size, size // m)]
+    chained = chain.from_iterable
     out: List[int] = []
-    if isinstance(compose, ActionCompose):
-        # block x holds the tuples out of point x, |G| arrow blocks; face 0
-        # reads the targets' blocks, face 1 the point's arrow blocks in the
-        # order of the products, and the last face repeats each value |G| times
-        m, act = compose.order, compose.act
-        size = m**k
-        first, later = _delta_faces(g, k)
-        blocks = [v[i : i + size] for i in range(0, len(v), size)]
-        arrows = [slice(i, i + size // m) for i in range(0, size, size // m)]
-        chained = chain.from_iterable
-        for block, row in zip(blocks, act):
-            arrow_blocks = list(map(block.__getitem__, arrows))
-            # faces 2 to k+1 with signs + - + ..., folded from the last
-            rest = chained(map(repeat, block, repeat(m)))
-            for get in reversed(later):
-                rest = map(sub, chained(map(get, arrow_blocks)), rest)
-            faces = zip(chained(map(blocks.__getitem__, row)), chained(first(arrow_blocks)), rest)
-            part = [(a - b + r) % n for a, b, r in faces]
-            # a one-point groupoid's part is the whole output: keep, not copy
-            if out:
-                out += part
-            else:
-                out = part
-        return _cochain(g, k + 1, n, out)
-    at = nerve_index(g, k).at
-    for tup in nerve(g, k + 1):
-        s = v[at(tup[1:])]
-        sign = -1
-        for i in range(k):
-            s += sign * v[at(tup[:i] + (compose[tup[i], tup[i + 1]],) + tup[i + 2 :])]
-            sign = -sign
-        out.append((s + sign * v[at(tup[:-1])]) % n)
+    for block, row in zip(blocks, act):
+        arrow_blocks = list(map(block.__getitem__, arrows))
+        # faces 2 to k+1 with signs + - + ..., folded from the last
+        rest = chained(map(repeat, block, repeat(m)))
+        for get in reversed(later):
+            rest = map(sub, chained(map(get, arrow_blocks)), rest)
+        faces = zip(chained(map(blocks.__getitem__, row)), chained(first(arrow_blocks)), rest)
+        part = [(a - b + r) % n for a, b, r in faces]
+        # a one-point groupoid's part is the whole output: keep, not copy
+        if out:
+            out += part
+        else:
+            out = part
     return _cochain(g, k + 1, n, out)
 
 
@@ -328,8 +315,8 @@ def is_cocycle(c: Cochain) -> bool:
 
 def pullback(h: GroupoidHom, c: Cochain) -> Cochain:
     """(h*c)(tuple) = c(image tuple). Every degree reads the images'
-    positions from the hom's maps, for any source groupoid, and writes the
-    tuples in ``nerve`` order."""
+    positions from the hom's maps, for any source action groupoid, and
+    writes the tuples in ``nerve`` order."""
     if c.groupoid is not h.target:
         raise ValueError("cochain does not live on the hom's target groupoid")
     src = h.source
@@ -341,21 +328,21 @@ def pullback(h: GroupoidHom, c: Cochain) -> Cochain:
     elif k == 1:
         out = [v[b] for b in amap]
     else:
-        # (t0, t1..) reads position start[b0] plus the base-d number whose
-        # digits are the places of its images b1.. among the arrows out of
-        # their sources; tails[y] lists those numbers over the (k-1)-tuples
-        # out of object y, built one digit at a time from the last
-        index = nerve_index(h.target, k)
-        start, place, degree = index.start, index.place, index.out_degree
+        # (t0, t1..) reads position b0*|G|^(k-1) plus the base-|G| number
+        # whose digits are the elements b1.. mod |G| of its images, G the
+        # target's group; tails[y] lists those numbers over the
+        # (k-1)-tuples out of object y, built one digit at a time from the last
+        m = h.target.compose.order
         target, outs = src.target, src.out_arrows
-        tails = [[place[amap[t]] for t in ts] for ts in outs]
+        tails = [[amap[t] % m for t in ts] for ts in outs]
         for j in range(1, k - 1):
-            digit = [place[b] * degree[b] ** j for b in amap]
+            digit = [b % m * m**j for b in amap]
             tails = [[digit[t] + r for t in ts for r in tails[target[t]]] for ts in outs]
         out = []
         ext = out.extend
+        stride = m ** (k - 1)
         for b0, y in zip(amap, target):
-            s = start[b0]
+            s = b0 * stride
             ext([v[s + r] for r in tails[y]])
     return _cochain(src, k, c.modulus, out)
 
@@ -417,10 +404,6 @@ def _insert_loops(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
     gpd, r = sectors.groupoid, sectors.k
     m, act = gpd.compose.order, gpd.compose.act
     k, n, v = phi.degree - r, phi.modulus, phi.values
-    if sectors.members != tuple(range(m)):
-        # phi's keys name base arrows: renumber its digits by place
-        digits = [[e * m**i for e in sectors.members] for i in reversed(range(phi.degree))]
-        v = [v[p] for p in map(sum, itertools.product(*digits))]
     if k == 0:
         return _cochain(gpd, 0, n, v[:])
     key = ("dragged loops", r)

@@ -21,7 +21,6 @@ root of unity in each row.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -776,6 +775,7 @@ def fusion_table(
     tasks = [(i, j) for i in range(n) for j in range(i, n)]
     size = min(workers, len(tasks), os.cpu_count() or 1)
     if size > 1:
+        import multiprocessing
         with multiprocessing.get_context("fork").Pool(
             size, initializer=_init_worker, initargs=(basis, solver)
         ) as pool:

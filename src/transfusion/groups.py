@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 DEFAULT_ORDER_CAP = 64
 
@@ -335,77 +335,6 @@ def subgroup_as_group(sub: Subgroup, name: str = "") -> Tuple[FiniteGroup, Tuple
     labels = [parent.label(m) for m in members]
     g = from_table(mult, name=name or f"sub{len(members)}of:{parent.name}", labels=labels)
     return g, tuple(members)
-
-
-def groups_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
-    if a.order != b.order:
-        return False
-    spec_a = sorted(a.element_order(g) for g in a.elements())
-    spec_b = sorted(b.element_order(g) for g in b.elements())
-    if spec_a != spec_b:
-        return False
-    if a.is_abelian() != b.is_abelian():
-        return False
-    if a.is_abelian():
-        # abelian groups are classified by their order spectrum
-        return True
-    ca = sorted(len(c) for c in conjugacy_classes(a).classes)
-    cb = sorted(len(c) for c in conjugacy_classes(b).classes)
-    if ca != cb:
-        return False
-
-    gens: List[int] = []
-    span = subgroup_generated(a, gens).members
-    while len(span) < a.order:
-        g = next(x for x in a.elements() if x not in span)
-        gens.append(g)
-        span = subgroup_generated(a, gens).members
-
-    orders_b: Dict[int, List[int]] = {}
-    for h in b.elements():
-        orders_b.setdefault(b.element_order(h), []).append(h)
-
-    def close(partial: Dict[int, int]) -> Optional[Dict[int, int]]:
-        mapping = dict(partial)
-        frontier = list(mapping)
-        while frontier:
-            x = frontier.pop()
-            for y in list(mapping):
-                for p, q in ((x, y), (y, x)):
-                    src = a.mult[p][q]
-                    dst = b.mult[mapping[p]][mapping[q]]
-                    if src in mapping:
-                        if mapping[src] != dst:
-                            return None
-                    else:
-                        mapping[src] = dst
-                        frontier.append(src)
-        return mapping
-
-    def backtrack(i: int, partial: Dict[int, int]) -> bool:
-        if len(partial) == a.order:
-            return len(set(partial.values())) == a.order
-        if i == len(gens):
-            closed = close(partial)
-            return (
-                closed is not None
-                and len(closed) == a.order
-                and len(set(closed.values())) == a.order
-            )
-        g = gens[i]
-        for h in orders_b.get(a.element_order(g), []):
-            trial = dict(partial)
-            trial[g] = h
-            closed = close(trial)
-            if closed is None:
-                continue
-            if len(set(closed.values())) != len(closed):
-                continue
-            if backtrack(i + 1, closed):
-                return True
-        return False
-
-    return backtrack(0, {0: 0})
 
 
 def all_subgroups(group: FiniteGroup) -> List[Tuple[int, ...]]:

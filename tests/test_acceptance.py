@@ -41,15 +41,11 @@ from transfusion.fusion import (
 )
 from transfusion.groupoids import (
     evaluation_hom,
-    fibered_product,
-    groupoids_isomorphic,
-    identity_middle_component,
     inertia,
     k_sectors,
     make_hom,
     nerve,
     point_groupoid,
-    sector_triple_product,
 )
 from transfusion.groups import (
     centralizer,
@@ -64,6 +60,13 @@ from transfusion.projrep import (
     make_twisted_algebra,
     normalize_cocycle,
     twisted_rank,
+)
+
+from support_groupoids import (
+    fibered_product,
+    groupoids_isomorphic,
+    identity_middle_component,
+    sector_triple_product,
 )
 
 

@@ -34,15 +34,20 @@ from transfusion.cochains import (
     write_cochain,
     zero_cochain,
 )
-from transfusion.groups import cyclic, dihedral, elementary_abelian, symmetric
+from transfusion.groups import (
+    Subgroup,
+    all_subgroups,
+    cyclic,
+    dihedral,
+    elementary_abelian,
+    subgroup_as_group,
+    symmetric,
+)
 from transfusion.groupoids import (
     action_groupoid,
     evaluation_hom,
-    fibered_product,
-    full_subgroupoid,
     inertia,
     k_sectors,
-    make_groupoid,
     make_hom,
     point_groupoid,
     nerve,
@@ -130,7 +135,6 @@ def _delta_spots():
     """Groupoids of every construction, and the S3 2-sectors among them."""
     s3_base = point_groupoid(symmetric(3))
     s3_two = k_sectors(s3_base, 2).groupoid
-    c2_two = k_sectors(point_groupoid(cyclic(2)), 2)
     spots = [
         point_groupoid(cyclic(5)),
         s3_base,
@@ -138,9 +142,6 @@ def _delta_spots():
         inertia(s3_base).groupoid,
         s3_two,
         action_groupoid(cyclic(2), 2, [[0, 1], [1, 0]]),
-        # built by make_groupoid, so delta runs its generic face loop
-        fibered_product(evaluation_hom(c2_two, "e12"), evaluation_hom(c2_two, "e1")).groupoid,
-        full_subgroupoid(s3_two, range(0, s3_two.n_objects, 3))[0],
     ]
     return spots, s3_two
 
@@ -230,20 +231,6 @@ def _nerve_pullback(h, c):
     return c.modulus, out
 
 
-def _relabeled_point_groupoid(group, shift):
-    """The group's one-object groupoid built by make_groupoid, element g at
-    arrow (g + shift) mod |G|, so the identity is arrow shift."""
-    n = group.order
-    label = [(g + shift) % n for g in range(n)]
-    compose = {
-        (label[g], label[h]): label[group.mul(g, h)] for g in range(n) for h in range(n)
-    }
-    inverse = [0] * n
-    for g in range(n):
-        inverse[label[g]] = label[group.inverse(g)]
-    return make_groupoid(1, [0] * n, [0] * n, [shift], inverse, compose)
-
-
 def _check_sweep(got, want, gpd, degree):
     n, table = want
     assert got.groupoid is gpd and got.degree == degree
@@ -254,7 +241,6 @@ def _check_sweep(got, want, gpd, degree):
 
 def test_positions_enumerate_the_nerve_in_order():
     spots, s3_two = _delta_spots()
-    spots.append(_relabeled_point_groupoid(symmetric(3), 2))
     for gpd in spots:
         # degree 4 on the S3 2-sectors has 279,936 tuples
         for k in range(4 if gpd is s3_two else 5):
@@ -297,7 +283,6 @@ def test_sector_sweeps_match_nerve_loops():
         (point_groupoid(symmetric(3)), 4),
         (point_groupoid(elementary_abelian(2, 3)), 3),
         (point_groupoid(dihedral(4)), 3),
-        (_relabeled_point_groupoid(symmetric(3), 2), 3),
     ]
     for base, top in bases:
         lam, two = inertia(base), k_sectors(base, 2)
@@ -348,18 +333,25 @@ def test_sector_sweeps_match_nerve_loops():
 
 
 def test_pullback_along_a_subgroupoid_inclusion_matches_the_nerve_loop():
-    # the arrows kept at each object of a full subgroupoid sit at different
-    # places among the parent's arrows, unlike any sector hom's
+    # H acting on the S3 2-sector points, for each proper subgroup H, inside
+    # S3 acting on them: arrow (x, h) sits at place h among the arrows out
+    # of x in the source and at the place of h's element of S3 in the
+    # target, unlike any sector hom's arrows
     rng = random.Random("inclusion")
-    two = k_sectors(point_groupoid(symmetric(3)), 2).groupoid
-    sub, objects, arrows = full_subgroupoid(two, range(0, two.n_objects, 3))
-    inclusion = make_hom(sub, two, objects, arrows)
-    for k in range(4):
-        c = random_cochain(two, k, rng, 12)
-        want = (c.modulus, {(x,): c.table[(y,)] for x, y in enumerate(objects) if (y,) in c.table})
-        _check_sweep(
-            pullback(inclusion, c), want if k == 0 else _nerve_pullback(inclusion, c), sub, k
-        )
+    s3 = symmetric(3)
+    two = k_sectors(point_groupoid(s3), 2).groupoid
+    act = two.compose.act
+    subgroups = [m for m in all_subgroups(s3) if 1 < len(m) < s3.order]
+    assert len(subgroups) == 4
+    for members in subgroups:
+        sub, members = subgroup_as_group(Subgroup(parent=s3, members=members))
+        part = action_groupoid(sub, len(act), [[row[g] for g in members] for row in act])
+        arrows = [x * s3.order + g for x in range(len(act)) for g in members]
+        inclusion = make_hom(part, two, range(len(act)), arrows)
+        for k in range(4):
+            c = random_cochain(two, k, rng, 12)
+            want = (c.modulus, c.table) if k == 0 else _nerve_pullback(inclusion, c)
+            _check_sweep(pullback(inclusion, c), want, part, k)
 
 
 def test_no_cochain_sweep_walks_the_nerve(monkeypatch):

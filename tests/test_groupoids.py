@@ -26,19 +26,23 @@ from transfusion.groupoids import (
     FiniteGroupoid,
     GroupoidValidationError,
     action_groupoid,
-    connected_components,
     evaluation_hom,
+    inertia,
+    k_sectors,
+    make_hom,
+    nerve,
+    nerve_index,
+    nerve_size,
+    point_groupoid,
+)
+
+from support_groupoids import (
+    connected_components,
     fibered_product,
     full_subgroupoid,
     groupoids_isomorphic,
     identity_middle_component,
-    inertia,
-    k_sectors,
     make_groupoid,
-    make_hom,
-    nerve,
-    nerve_size,
-    point_groupoid,
     sector_triple_product,
     vertex_group,
 )
@@ -195,17 +199,7 @@ def test_evaluation_maps_match_index_lookups():
             for i, v in map(sectors.arrow, range(sectors.groupoid.n_arrows))
         )
 
-    label = [2, 0, 1]
-    grp = cyclic(3)
-    compose = {
-        (label[g], label[h]): label[grp.mul(g, h)] for g in range(3) for h in range(3)
-    }
-    inverse = [0] * 3
-    for g in range(3):
-        inverse[label[g]] = label[grp.inverse(g)]
-    bases = [point_groupoid(g) for g in (cyclic(5), symmetric(3), dihedral(4))]
-    bases.append(make_groupoid(1, [0] * 3, [0] * 3, [2], inverse, compose))
-    for base in bases:
+    for base in [point_groupoid(g) for g in (cyclic(5), symmetric(3), dihedral(4))]:
         for k, names in ((1, ("e1",)), (2, ("e1", "e2", "e12")), (3, ("e13", "e123"))):
             sectors = k_sectors(base, k)
             for which in names:
@@ -445,21 +439,19 @@ def test_sector_groupoids_are_the_conjugation_action_groupoids(spec, k):
     assert again.out_arrows == gpd.out_arrows and again.loops == gpd.loops
 
 
-def test_sector_groupoids_never_call_make_groupoid(monkeypatch):
-    calls = []
-    real = groupoids.make_groupoid
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(groupoids, "make_groupoid", counted)
-    grp = dihedral(4)
-    # a fresh one-object groupoid, so that no sector groupoid is cached on it
-    base = action_groupoid(grp, 1, [[0] * grp.order])
-    for k in (1, 2, 3):
-        assert k_sectors(base, k).groupoid.n_arrows == grp.order ** (k + 1)
-    assert calls == []
+def test_sectors_and_nerve_positions_refuse_a_dict_composed_groupoid():
+    # the point groupoid of C3 and the swap of two points, with their
+    # compositions stored as dicts: equal tables, but not action groupoids
+    for gpd in (point_groupoid(cyclic(3)), action_groupoid(cyclic(2), 2, [[0, 1], [1, 0]])):
+        stored = make_groupoid(
+            gpd.n_objects, gpd.source, gpd.target, gpd.identity, gpd.inverse, dict(gpd.compose)
+        )
+        assert not isinstance(stored.compose, ActionCompose)
+        for k in (0, 1, 2):
+            with pytest.raises(GroupoidValidationError, match="action groupoid"):
+                nerve_index(stored, k)
+        with pytest.raises(GroupoidValidationError, match="action groupoid"):
+            k_sectors(stored, 1)
 
 
 def test_action_axiom_refuses_planted_defects_in_a_conjugation_table():
@@ -486,39 +478,20 @@ def test_action_axiom_refuses_planted_defects_in_a_conjugation_table():
         assert str(exc.value) == "action axiom fails at point {}, elements ({},{})".format(*want)
 
 
-def test_sectors_of_a_base_whose_identity_is_not_arrow_zero():
-    # cyclic(3) with its arrows numbered so that the identity is arrow 2
-    label = [2, 0, 1]
-    grp = cyclic(3)
-    compose = {
-        (label[g], label[h]): label[grp.mul(g, h)] for g in range(3) for h in range(3)
-    }
-    inverse = [0] * 3
-    for g in range(3):
-        inverse[label[g]] = label[grp.inverse(g)]
-    base = make_groupoid(1, [0] * 3, [0] * 3, [2], inverse, compose)
+def test_sector_numberings_invert_each_other_and_refuse_outside_keys():
+    base = point_groupoid(cyclic(3))
     two = k_sectors(base, 2)
-    assert two.objects[0] == (0, (2, 2))
-    assert two.unit.object_map == (0,)
-    assert sorted(ob for _, ob in two.objects) == sorted(
-        itertools.product(range(3), repeat=2)
-    )
     gpd = two.groupoid
-    make_groupoid(gpd.n_objects, gpd.source, gpd.target, gpd.identity, gpd.inverse, gpd.compose)
-    # abelian: every arrow is a loop, and e12 multiplies the two loops
-    assert all(s == t for s, t in zip(gpd.source, gpd.target))
-    e12 = evaluation_hom(two, "e12")
-    one = k_sectors(base, 1)
-    for i, (_, (a, b)) in enumerate(two.objects):
-        assert one.objects[e12.object_map[i]][1] == (base.compose[(a, b)],)
-    # the computed numberings read loops by their places, identity first,
-    # invert each other, and refuse keys outside the tables
+    assert two.objects[0] == (0, (0, 0))
+    assert two.unit.object_map == (0,) and two.unit.arrow_map == (0, 1, 2)
+    # the computed numberings read loops as base-3 digits, invert each
+    # other, and refuse keys outside the tables
     assert [two.obj_index(ob) for ob in two.objects] == list(range(9))
-    assert two.arrow(1) == (0, 0) and two.arrow_index(0, 2) == 0
+    assert two.arrow(5) == (1, 2) and two.arrow_index(1, 2) == 5
     for j in range(gpd.n_arrows):
         i, v = two.arrow(j)
         assert two.arrow_index(i, v) == j and gpd.source[j] == i
-    for ob in ((1, (2, 2)), (0, (2,)), (0, (2, 3)), (0, (-1, 2)), (0, (2, 2, 2))):
+    for ob in ((1, (0, 0)), (0, (0,)), (0, (0, 3)), (0, (-1, 0)), (0, (0, 0, 0))):
         with pytest.raises(KeyError):
             two.obj_index(ob)
     for i, v in ((-1, 0), (9, 0), (0, 3), (0, -1)):

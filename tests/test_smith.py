@@ -17,7 +17,7 @@ from transfusion.cochains import (
     poly_to_cocycle,
     shuffle_transgression,
 )
-from transfusion.groupoids import full_subgroupoid, inertia, nerve, nerve_index, point_groupoid
+from transfusion.groupoids import inertia, nerve, nerve_index, point_groupoid
 from transfusion.groups import all_subgroups, construct_group, dihedral, elementary_abelian, symmetric
 from transfusion.smith import solve_mod1
 
@@ -503,15 +503,10 @@ def test_coboundary_rows_at_high_degree():
     assert set(itertools.chain.from_iterable(rows)) == {-1, 0, 1, 2}
 
 
-def test_coboundary_rows_on_many_points_and_without_an_action():
-    # delta takes its nerve loop on a groupoid without an action, and the
-    # rows read off it match there too
+def test_coboundary_rows_on_many_points():
     loops = inertia(point_groupoid(symmetric(3))).groupoid
-    part, _, _ = full_subgroupoid(loops, [1, 2, 3])
-    assert not isinstance(part.compose, type(loops.compose))
-    for gpd in (loops, part):
-        for k in (1, 2, 3):
-            assert cochains._coboundary_rows(gpd, k) == _oracle_coboundary_rows(gpd, k)
+    for k in (1, 2, 3):
+        assert cochains._coboundary_rows(loops, k) == _oracle_coboundary_rows(loops, k)
 
 
 def test_e16_sector_solves_match_the_oracle():
