@@ -247,7 +247,7 @@ def delta(c: Cochain) -> Cochain:
     # block x holds the tuples out of point x, |G| arrow blocks; face 0 reads
     # the targets' blocks, face 1 the point's arrow blocks in the order of
     # the products, and the last face repeats each value |G| times
-    m, act = g.compose.order, g.compose.act
+    m, act = g.order, g.act
     size = m**k
     first, later = _delta_faces(g, k)
     blocks = [v[i : i + size] for i in range(0, len(v), size)]
@@ -276,7 +276,7 @@ def _delta_faces(gpd: FiniteGroupoid, k: int):
     1's arrow blocks, later reads faces 2..k of one arrow's block."""
     key = ("delta faces", k)
     if key not in gpd.cache:
-        m, mult = gpd.compose.order, gpd.compose.mult
+        m, mult = gpd.order, gpd.mult
         ints = list(range(m**k))
         products = [g for row in mult for g in row]
 
@@ -332,8 +332,8 @@ def pullback(h: GroupoidHom, c: Cochain) -> Cochain:
         # whose digits are the elements b1.. mod |G| of its images, G the
         # target's group; tails[y] lists those numbers over the
         # (k-1)-tuples out of object y, built one digit at a time from the last
-        m = h.target.compose.order
-        target, outs = src.target, src.out_arrows
+        m, ms, target = h.target.order, src.order, src.target
+        outs = [range(x * ms, x * ms + ms) for x in range(src.n_objects)]
         tails = [[amap[t] % m for t in ts] for ts in outs]
         for j in range(1, k - 1):
             digit = [b % m * m**j for b in amap]
@@ -402,7 +402,7 @@ def _insert_loops(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
     a slice of phi or, if s of its loops follow e, through dragged[s-1].
     """
     gpd, r = sectors.groupoid, sectors.k
-    m, act = gpd.compose.order, gpd.compose.act
+    m, act = gpd.order, gpd.act
     k, n, v = phi.degree - r, phi.modulus, phi.values
     if k == 0:
         return _cochain(gpd, 0, n, v[:])

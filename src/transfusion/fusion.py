@@ -409,14 +409,9 @@ def untwisted_star(a: TwistedBundle, b: TwistedBundle) -> TwistedBundle:
 # characters and virtual classes
 
 
-def kclass_keys(ctx: TwistContext) -> Tuple[Tuple[int, int], ...]:
-    """Evaluation points of characters: (g, u) with u centralizing g."""
-    return ctx.char_keys
-
-
 @dataclass(eq=False)
 class KClass:
-    """A virtual class, known by its character table on kclass_keys."""
+    """A virtual class, known by its character table on ctx.char_keys."""
 
     context: TwistContext
     table: Dict[Tuple[int, int], Cyclotomic]
@@ -434,7 +429,7 @@ def trace_table(v: TwistedBundle) -> Dict[Tuple[int, int], Cyclotomic]:
     ctx = v.context
     zero = as_cyclotomic(0)
     table = {}
-    for g, u in kclass_keys(ctx):
+    for g, u in ctx.char_keys:
         if v.dims[g]:
             table[(g, u)] = v.maps[(g, u)].trace()
         else:
@@ -480,7 +475,7 @@ def kclass_star(x: KClass, y: KClass) -> KClass:
     ctx = x.context
     group = ctx.group
     table = {}
-    for g, u in kclass_keys(ctx):
+    for g, u in ctx.char_keys:
         acc = as_cyclotomic(0)
         for g1 in group.elements():
             if group.conjugate(g1, u) != g1:
@@ -544,11 +539,11 @@ def _class_basis(ctx: TwistContext) -> List[TwistedBundle]:
 
 def character_gram(ctx: TwistContext, tables: Sequence[Dict[Tuple[int, int], Cyclotomic]]):
     """The character matrix R of some tables, with one row per key of
-    kclass_keys and one column per table, its conjugate transpose R^H, and
+    ctx.char_keys and one column per table, its conjugate transpose R^H, and
     the Gram matrix R^H R. Gram entry (i, j) is the sum over the keys of
     conj tables[i] times tables[j], which is |G| times the inner product of
     the two characters."""
-    rows = [[t[k] for t in tables] for k in kclass_keys(ctx)]
+    rows = [[t[k] for t in tables] for k in ctx.char_keys]
     adjoint = [[x.conj() for x in col] for col in zip(*rows)]
     return rows, adjoint, mat_mul(adjoint, rows)
 
@@ -591,7 +586,7 @@ class CharacterSolver:
     """
 
     def __init__(self, ctx: TwistContext, tables: Sequence[Dict[Tuple[int, int], Cyclotomic]]):
-        self.keys = kclass_keys(ctx)
+        self.keys = ctx.char_keys
         rows, adjoint, gram = character_gram(ctx, tables)
         m = len(tables)
         one = as_cyclotomic(1)

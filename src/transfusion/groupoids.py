@@ -1,25 +1,24 @@
-"""Finite groupoids as dense arrow tables; the library builds action
-groupoids only.
+"""Action groupoids of finite groups on points: the only groupoids the
+library builds.
 
 Conventions used throughout:
-  - compose(a, b) means "a then b" and is defined iff target(a) == source(b)
-  - loops at an object are arrows with source == target; they form the
-    vertex group of the object
-  - every groupoid the library builds is the action groupoid of a group G
-    on points: arrow x*|G| + g runs from x to x.g. The point groupoid of G
-    is the action on one point, so its arrows are the elements of G and
-    its identity is arrow 0
-  - an action groupoid stores no composition table: its compose is an
-    ActionCompose, a read-only mapping that computes each composite from
-    the group table; action_groupoid sweeps the action axiom once, and it
-    stands in for the groupoid laws
+  - a FiniteGroupoid is the action groupoid of a group G acting on the
+    right on points 0..n-1, stored as (group, act) with act[x][g] = x.g.
+    Arrow x*|G| + g runs from x to x.g; arrow x*|G| is the identity of x,
+    and the arrows out of x are range(x*|G|, (x+1)*|G|). Only source and
+    target are tabulated, once, on first use
+  - arrow x*|G| + g then arrow (x.g)*|G| + h composes to x*|G| + gh:
+    callers read composites off the group table. action_groupoid sweeps
+    the action axiom once, and it stands in for the groupoid laws
+  - the point groupoid of G is the action on one point, so its arrows are
+    the elements of G and its identity is arrow 0
   - the k-sector groupoid of the point groupoid of G is the action
-    groupoid of G acting on G^k by simultaneous conjugation; k_sectors
-    reads G from its base's ActionCompose and refuses any other base
-  - make_hom checks every composable pair, but a hom between action
-    groupoids that maps every point's arrows by the same element map f
-    (the sector evaluation and unit maps) preserves composition iff f is
-    a group homomorphism, which is checked over G x G instead
+    groupoid of G acting on G^k by simultaneous conjugation
+  - make_hom checks composition a point at a time: with f_x(g) the element
+    of the image of arrow x*|G| + g, a hom preserves it iff
+    f_x(gh) = f_x(g) f_(x.g)(h). A hom that maps every point's arrows by
+    the same f (the sector evaluation and unit maps) does iff f is a group
+    homomorphism, which is checked at point 0 alone
   - a SectorGroupoid stores its objects; object and arrow numbers are
     computed from base-|G| digits
   - nerve_index numbers the composable k-tuples in nerve order by
@@ -29,11 +28,10 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
-from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .groups import FiniteGroup
 
@@ -44,82 +42,40 @@ class GroupoidValidationError(ValueError):
     pass
 
 
-class ActionCompose(Mapping):
-    """Composition of the action groupoid of a group on points, computed.
-
-    Arrow x*order + g runs from point x to act[x][g]; followed by arrow
-    act[x][g]*order + h it composes to x*order + mult[g][h]. As a mapping
-    from composable pairs to composites it reads like a composition dict:
-    a pair that cannot be composed raises KeyError, and iteration runs over
-    the first arrow, then the second, both by index.
-    """
-
-    __slots__ = ("group", "order", "mult", "act", "_n_arrows")
-
-    def __init__(self, group: FiniteGroup, act: Tuple[Tuple[int, ...], ...]):
-        self.group = group
-        self.order = group.order
-        self.mult = group.mult
-        self.act = act
-        self._n_arrows = len(act) * self.order
-
-    def __getitem__(self, pair: Tuple[int, int]) -> int:
-        try:
-            a, b = pair
-            if 0 <= a < self._n_arrows:
-                order = self.order
-                g = a % order
-                # b's place among the arrows out of the target of a
-                h = b - self.act[a // order][g] * order
-                if 0 <= h < order:
-                    return a - g + self.mult[g][h]
-        except (TypeError, ValueError):
-            pass
-        raise KeyError(pair)
-
-    def __len__(self) -> int:
-        return self._n_arrows * self.order
-
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
-        for key, _ in self._entries():
-            yield key
-
-    def items(self) -> ItemsView:
-        return _ActionItems(self)
-
-    def _entries(self) -> Iterator[Tuple[Tuple[int, int], int]]:
-        order, mult = self.order, self.mult
-        for x, row in enumerate(self.act):
-            xoff = x * order
-            for g, y in enumerate(row):
-                a, mg, yoff = xoff + g, mult[g], y * order
-                for h in range(order):
-                    yield (a, yoff + h), xoff + mg[h]
-
-
-class _ActionItems(ItemsView):
-    def __iter__(self):
-        return self._mapping._entries()
-
-
 @dataclass(eq=False)
 class FiniteGroupoid:
-    n_objects: int
-    source: Tuple[int, ...]
-    target: Tuple[int, ...]
-    identity: Tuple[int, ...]
-    inverse: Tuple[int, ...]
-    compose: Mapping[Tuple[int, int], int] = field(repr=False)
-    out_arrows: Tuple[Tuple[int, ...], ...] = field(repr=False, default=())
-    loops: Tuple[Tuple[int, ...], ...] = field(repr=False, default=())
+    """The action groupoid of group on the points of act; action_groupoid
+    builds it and validates act."""
+
+    group: FiniteGroup
+    act: Tuple[Tuple[int, ...], ...] = field(repr=False)
     cache: dict = field(default_factory=dict, repr=False)
 
     @property
-    def n_arrows(self) -> int:
-        return len(self.source)
+    def order(self) -> int:
+        return self.group.order
 
-    def is_identity_arrow(self, a: int) -> bool:
-        return self.identity[self.source[a]] == a
+    @property
+    def mult(self) -> Tuple[Tuple[int, ...], ...]:
+        return self.group.mult
+
+    @property
+    def n_objects(self) -> int:
+        return len(self.act)
+
+    @property
+    def n_arrows(self) -> int:
+        return len(self.act) * self.group.order
+
+    @cached_property
+    def source(self) -> Tuple[int, ...]:
+        order = self.group.order
+        points = range(len(self.act))
+        return tuple(itertools.chain.from_iterable(itertools.repeat(x, order) for x in points))
+
+    @cached_property
+    def target(self) -> Tuple[int, ...]:
+        return tuple(itertools.chain.from_iterable(self.act))
 
 
 @dataclass(eq=False)
@@ -164,45 +120,38 @@ def make_hom(
                 raise GroupoidValidationError(f"hom breaks source at arrow {a}")
             if ttarget[b] != om[starget[a]]:
                 raise GroupoidValidationError(f"hom breaks target at arrow {a}")
-    tidentity = target.identity
-    for x, e in enumerate(source.identity):
-        if am[e] != tidentity[om[x]]:
-            raise GroupoidValidationError(f"hom breaks identity at object {x}")
-    bad = _first_broken_pair(source.compose, target.compose, am)
+    m, n = source.order, target.order
+    if list(am[::m]) != [y * n for y in om]:
+        for x, y in enumerate(om):
+            if am[x * m] != y * n:
+                raise GroupoidValidationError(f"hom breaks identity at object {x}")
+    bad = _first_broken_pair(source, target, am)
     if bad is not None:
         raise GroupoidValidationError(f"hom breaks composition at ({bad[0]},{bad[1]})")
     return GroupoidHom(source=source, target=target, object_map=om, arrow_map=am)
 
 
 def _first_broken_pair(
-    sc: Mapping[Tuple[int, int], int],
-    tc: Mapping[Tuple[int, int], int],
-    am: Tuple[int, ...],
+    source: FiniteGroupoid, target: FiniteGroupoid, am: Tuple[int, ...]
 ) -> Optional[Tuple[int, int]]:
-    """The first composable pair (a, b), in the order of sc's items, whose
-    images under am do not compose to the image of a.b; None if there is
-    none. The hom must preserve endpoints already."""
-    if isinstance(tc, ActionCompose) and isinstance(sc, ActionCompose):
-        # el[a] is the group element of am[a]. If every point maps its
-        # arrows by the same f, the pair (x, g), (y, h) holds iff
-        # tmult[f[g]][f[h]] == f[g h], whatever x is: f must be a group
-        # homomorphism, and the first failure is at point 0, which the item
-        # sweep below reaches first
-        order, smult, tmult = sc.order, sc.mult, tc.mult
-        el = [b % tc.order for b in am]
-        f = el[:order]
-        if el and el == f * len(sc.act):
-            pick_f = itemgetter(*f)
-            for g, fg in enumerate(f):
-                if pick_f(tmult[fg]) != itemgetter(*smult[g])(f):
-                    tg = tmult[fg]
-                    h = next(h for h, m in enumerate(smult[g]) if tg[f[h]] != f[m])
-                    return g, sc.act[0][g] * order + h
-            return None
-    # any other hom: every composable pair, in order
-    for (a, b), c in sc.items():
-        if tc[(am[a], am[b])] != am[c]:
-            return a, b
+    """The first composable pair (a, b), by a then b, whose images under am
+    do not compose to the image of a.b; None if there is none. The hom must
+    preserve endpoints already, so am[x*|G| + g] is the arrow of element
+    f_x(g) out of the image of x, and the pair (x, g), (x.g, h) holds iff
+    f_x(g) f_(x.g)(h) == f_x(gh)."""
+    m, n, smult, tmult = source.order, target.order, source.mult, target.mult
+    el = [b % n for b in am]
+    f = [el[i : i + m] for i in range(0, len(el), m)]
+    # if every point maps its arrows by the same f, every point holds iff
+    # point 0 does: f must be a group homomorphism
+    points = 1 if f and f.count(f[0]) == len(f) else len(f)
+    for x, row in zip(range(points), source.act):
+        fx = f[x]
+        for g, y in enumerate(row):
+            tg, fy, sg = tmult[fx[g]], f[y], smult[g]
+            if [tg[i] for i in fy] != [fx[i] for i in sg]:
+                h = next(h for h in range(m) if tg[fy[h]] != fx[sg[h]])
+                return x * m + g, y * m + h
     return None
 
 
@@ -238,41 +187,19 @@ def action_groupoid(
 
     act = tuple(tuple(row) for row in act)
     elements = group.elements()
-    out_arrows = tuple(
-        tuple(range(x * order, (x + 1) * order)) for x in range(n_points)
-    )
-    source: List[int] = []
-    target: List[int] = []
-    inverse: List[int] = []
     # act[y] must equal row read through right multiplication by g; an
     # itemgetter of one index returns the item, not a 1-tuple
     pick = [itemgetter(*mg) for mg in group.mult]
     picked = act if order > 1 else [row[0] for row in act]
     for x, row in enumerate(act):
-        for g in elements:
-            y = row[g]
+        for g, y in enumerate(row):
             if pick[g](row) != picked[y]:
                 yrow, mg = act[y], group.mult[g]
                 h = next(h for h in elements if yrow[h] != row[mg[h]])
                 raise GroupoidValidationError(
                     f"action axiom fails at point {x}, elements ({g},{h})"
                 )
-            source.append(x)
-            target.append(y)
-            inverse.append(out_arrows[y][group.inv[g]])
-    return FiniteGroupoid(
-        n_objects=n_points,
-        source=tuple(source),
-        target=tuple(target),
-        identity=tuple(xout[0] for xout in out_arrows),
-        inverse=tuple(inverse),
-        compose=ActionCompose(group, act),
-        out_arrows=out_arrows,
-        loops=tuple(
-            tuple(xout[g] for g in elements if row[g] == x)
-            for x, (row, xout) in enumerate(zip(act, out_arrows))
-        ),
-    )
+    return FiniteGroupoid(group, act)
 
 
 @lru_cache(maxsize=None)
@@ -332,8 +259,7 @@ def k_sectors(
     """The action groupoid of G on G^k by conjugation, for the point
     groupoid of G as base.
 
-    G is the group the base's action was built from; a base that is not an
-    action groupoid is refused. Object i is the i-th k-tuple in
+    G is the group of the base's action. Object i is the i-th k-tuple in
     lexicographic order and arrow (i, v) has index i*|G| + v.
     """
     if isinstance(base, SectorGroupoid):
@@ -342,15 +268,13 @@ def k_sectors(
         )
     if k < 1:
         raise ValueError("sector count k must be at least 1")
-    if not isinstance(base.compose, ActionCompose):
-        raise GroupoidValidationError("k-sectors need an action groupoid as base")
     if base.n_objects != 1:
         raise ValueError(f"k-sectors need a one-object base, not {base.n_objects} objects")
     key = ("sectors", k)
     if key in base.cache:
         return base.cache[key]
 
-    group = base.compose.group
+    group = base.group
     n = group.order
     if n ** (k + 1) > arrow_cap:
         raise GroupoidValidationError(
@@ -398,7 +322,7 @@ def evaluation_hom(sectors: SectorGroupoid, which: str) -> GroupoidHom:
     # point g of the 1-sectors is the element g, so
     # point i goes to the product of the chosen digits and arrow i*|G| + e,
     # conjugation by e, to arrow om[i]*|G| + e
-    order, mult = one.groupoid.compose.order, one.groupoid.compose.mult
+    order, mult = one.groupoid.order, one.groupoid.mult
     om = []
     for tup in itertools.product(range(order), repeat=sectors.k):
         prod = 0
@@ -418,11 +342,17 @@ def nerve(gpd: FiniteGroupoid, r: int) -> Iterator[Tuple[int, ...]]:
     """All composable r-tuples of arrows, lexicographic by arrow index."""
     if r < 1:
         raise ValueError("nerve degree must be at least 1")
-    out_arrows, target = gpd.out_arrows, gpd.target
+    m, target = gpd.order, gpd.target
     # one generator per degree, each extending the tuples of the one below
+    # by the arrows out of the last arrow's target
     level: Iterator[Tuple[int, ...]] = ((a,) for a in range(gpd.n_arrows))
     for _ in range(r - 1):
-        level = (p + (b,) for p in level for b in out_arrows[target[p[-1]]])
+        level = (
+            p + (b,)
+            for p in level
+            for y in (target[p[-1]] * m,)
+            for b in range(y, y + m)
+        )
     yield from level
 
 
@@ -439,8 +369,7 @@ class NerveIndex:
     The |G|^(k-1) tuples that start with arrow t0 follow those of the arrows
     before t0, and among them (t0, t1..t_{k-1}) sits at the base-|G| number
     whose digits are the elements t_i mod |G|: the position is
-    t0*|G|^(k-1) + sum_i (t_i mod |G|)*|G|^(k-1-i). A groupoid that is not
-    an action groupoid is refused.
+    t0*|G|^(k-1) + sum_i (t_i mod |G|)*|G|^(k-1-i).
     """
 
     __slots__ = ("k", "size", "order", "n_objects", "source", "target")
@@ -448,10 +377,8 @@ class NerveIndex:
     def __init__(self, gpd: FiniteGroupoid, k: int):
         if k < 0:
             raise ValueError("nerve degree must be nonnegative")
-        if not isinstance(gpd.compose, ActionCompose):
-            raise GroupoidValidationError("nerve positions need an action groupoid")
         self.k = k
-        self.order = gpd.compose.order
+        self.order = gpd.order
         self.n_objects = gpd.n_objects
         self.source, self.target = gpd.source, gpd.target
         self.size = gpd.n_objects if k == 0 else gpd.n_arrows * self.order ** (k - 1)

@@ -82,10 +82,6 @@ class ConjugacyPartition:
     transporter: Tuple[int, ...]
     class_of: Tuple[int, ...]
 
-    @property
-    def representatives(self) -> Tuple[int, ...]:
-        return tuple(c[0] for c in self.classes)
-
 
 def _check_order(order: int) -> None:
     """Refuse an order over the cap before any table of that size is built."""

@@ -1,17 +1,24 @@
 """Groupoid constructions that only the tests use.
 
-The library builds action groupoids only: their composition is computed
-from a group table. The constructions here assemble a composition dict
-arrow by arrow and validate it with make_groupoid: fibered products, full
+The library's groupoids are action groupoids, stored as (group, act) with
+every composite read off the group table. The record here is the one the
+library once used for every groupoid: arrow tables and a composition dict
+with one entry per composable pair. dict_action_groupoid builds it for an
+action arrow by arrow, and as_dict_groupoid adapts a library groupoid to
+it. On that record live the oracles: make_groupoid, the generic validator;
+dict_make_hom, the hom check that sweeps every composable pair; the
+arrow-by-arrow sector tables of explicit_sectors; and the constructions
+that assemble a composition dict arrow by arrow: fibered products, full
 subgroupoids, and the strict matching part of two copies of the 2-sectors.
-Criterion 11 and the groupoid tests check the sector groupoids against them,
-and compare groupoids up to isomorphism through the classification of
-finite groupoids (object counts and vertex groups per component).
+Criterion 11 and the groupoid tests check the sector groupoids against
+them, and compare groupoids up to isomorphism through the classification
+of finite groupoids (object counts and vertex groups per component).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from transfusion.groupoids import (
@@ -22,13 +29,83 @@ from transfusion.groupoids import (
     SectorGroupoid,
     evaluation_hom,
     k_sectors,
-    make_hom,
 )
 from transfusion.groups import FiniteGroup, conjugacy_classes, from_table, subgroup_generated
 
 # full associativity sweeps are capped; beyond this a deterministic stride
 # sample is checked instead
 ASSOC_CHECK_BUDGET = 400_000
+
+
+@dataclass(eq=False)
+class DictGroupoid:
+    """A finite groupoid as tables: compose maps each composable pair
+    (a, b), "a then b", to its composite."""
+
+    n_objects: int
+    source: Tuple[int, ...]
+    target: Tuple[int, ...]
+    identity: Tuple[int, ...]
+    inverse: Tuple[int, ...]
+    compose: Dict[Tuple[int, int], int] = field(repr=False)
+    out_arrows: Tuple[Tuple[int, ...], ...] = field(repr=False)
+    loops: Tuple[Tuple[int, ...], ...] = field(repr=False)
+
+    @property
+    def n_arrows(self) -> int:
+        return len(self.source)
+
+    def is_identity_arrow(self, a: int) -> bool:
+        return self.identity[self.source[a]] == a
+
+
+AnyGroupoid = Union[FiniteGroupoid, DictGroupoid]
+
+
+def dict_action_groupoid(
+    group: FiniteGroup, n_points: int, act: Sequence[Sequence[int]]
+) -> DictGroupoid:
+    """The action groupoid with its composition stored as a dict, one entry
+    per composable pair, built arrow by arrow, unvalidated: arrow
+    x*|G| + g runs from x to act[x][g]."""
+    order = group.order
+    elements = group.elements()
+    out_arrows = tuple(
+        tuple(range(x * order, (x + 1) * order)) for x in range(n_points)
+    )
+    source, target, inverse, compose = [], [], [], {}
+    for x, row in enumerate(act):
+        xout = out_arrows[x]
+        for g in elements:
+            y = row[g]
+            mg = group.mult[g]
+            a = xout[g]
+            yout = out_arrows[y]
+            source.append(x)
+            target.append(y)
+            inverse.append(yout[group.inv[g]])
+            for h in elements:
+                compose[(a, yout[h])] = xout[mg[h]]
+    return DictGroupoid(
+        n_objects=n_points,
+        source=tuple(source),
+        target=tuple(target),
+        identity=tuple(xout[0] for xout in out_arrows),
+        inverse=tuple(inverse),
+        compose=compose,
+        out_arrows=out_arrows,
+        loops=tuple(
+            tuple(xout[g] for g in elements if row[g] == x)
+            for x, (row, xout) in enumerate(zip(act, out_arrows))
+        ),
+    )
+
+
+def as_dict_groupoid(gpd: AnyGroupoid) -> DictGroupoid:
+    """A library groupoid as the dict-composed record; a record as itself."""
+    if isinstance(gpd, DictGroupoid):
+        return gpd
+    return dict_action_groupoid(gpd.group, gpd.n_objects, gpd.act)
 
 
 def make_groupoid(
@@ -39,7 +116,7 @@ def make_groupoid(
     inverse: Sequence[int],
     compose: Dict[Tuple[int, int], int],
     arrow_cap: int = DEFAULT_ARROW_CAP,
-) -> FiniteGroupoid:
+) -> DictGroupoid:
     source = tuple(source)
     target = tuple(target)
     identity = tuple(identity)
@@ -109,7 +186,7 @@ def make_groupoid(
                     f"associativity fails at arrows ({a},{b},{c})"
                 )
 
-    return FiniteGroupoid(
+    return DictGroupoid(
         n_objects=n_objects,
         source=source,
         target=target,
@@ -121,6 +198,92 @@ def make_groupoid(
     )
 
 
+def dict_make_hom(
+    source: AnyGroupoid,
+    target: AnyGroupoid,
+    object_map: Sequence[int],
+    arrow_map: Sequence[int],
+) -> GroupoidHom:
+    """The generic hom check on the dict-composed records of both ends:
+    every table entry, then every composable pair in the order of the
+    source's composition items. Its verdicts and texts are those of the
+    library's make_hom, which checks composition a point at a time."""
+    om, am = tuple(object_map), tuple(arrow_map)
+    s, t = as_dict_groupoid(source), as_dict_groupoid(target)
+    if len(om) != s.n_objects or len(am) != s.n_arrows:
+        raise GroupoidValidationError("hom table lengths disagree with source")
+    for x, y in enumerate(om):
+        if not 0 <= y < t.n_objects:
+            raise GroupoidValidationError(f"hom sends object {x} to {y}, out of range")
+    for a, b in enumerate(am):
+        if not 0 <= b < t.n_arrows:
+            raise GroupoidValidationError(f"hom sends arrow {a} to {b}, out of range")
+    for a, b in enumerate(am):
+        if t.source[b] != om[s.source[a]]:
+            raise GroupoidValidationError(f"hom breaks source at arrow {a}")
+        if t.target[b] != om[s.target[a]]:
+            raise GroupoidValidationError(f"hom breaks target at arrow {a}")
+    for x, e in enumerate(s.identity):
+        if am[e] != t.identity[om[x]]:
+            raise GroupoidValidationError(f"hom breaks identity at object {x}")
+    for (a, b), c in s.compose.items():
+        if t.compose[(am[a], am[b])] != am[c]:
+            raise GroupoidValidationError(f"hom breaks composition at ({a},{b})")
+    return GroupoidHom(source=source, target=target, object_map=om, arrow_map=am)
+
+
+def explicit_sectors(base: AnyGroupoid, k: int) -> Dict[str, object]:
+    """The k-sector groupoid's tables assembled arrow by arrow from the
+    base's composition dict, with no validation: a reference that builds no
+    action table and never calls action_groupoid."""
+    base = as_dict_groupoid(base)
+    objects = []
+    for x in range(base.n_objects):
+        for tup in itertools.product(base.loops[x], repeat=k):
+            objects.append((x, tup))
+    obj_index = {ob: i for i, ob in enumerate(objects)}
+    arrows = [(i, v) for i, (x, _) in enumerate(objects) for v in base.out_arrows[x]]
+    arrow_index = {ar: j for j, ar in enumerate(arrows)}
+
+    def conj(a, v):
+        return base.compose[(base.compose[(base.inverse[v], a)], v)]
+
+    source, target, inverse = [], [], []
+    for i, v in arrows:
+        _, tup = objects[i]
+        j = obj_index[(base.target[v], tuple(conj(a, v) for a in tup))]
+        source.append(i)
+        target.append(j)
+        inverse.append(arrow_index[(j, base.inverse[v])])
+    identity = [arrow_index[(i, base.identity[x])] for i, (x, _) in enumerate(objects)]
+    compose = {}
+    for idx, (i, v) in enumerate(arrows):
+        j = target[idx]
+        for w in base.out_arrows[objects[j][0]]:
+            compose[(idx, arrow_index[(j, w)])] = arrow_index[(i, base.compose[(v, w)])]
+    out_arrows = [[] for _ in objects]
+    loops = [[] for _ in objects]
+    for a, (s, t) in enumerate(zip(source, target)):
+        out_arrows[s].append(a)
+        if s == t:
+            loops[s].append(a)
+    unit_om = [obj_index[(x, (base.identity[x],) * k)] for x in range(base.n_objects)]
+    unit_am = [arrow_index[(unit_om[base.source[v]], v)] for v in range(base.n_arrows)]
+    return {
+        "objects": tuple(objects),
+        "obj_index": obj_index,
+        "arrows": tuple(arrows),
+        "arrow_index": arrow_index,
+        "source": tuple(source),
+        "target": tuple(target),
+        "identity": tuple(identity),
+        "inverse": tuple(inverse),
+        "compose": list(compose.items()),
+        "out_arrows": tuple(map(tuple, out_arrows)),
+        "loops": tuple(map(tuple, loops)),
+        "unit": (tuple(unit_om), tuple(unit_am)),
+    }
+
 
 # fibered products
 
@@ -130,7 +293,7 @@ class FiberedProduct:
     """Objects are triples (y, u, z) with u an arrow from f(y) to g(z);
     arrows are pairs of arrows of the two legs."""
 
-    groupoid: FiniteGroupoid
+    groupoid: DictGroupoid
     f: GroupoidHom
     g: GroupoidHom
     objects: Tuple[Tuple[int, int, int], ...]
@@ -144,7 +307,7 @@ def fibered_product(
 ) -> FiberedProduct:
     if f.target is not g.target:
         raise GroupoidValidationError("fibered product needs a common target groupoid")
-    A, B, C = f.source, g.source, f.target
+    A, B, C = map(as_dict_groupoid, (f.source, g.source, f.target))
 
     by_image: List[List[int]] = [[] for _ in range(C.n_objects)]
     for z in range(B.n_objects):
@@ -207,11 +370,11 @@ def fibered_product(
     gpd = make_groupoid(
         len(objects), source, target, identity, inverse, compose, arrow_cap=arrow_cap
     )
-    proj_left = make_hom(
-        gpd, A, [y for (y, _, _) in objects], [a for (_, a, _) in arrows]
+    proj_left = dict_make_hom(
+        gpd, f.source, [y for (y, _, _) in objects], [a for (_, a, _) in arrows]
     )
-    proj_right = make_hom(
-        gpd, B, [z for (_, _, z) in objects], [b for (_, _, b) in arrows]
+    proj_right = dict_make_hom(
+        gpd, g.source, [z for (_, _, z) in objects], [b for (_, _, b) in arrows]
     )
     return FiberedProduct(
         groupoid=gpd,
@@ -225,13 +388,14 @@ def fibered_product(
 
 
 def full_subgroupoid(
-    gpd: FiniteGroupoid, keep_objects: Sequence[int]
-) -> Tuple[FiniteGroupoid, Tuple[int, ...], Tuple[int, ...]]:
+    gpd: AnyGroupoid, keep_objects: Sequence[int]
+) -> Tuple[DictGroupoid, Tuple[int, ...], Tuple[int, ...]]:
     """Restrict to a subset of objects and all arrows between them.
 
     Returns (subgroupoid, kept object ids, kept arrow ids) in the parent's
     numbering.
     """
+    gpd = as_dict_groupoid(gpd)
     keep = sorted(set(keep_objects))
     obj_new = {x: i for i, x in enumerate(keep)}
     arrows = [
@@ -255,13 +419,13 @@ def full_subgroupoid(
 
 def identity_middle_component(
     fp: FiberedProduct,
-) -> Tuple[FiniteGroupoid, Tuple[int, ...], Tuple[int, ...]]:
+) -> Tuple[DictGroupoid, Tuple[int, ...], Tuple[int, ...]]:
     """The full subgroupoid on objects whose middle arrow is an identity.
 
     Arrows surviving the restriction are exactly the pairs whose two legs
     map to the same arrow downstairs, so this is the strict matching part.
     """
-    C = fp.f.target
+    C = as_dict_groupoid(fp.f.target)
     keep = [
         i for i, (_, u, _) in enumerate(fp.objects) if C.is_identity_arrow(u)
     ]
@@ -270,7 +434,7 @@ def identity_middle_component(
 
 def sector_triple_product(
     base: FiniteGroupoid, arrow_cap: int = DEFAULT_ARROW_CAP
-) -> Tuple[FiniteGroupoid, GroupoidHom]:
+) -> Tuple[DictGroupoid, GroupoidHom]:
     """Strict matching part of 2-sectors paired over (product map, first
     loop), built directly, with the explicit isomorphism onto 3-sectors.
 
@@ -292,7 +456,7 @@ def sector_triple_product(
             objects.append((i, j))
     obj_index = {ob: n for n, ob in enumerate(objects)}
 
-    two_g = two.groupoid
+    two_g = as_dict_groupoid(two.groupoid)
     n_arrows = sum(
         len(two_g.out_arrows[i]) for (i, _) in objects
     )  # one mate per left arrow
@@ -307,7 +471,7 @@ def sector_triple_product(
     source: List[int] = []
     target: List[int] = []
     for n, (i, j) in enumerate(objects):
-        for v in base.out_arrows[two.objects[i][0]]:
+        for v in range(base.n_arrows):
             alpha = two.arrow_index(i, v)
             beta = two.arrow_index(j, v)
             arrows.append((n, alpha, beta))
@@ -329,7 +493,7 @@ def sector_triple_product(
     for m, (n, alpha, beta) in enumerate(arrows):
         t = target[m]
         ti, tj = objects[t]
-        for v in base.out_arrows[two.objects[ti][0]]:
+        for v in range(base.n_arrows):
             alpha2 = two.arrow_index(ti, v)
             beta2 = two.arrow_index(tj, v)
             compose[(m, arrow_index[(t, alpha2, beta2)])] = arrow_index[
@@ -347,7 +511,7 @@ def sector_triple_product(
     for n, alpha, beta in arrows:
         v = two.arrow(alpha)[1]
         am.append(three.arrow_index(om[n], v))
-    iso = make_hom(gpd, three.groupoid, om, am)
+    iso = dict_make_hom(gpd, three.groupoid, om, am)
     if sorted(om) != list(range(three.groupoid.n_objects)):
         raise GroupoidValidationError("matching part is not bijective on 3-sector objects")
     if sorted(am) != list(range(three.groupoid.n_arrows)):
@@ -359,7 +523,7 @@ def sector_triple_product(
 # groupoid is determined by its object count and vertex group
 
 
-def connected_components(gpd: FiniteGroupoid) -> List[List[int]]:
+def connected_components(gpd: AnyGroupoid) -> List[List[int]]:
     parent = list(range(gpd.n_objects))
 
     def find(x: int) -> int:
@@ -378,8 +542,9 @@ def connected_components(gpd: FiniteGroupoid) -> List[List[int]]:
     return sorted(buckets.values())
 
 
-def vertex_group(gpd: FiniteGroupoid, x: int) -> Tuple[FiniteGroup, Tuple[int, ...]]:
+def vertex_group(gpd: AnyGroupoid, x: int) -> Tuple[FiniteGroup, Tuple[int, ...]]:
     """Loops at x as a standalone group, identity loop first."""
+    gpd = as_dict_groupoid(gpd)
     members = [gpd.identity[x]] + [
         a for a in gpd.loops[x] if a != gpd.identity[x]
     ]
@@ -389,12 +554,13 @@ def vertex_group(gpd: FiniteGroupoid, x: int) -> Tuple[FiniteGroup, Tuple[int, .
 
 
 def groupoids_isomorphic(
-    a: Union[FiniteGroupoid, SectorGroupoid], b: Union[FiniteGroupoid, SectorGroupoid]
+    a: Union[AnyGroupoid, SectorGroupoid], b: Union[AnyGroupoid, SectorGroupoid]
 ) -> bool:
     if isinstance(a, SectorGroupoid):
         a = a.groupoid
     if isinstance(b, SectorGroupoid):
         b = b.groupoid
+    a, b = as_dict_groupoid(a), as_dict_groupoid(b)
     if a.n_objects != b.n_objects or a.n_arrows != b.n_arrows:
         return False
     comps_a = connected_components(a)

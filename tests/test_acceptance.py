@@ -408,7 +408,7 @@ def test_criterion_11_structure_and_determinism(four_groups, capsys):
                 orbit = {
                     tuple(grp.conjugate(a, v) for a in tup) for v in grp.elements()
                 }
-                stab = len(sect.groupoid.loops[i])
+                stab = sect.groupoid.act[i].count(i)
                 assert len(orbit) * stab == grp.order
 
     # same seed and flags, different worker counts, identical bytes

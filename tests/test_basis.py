@@ -269,7 +269,7 @@ def test_symmetric4_irreducibles_match_monomial_induction():
     # here every centralizer of S4, without building a context
     group = symmetric(4)
     subgroups = all_subgroups(group)
-    for rep in conjugacy_classes(group).representatives:
+    for rep, *_ in conjugacy_classes(group).classes:
         zgrp, zmem = subgroup_as_group(centralizer(group, rep))
         zpos = {m: i for i, m in enumerate(zmem)}
         inside = [tuple(zpos[m] for m in s) for s in subgroups if set(s) <= set(zmem)]

@@ -84,6 +84,11 @@ def test_input_errors_exit_two(capsys):
         ["verify", "--group", "cyclic:4", "--degree", "1"],
         ["verify", "--group", "cyclic:4", "--check-tuple", "bogus:0:1"],
         ["verify", "--group", "cyclic:4", "--check-tuple", "product-identity:0:0,99"],
+        # a key of the wrong length, and one whose arrows do not compose
+        *(
+            ["verify", "--group", "symmetric:3", "--degree", "3", "--check-tuple", key]
+            for key in ("product-identity:0:1", "product-identity:0:1,6")
+        ),
         ["transgress", "--group", "cyclic:4", "--poly", "xy"],
         ["transgress", "--group", "cyclic:4", "--cocycle", "/nonexistent"],
         ["transgress", "--group", "cyclic:4", "--zero", "--bockstein"],

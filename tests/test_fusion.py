@@ -34,7 +34,6 @@ from transfusion.fusion import (
     fusion_table,
     kclass_add,
     kclass_eq,
-    kclass_keys,
     kclass_star,
     kclass_sub,
     make_context,
@@ -90,7 +89,7 @@ def trace_table(v):
     zero = as_cyclotomic(0)
     return {
         (g, u): mat_trace(v.maps[(g, u)].dense()) if v.dims[g] else zero
-        for g, u in kclass_keys(v.context)
+        for g, u in v.context.char_keys
     }
 
 
@@ -262,13 +261,13 @@ def test_unit_and_regular_bundles_frozen():
     unit = unit_bundle(ctx)
     assert bundle_violation(unit) is None
     cu = character(unit)
-    for g, u in kclass_keys(ctx):
+    for g, u in ctx.char_keys:
         want = 1 if g == 0 else 0
         assert cu.value(g, u) == want
 
     reg = regular_bundle(ctx)
     creg = character(reg)
-    for g, u in kclass_keys(ctx):
+    for g, u in ctx.char_keys:
         if g == 0 and u == 0:
             assert creg.value(g, u) == n
         else:
@@ -302,7 +301,7 @@ def test_character_covariance_and_vanishing():
             if idx is None:
                 continue
             ch = character(basis[idx])
-            for g, u in kclass_keys(ctx):
+            for g, u in ctx.char_keys:
                 for v in group.elements():
                     gv = group.conjugate(g, v)
                     uv = group.conjugate(u, v)
@@ -316,7 +315,7 @@ def test_character_covariance_and_vanishing():
     v9 = basis_bundles(ctx)[9]
     (g0,) = v9.support()
     ch = character(v9)
-    for g, u in kclass_keys(ctx):
+    for g, u in ctx.char_keys:
         if (g, u) in ((g0, 0), (g0, g0)):
             assert not ch.value(g, u).is_zero()
         else:
@@ -429,7 +428,7 @@ def test_fusion_table_reports_products_outside_the_span():
     outside = {(a, b): keys for a, b, keys in table.outside_span}
     assert set(outside) == {(0, 0), (1, 1), (2, 2)}
     for keys in outside.values():
-        assert keys and all(k in kclass_keys(ctx) for k in keys)
+        assert keys and all(k in ctx.char_keys for k in keys)
     assert table.unit_candidates == []
     assert not table.invalid and not table.non_integer
     assert not table.complete() and table.nonassociative is None
@@ -442,7 +441,7 @@ class _SubsystemSolver:
     pivot by pivot, inverts it, and re-checks every key."""
 
     def __init__(self, ctx, tables):
-        self.keys = kclass_keys(ctx)
+        self.keys = ctx.char_keys
         m = len(tables)
         rows = [[t[k] for t in tables] for k in self.keys]
         work, piv, chosen = [], [], []

@@ -22,8 +22,6 @@ from transfusion.groups import (
     symmetric,
 )
 from transfusion.groupoids import (
-    ActionCompose,
-    FiniteGroupoid,
     GroupoidValidationError,
     action_groupoid,
     evaluation_hom,
@@ -37,7 +35,12 @@ from transfusion.groupoids import (
 )
 
 from support_groupoids import (
+    DictGroupoid,
+    as_dict_groupoid,
     connected_components,
+    dict_action_groupoid,
+    dict_make_hom,
+    explicit_sectors,
     fibered_product,
     full_subgroupoid,
     groupoids_isomorphic,
@@ -57,9 +60,11 @@ def test_point_groupoid_shape():
     g = point_groupoid(cyclic(4))
     assert g.n_objects == 1
     assert g.n_arrows == 4
-    assert g.compose[(1, 2)] == 3
-    assert g.inverse[3] == 1
-    assert g.identity == (0,)
+    assert g.act == ((0, 0, 0, 0),)
+    assert g.source == g.target == (0, 0, 0, 0)
+    # arrow 1 then arrow 2 is arrow 3, whose inverse is arrow 1
+    assert g.mult[1][2] == 3
+    assert g.group.inv[3] == 1
 
 
 def test_point_groupoid_cached_by_value():
@@ -79,7 +84,8 @@ def test_discrete_groupoid():
     g = discrete_groupoid(3)
     assert g.n_objects == 3
     assert g.n_arrows == 3
-    assert all(g.is_identity_arrow(a) for a in range(3))
+    # one arrow per point, arrow x*|G| = x: each is its point's identity
+    assert g.order == 1 and g.source == g.target == (0, 1, 2)
     assert len(connected_components(g)) == 3
 
 
@@ -92,7 +98,7 @@ def test_action_validation():
 
 
 def test_make_groupoid_rejects_bad_compose():
-    g = point_groupoid(cyclic(2))
+    g = as_dict_groupoid(point_groupoid(cyclic(2)))
     bad = dict(g.compose)
     bad[(1, 1)] = 1  # should be 0
     with pytest.raises(GroupoidValidationError):
@@ -111,7 +117,7 @@ def test_inertia_orbits_match_classes():
     for grp in (symmetric(3), dihedral(4), elementary_abelian(2, 3)):
         sect = inertia(point_groupoid(grp))
         comps = connected_components(sect.groupoid)
-        reps = conjugacy_classes(grp).representatives
+        reps = [c[0] for c in conjugacy_classes(grp).classes]
         assert len(comps) == len(reps)
         # centralizer appears as the vertex group of the matching component
         sizes_a = sorted(len(centralizer(grp, rep).members) for rep in reps)
@@ -133,6 +139,7 @@ def test_sector_compose_is_simultaneous_conjugation():
     grp = symmetric(3)
     base = point_groupoid(grp)
     sect = k_sectors(base, 2)
+    compose = as_dict_groupoid(sect.groupoid).compose
     for i, (_, (a, b)) in enumerate(sect.objects):
         for v in range(grp.order):
             j = sect.groupoid.target[sect.arrow_index(i, v)]
@@ -146,7 +153,7 @@ def test_sector_compose_is_simultaneous_conjugation():
             j = sect.groupoid.target[av]
             for w in range(grp.order):
                 aw = sect.arrow_index(j, w)
-                assert sect.groupoid.compose[(av, aw)] == sect.arrow_index(
+                assert compose[(av, aw)] == sect.arrow_index(
                     i, grp.mul(v, w)
                 )
 
@@ -187,7 +194,7 @@ def test_evaluation_maps_match_index_lookups():
     # the object and arrow maps read through obj_index and arrow_index, as
     # evaluation_hom built them before it computed them from the digits
     def by_lookup(sectors, which):
-        base, one = sectors.base, k_sectors(sectors.base, 1)
+        base, one = as_dict_groupoid(sectors.base), k_sectors(sectors.base, 1)
         om = []
         for x, tup in sectors.objects:
             prod = base.identity[x]
@@ -269,10 +276,11 @@ def test_fibered_product_identity_cospan():
 def test_fibered_product_empty_overlap():
     grp = cyclic(2)
     base2 = discrete_groupoid(2)
-    # two maps of a point into different components
+    # two maps of a point into different components; arrow x is the
+    # identity of point x
     pt = discrete_groupoid(1)
-    f = make_hom(pt, base2, [0], [base2.identity[0]])
-    g = make_hom(pt, base2, [1], [base2.identity[1]])
+    f = make_hom(pt, base2, [0], [0])
+    g = make_hom(pt, base2, [1], [1])
     fp = fibered_product(f, g)
     assert fp.groupoid.n_objects == 0
     assert fp.groupoid.n_arrows == 0
@@ -350,58 +358,6 @@ def test_sector_cap():
         k_sectors(point_groupoid(elementary_abelian(2, 4)), 4, arrow_cap=10**5)
 
 
-def _explicit_sectors(base, k):
-    """The k-sector groupoid assembled arrow by arrow from the base's
-    composition, with no validation: a reference independent of the group
-    table and of action_groupoid."""
-    objects = []
-    for x in range(base.n_objects):
-        for tup in itertools.product(base.loops[x], repeat=k):
-            objects.append((x, tup))
-    obj_index = {ob: i for i, ob in enumerate(objects)}
-    arrows = [(i, v) for i, (x, _) in enumerate(objects) for v in base.out_arrows[x]]
-    arrow_index = {ar: j for j, ar in enumerate(arrows)}
-
-    def conj(a, v):
-        return base.compose[(base.compose[(base.inverse[v], a)], v)]
-
-    source, target, inverse = [], [], []
-    for i, v in arrows:
-        _, tup = objects[i]
-        j = obj_index[(base.target[v], tuple(conj(a, v) for a in tup))]
-        source.append(i)
-        target.append(j)
-        inverse.append(arrow_index[(j, base.inverse[v])])
-    identity = [arrow_index[(i, base.identity[x])] for i, (x, _) in enumerate(objects)]
-    compose = {}
-    for idx, (i, v) in enumerate(arrows):
-        j = target[idx]
-        for w in base.out_arrows[objects[j][0]]:
-            compose[(idx, arrow_index[(j, w)])] = arrow_index[(i, base.compose[(v, w)])]
-    out_arrows = [[] for _ in objects]
-    loops = [[] for _ in objects]
-    for a, (s, t) in enumerate(zip(source, target)):
-        out_arrows[s].append(a)
-        if s == t:
-            loops[s].append(a)
-    unit_om = [obj_index[(x, (base.identity[x],) * k)] for x in range(base.n_objects)]
-    unit_am = [arrow_index[(unit_om[base.source[v]], v)] for v in range(base.n_arrows)]
-    return {
-        "objects": tuple(objects),
-        "obj_index": obj_index,
-        "arrows": tuple(arrows),
-        "arrow_index": arrow_index,
-        "source": tuple(source),
-        "target": tuple(target),
-        "identity": tuple(identity),
-        "inverse": tuple(inverse),
-        "compose": list(compose.items()),
-        "out_arrows": tuple(map(tuple, out_arrows)),
-        "loops": tuple(map(tuple, loops)),
-        "unit": (tuple(unit_om), tuple(unit_am)),
-    }
-
-
 SECTOR_CASES = [
     (spec, k)
     for spec in ("cyclic:4", "elemab:2,2", "symmetric:3", "dihedral:4", "elemab:2,3")
@@ -414,8 +370,11 @@ def test_sector_groupoids_are_the_conjugation_action_groupoids(spec, k):
     base = point_groupoid(construct_group(spec))
     sect = k_sectors(base, k)
     gpd = sect.groupoid
-    # the numberings are computed; materialise them to compare every entry
+    # the numberings are computed, and the identities, inverses and
+    # composites follow from (group, act): materialise them all to compare
+    # every entry
     arrows = tuple(map(sect.arrow, range(gpd.n_arrows)))
+    tables = as_dict_groupoid(gpd)
     built = {
         "objects": sect.objects,
         "obj_index": {ob: sect.obj_index(ob) for ob in sect.objects},
@@ -423,35 +382,20 @@ def test_sector_groupoids_are_the_conjugation_action_groupoids(spec, k):
         "arrow_index": {ar: sect.arrow_index(*ar) for ar in arrows},
         "source": gpd.source,
         "target": gpd.target,
-        "identity": gpd.identity,
-        "inverse": gpd.inverse,
-        "compose": list(gpd.compose.items()),
-        "out_arrows": gpd.out_arrows,
-        "loops": gpd.loops,
+        "identity": tables.identity,
+        "inverse": tables.inverse,
+        "compose": list(tables.compose.items()),
+        "out_arrows": tables.out_arrows,
+        "loops": tables.loops,
         "unit": (sect.unit.object_map, sect.unit.arrow_map),
     }
-    for name, value in _explicit_sectors(base, k).items():
+    for name, value in explicit_sectors(base, k).items():
         assert built[name] == value, name
     # the generic validator accepts the tables as built
     again = make_groupoid(
-        gpd.n_objects, gpd.source, gpd.target, gpd.identity, gpd.inverse, gpd.compose
+        gpd.n_objects, gpd.source, gpd.target, tables.identity, tables.inverse, tables.compose
     )
-    assert again.out_arrows == gpd.out_arrows and again.loops == gpd.loops
-
-
-def test_sectors_and_nerve_positions_refuse_a_dict_composed_groupoid():
-    # the point groupoid of C3 and the swap of two points, with their
-    # compositions stored as dicts: equal tables, but not action groupoids
-    for gpd in (point_groupoid(cyclic(3)), action_groupoid(cyclic(2), 2, [[0, 1], [1, 0]])):
-        stored = make_groupoid(
-            gpd.n_objects, gpd.source, gpd.target, gpd.identity, gpd.inverse, dict(gpd.compose)
-        )
-        assert not isinstance(stored.compose, ActionCompose)
-        for k in (0, 1, 2):
-            with pytest.raises(GroupoidValidationError, match="action groupoid"):
-                nerve_index(stored, k)
-        with pytest.raises(GroupoidValidationError, match="action groupoid"):
-            k_sectors(stored, 1)
+    assert again.out_arrows == tables.out_arrows and again.loops == tables.loops
 
 
 def test_action_axiom_refuses_planted_defects_in_a_conjugation_table():
@@ -459,7 +403,7 @@ def test_action_axiom_refuses_planted_defects_in_a_conjugation_table():
     n = grp.order
     gpd = k_sectors(point_groupoid(grp), 2).groupoid
     act = [list(gpd.target[i * n : (i + 1) * n]) for i in range(gpd.n_objects)]
-    assert action_groupoid(grp, len(act), act).compose == gpd.compose
+    assert action_groupoid(grp, len(act), act).act == gpd.act
     rng = random.Random(5)
     for _ in range(20):
         bad = [row[:] for row in act]
@@ -521,23 +465,24 @@ def test_make_hom_refuses_out_of_range_indices():
     # the first bad entry is the one named
     with pytest.raises(GroupoidValidationError, match="sends arrow 1 to 7,"):
         make_hom(base, base, [0], [0, 7, -2])
-    # a target built by make_groupoid is checked the same way
+    # the dict sweep, on a target built by make_groupoid, names it alike
     disc = discrete_groupoid(2)
     with pytest.raises(GroupoidValidationError, match="sends arrow 0 to -1,"):
-        make_hom(discrete_groupoid(1), full_subgroupoid(disc, [0, 1])[0], [0], [-1])
+        dict_make_hom(discrete_groupoid(1), full_subgroupoid(disc, [0, 1])[0], [0], [-1])
 
 
 def test_make_hom_names_the_first_arrow_that_breaks_an_endpoint():
-    # the identity hom of the S3 inertia groupoid and of a fibered product,
-    # with arrows replanted; the first arrow, in index order, whose image
-    # leaves from or lands on the wrong object is named, source first
+    # the identity hom of the S3 inertia groupoid, and through the dict
+    # sweep of a fibered product, with arrows replanted; the first arrow, in
+    # index order, whose image leaves from or lands on the wrong object is
+    # named, source first
     lam = inertia(point_groupoid(symmetric(3)))
     fp = fibered_product(lam.unit, lam.unit).groupoid
-    assert fp.n_objects > 1 and not isinstance(fp.compose, ActionCompose)
+    assert fp.n_objects > 1 and isinstance(fp, DictGroupoid)
     rng = random.Random("endpoints")
-    for gpd in (lam.groupoid, fp):
+    for gpd, check in ((lam.groupoid, make_hom), (fp, dict_make_hom)):
         om, am = list(range(gpd.n_objects)), list(range(gpd.n_arrows))
-        make_hom(gpd, gpd, om, am)
+        check(gpd, gpd, om, am)
         for _ in range(30):
             bad = am[:]
             for a in rng.sample(range(gpd.n_arrows), rng.randrange(1, 4)):
@@ -553,63 +498,23 @@ def test_make_hom_names_the_first_arrow_that_breaks_an_endpoint():
             if first is None:
                 continue
             with pytest.raises(GroupoidValidationError) as exc:
-                make_hom(gpd, gpd, om, bad)
+                check(gpd, gpd, om, bad)
             assert str(exc.value) == "hom breaks {1} at arrow {0}".format(*first)
 
 
 def test_make_groupoid_refuses_out_of_range_identity():
-    g = point_groupoid(cyclic(2))
+    g = as_dict_groupoid(point_groupoid(cyclic(2)))
     for bad in (-1, 2):
         match = f"identity arrow {bad} of object 0"
         with pytest.raises(GroupoidValidationError, match=match):
             make_groupoid(1, g.source, g.target, [bad], g.inverse, dict(g.compose))
 
 
-def _dict_action_groupoid(group, n_points, act):
-    """The action groupoid with its composition stored as a dict, one entry
-    per composable pair, built as action_groupoid once built it: the oracle
-    for ActionCompose and for the arithmetic composition sweep of make_hom."""
-    order = group.order
-    elements = group.elements()
-    out_arrows = tuple(
-        tuple(range(x * order, (x + 1) * order)) for x in range(n_points)
-    )
-    source, target, inverse, compose = [], [], [], {}
-    for x, row in enumerate(act):
-        xout = out_arrows[x]
-        for g in elements:
-            y = row[g]
-            mg = group.mult[g]
-            a = xout[g]
-            yout = out_arrows[y]
-            source.append(x)
-            target.append(y)
-            inverse.append(yout[group.inv[g]])
-            for h in elements:
-                compose[(a, yout[h])] = xout[mg[h]]
-    return FiniteGroupoid(
-        n_objects=n_points,
-        source=tuple(source),
-        target=tuple(target),
-        identity=tuple(xout[0] for xout in out_arrows),
-        inverse=tuple(inverse),
-        compose=compose,
-        out_arrows=out_arrows,
-        loops=tuple(
-            tuple(xout[g] for g in elements if row[g] == x)
-            for x, (row, xout) in enumerate(zip(act, out_arrows))
-        ),
-    )
-
-
-def _action_table(gpd, order):
-    return [list(gpd.target[x * order : (x + 1) * order]) for x in range(gpd.n_objects)]
-
-
 def _composition_cases():
-    """(name, group, action table, homs into or out of it) for the view
-    tests; a hom is (source key, target key, object map, arrow map), the key
-    "self" naming the case's own groupoid and "base" its group's point."""
+    """(name, group, action table, homs into or out of it) for the tests
+    against the dict-composed record; a hom is (source key, target key,
+    object map, arrow map), the key "self" naming the case's own groupoid
+    and "base" its group's point."""
     grp = cyclic(5)
     yield "cyclic:5", grp, [[0] * 5], [("self", "self", [0], list(range(5)))]
     for spec in ("symmetric:3", "dihedral:4"):
@@ -623,55 +528,61 @@ def _composition_cases():
             else:
                 e1 = evaluation_hom(sect, "e1")
                 homs.append(("self", "one", e1.object_map, e1.arrow_map))
-            yield f"{spec}:{k}", grp, _action_table(sect.groupoid, grp.order), homs
+            yield f"{spec}:{k}", grp, sect.groupoid.act, homs
     # the swap of two points, and its map onto the point groupoid of C2
     yield "swap", cyclic(2), [[0, 1], [1, 0]], [("self", "base", [0, 0], [0, 1, 0, 1])]
 
 
 @pytest.mark.parametrize("case", list(_composition_cases()), ids=lambda c: c[0])
 def test_action_compose_reads_like_the_dict_it_replaces(case):
+    """The record's conventions against the dict-composed groupoid built
+    arrow by arrow: the endpoint tables, the composable pairs as the nerve
+    and its positions enumerate and refuse them, and the composite
+    x*|G| + gh of every pair, as delta merges it."""
     _, grp, act, _ = case
-    view = action_groupoid(grp, len(act), act).compose
-    oracle = _dict_action_groupoid(grp, len(act), act).compose
-    assert isinstance(view, ActionCompose)
-    assert len(view) == len(oracle)
-    assert list(view) == list(oracle)
-    assert list(view.items()) == list(oracle.items())
-    assert view == oracle and oracle == view
-    for (a, b), c in oracle.items():
-        assert view[(a, b)] == c and view.get((a, b)) == c and (a, b) in view
-    n = len(act) * grp.order
+    gpd = action_groupoid(grp, len(act), act)
+    oracle = dict_action_groupoid(grp, len(act), act)
+    m, n = gpd.order, gpd.n_arrows
+    assert (gpd.n_objects, n) == (oracle.n_objects, oracle.n_arrows)
+    assert (gpd.source, gpd.target) == (oracle.source, oracle.target)
+    assert oracle.identity == tuple(range(0, n, m))
+    assert oracle.out_arrows == tuple(tuple(range(x, x + m)) for x in range(0, n, m))
+    assert list(nerve(gpd, 2)) == list(oracle.compose)
+    index = nerve_index(gpd, 2)
+    assert [index.position(pair) for pair in oracle.compose] == list(range(index.size))
+    for (a, b), c in oracle.compose.items():
+        assert c == a - a % m + gpd.mult[a % m][b % m]
     rng = random.Random(n)
     pairs = [(a, b) for a in range(min(n, 40)) for b in range(min(n, 40))]
     pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
     pairs += [(-1, 0), (0, -1), (n, 0), (0, n), (n - 1, n)]
     for pair in pairs:
-        assert view.get(pair) == oracle.get(pair)
-        assert (pair in view) == (pair in oracle)
-        if pair not in oracle:
-            with pytest.raises(KeyError):
-                view[pair]
-    assert sum(pair not in oracle for pair in pairs) > 0
+        if pair in oracle.compose:
+            index.position(pair)
+        else:
+            with pytest.raises(ValueError):
+                index.position(pair)
+    assert sum(pair not in oracle.compose for pair in pairs) > 0
 
 
 @pytest.mark.parametrize("case", list(_composition_cases()), ids=lambda c: c[0])
 def test_make_hom_composition_sweep_matches_the_dict_sweep(case):
     """Arrow maps planted with a wrong arrow that keeps its endpoints pass
-    the source, target and identity checks; the arithmetic sweeps must
-    refuse each at the same pair as the dict sweep."""
+    the source, target and identity checks; the point-by-point sweep of
+    make_hom must refuse each at the same pair as the dict sweep."""
     name, grp, act, homs = case
     base_act = [[0] * grp.order]
-    one_act = _action_table(k_sectors(point_groupoid(grp), 1).groupoid, grp.order)
+    one_act = k_sectors(point_groupoid(grp), 1).groupoid.act
     tables = {"self": act, "base": base_act, "one": one_act}
     computed = {key: action_groupoid(grp, len(t), t) for key, t in tables.items()}
-    stored = {key: _dict_action_groupoid(grp, len(t), t) for key, t in tables.items()}
+    stored = {key: dict_action_groupoid(grp, len(t), t) for key, t in tables.items()}
     rng = random.Random(name)
     planted = 0
     for src, tgt, om, am in homs:
         am = list(am)
         make_hom(computed[src], computed[tgt], om, am)
-        make_hom(stored[src], stored[tgt], om, am)
-        s_gpd, t_gpd = computed[src], computed[tgt]
+        dict_make_hom(stored[src], stored[tgt], om, am)
+        s_gpd, t_gpd = stored[src], stored[tgt]
         candidates = [
             a for a in range(s_gpd.n_arrows) if not s_gpd.is_identity_arrow(a)
         ]
@@ -688,36 +599,32 @@ def test_make_hom_composition_sweep_matches_the_dict_sweep(case):
             bad = am[:]
             bad[a] = rng.choice(others)
             with pytest.raises(GroupoidValidationError, match="composition") as want:
-                make_hom(stored[src], stored[tgt], om, bad)
-            # both ends computed, then a dict-composed source into a
-            # computed target, read through the view
-            for hom_source in (s_gpd, stored[src]):
-                with pytest.raises(GroupoidValidationError) as got:
-                    make_hom(hom_source, t_gpd, om, bad)
-                assert str(got.value) == str(want.value)
+                dict_make_hom(s_gpd, t_gpd, om, bad)
+            with pytest.raises(GroupoidValidationError) as got:
+                make_hom(computed[src], computed[tgt], om, bad)
+            assert str(got.value) == str(want.value)
             planted += 1
     assert planted > 0
 
 
 def _same_verdict_as_the_dict_sweep(source, target, om, am):
     """make_hom between action groupoids given as (group, action table)
-    pairs: both ends computed, and each end in turn dict-composed, accept
-    or refuse om, am with the same text as both ends dict-composed. Returns
-    that text, or None if the hom is accepted."""
+    pairs accepts or refuses om, am with the same text as the dict sweep
+    between their dict-composed records. Returns that text, or None if the
+    hom is accepted."""
     computed = [action_groupoid(grp, len(act), act) for grp, act in (source, target)]
-    stored = [_dict_action_groupoid(grp, len(act), act) for grp, act in (source, target)]
+    stored = [dict_action_groupoid(grp, len(act), act) for grp, act in (source, target)]
     try:
-        make_hom(stored[0], stored[1], om, am)
+        dict_make_hom(*stored, om, am)
         want = None
     except GroupoidValidationError as e:
         want = str(e)
-    for s_gpd, t_gpd in (computed, (stored[0], computed[1]), (computed[0], stored[1])):
-        if want is None:
-            make_hom(s_gpd, t_gpd, om, am)
-        else:
-            with pytest.raises(GroupoidValidationError) as got:
-                make_hom(s_gpd, t_gpd, om, am)
-            assert str(got.value) == want
+    if want is None:
+        make_hom(*computed, om, am)
+    else:
+        with pytest.raises(GroupoidValidationError) as got:
+            make_hom(*computed, om, am)
+        assert str(got.value) == want
     return want
 
 
@@ -729,7 +636,7 @@ def test_make_hom_refuses_planted_maps_like_the_dict_sweep():
     # f the same at every point: the S3 2-sectors onto C2 acting trivially
     # on two points, the pair (a, b) going to the sign of ab
     s3, c2 = symmetric(3), cyclic(2)
-    two_act = _action_table(k_sectors(point_groupoid(s3), 2).groupoid, s3.order)
+    two_act = k_sectors(point_groupoid(s3), 2).groupoid.act
     even = {s3.mul(h, h) for h in s3.elements()}
     sign = [0 if g in even else 1 for g in s3.elements()]
     om = [sign[s3.mul(a, b)] for a in s3.elements() for b in s3.elements()]
@@ -743,7 +650,7 @@ def test_make_hom_refuses_planted_maps_like_the_dict_sweep():
     # f varying with the point: the S3 inertia onto the S3 point groupoid,
     # (x, g) going to c[x]^-1 g c[x.g], a hom for every choice of c; then
     # one arrow replanted
-    one_act = _action_table(k_sectors(point_groupoid(s3), 1).groupoid, s3.order)
+    one_act = k_sectors(point_groupoid(s3), 1).groupoid.act
     s3_point = (s3, [[0] * s3.order])
     for seed in range(6):
         rng = random.Random(seed)
@@ -761,6 +668,12 @@ def test_make_hom_refuses_planted_maps_like_the_dict_sweep():
         bad[a] = rng.choice([h for h in range(1, 6) if h != am[a]])
         verdicts.append(_same_verdict_as_the_dict_sweep((s3, one_act), s3_point, [0] * 6, bad))
         assert verdicts[-1] is not None
+        # an identity arrow sent to another loop is named as such, first
+        x = seed % 6
+        bad = am[:]
+        bad[x * 6] = rng.randrange(1, 6)
+        verdict = _same_verdict_as_the_dict_sweep((s3, one_act), s3_point, [0] * 6, bad)
+        assert verdict == f"hom breaks identity at object {x}"
     # C4 onto C2: every element map fixing the identity, on the point
     # groupoids and on the inertia groupoids, point x going to x mod 2
     c4 = cyclic(4)
@@ -789,9 +702,10 @@ def test_two_sectors_of_s4_allocate_under_2_5_mb():
     finally:
         tracemalloc.stop()
     assert two.groupoid.n_arrows == grp.order**3
-    # a composition dict of 24^4 entries took 32 MB, and the stored arrow
-    # tables about 1.7 MB more than the 1.8 MB the groupoid peaks at now
-    assert peak < 2.5 * 2**20
+    # a composition dict of 24^4 entries took 32 MB, and stored identity,
+    # inverse, out-arrow and loop tables 1.8 MB; (group, act) with its
+    # source and target tables peaks at 0.8 MB
+    assert peak < 1.25 * 2**20
 
 
 def _digest(c):

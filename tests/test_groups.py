@@ -78,7 +78,7 @@ def test_symmetric_three_facts():
     part = conjugacy_classes(g)
     assert sorted(len(c) for c in part.classes) == [1, 2, 3]
     # centralizer orders by class: 6, 2, 3
-    sizes = sorted(centralizer(g, rep).order for rep in part.representatives)
+    sizes = sorted(centralizer(g, c[0]).order for c in part.classes)
     assert sizes == [2, 3, 6]
     # composition convention: (sigma then tau)
     labels = [g.label(x) for x in g.elements()]

@@ -1,12 +1,13 @@
 """Package surface: the README example runs, no module (nor the tests'
 groupoid support module) carries an import it never uses, and every
-public function or class has a caller in the package or a stated reason
-to stay."""
+public function, class or method of a class has a caller in the package
+or a stated reason to stay."""
 
 import ast
 import re
 from collections import defaultdict
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "transfusion"
@@ -77,8 +78,8 @@ def test_library_modules_have_no_unused_imports():
     assert found == []
 
 
-# public definitions that nothing in the package calls, each with the
-# reason it stays
+# public definitions and methods that nothing in the package calls, each
+# with the reason it stays
 UNCALLED_ALLOWED = {
     "untwisted_star": "oracle",
     "kclass_star": "oracle",
@@ -88,6 +89,10 @@ UNCALLED_ALLOWED = {
     "regular_bundle": "fixture",
     "kclass_add": "fixture",
     "kclass_sub": "fixture",
+    # the tests name sector objects and arrows through these
+    "SectorGroupoid.obj_index": "fixture",
+    "SectorGroupoid.arrow_index": "fixture",
+    "SectorGroupoid.arrow": "fixture",
 }
 
 
@@ -107,23 +112,54 @@ def _mentions(node: ast.AST):
             yield from _annotation_names(sub.annotation)
 
 
+def _pieces(stmt: ast.stmt, own: Optional[str]):
+    """(node, owning definition) for the parts of a top-level statement: a
+    class's methods are owned by "Class.method", the rest of it by the
+    class."""
+    if not isinstance(stmt, ast.ClassDef):
+        yield stmt, own
+        return
+    for node in stmt.bases + stmt.keywords + stmt.decorator_list:
+        yield node, own
+    for node in stmt.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, f"{own}.{node.name}"
+        else:
+            yield node, own
+
+
 def uncalled_definitions(sources):
-    """Sorted names of the public top-level functions and classes, over a
+    """Sorted names of the public top-level functions and classes, and as
+    Class.method of the public methods of public top-level classes, over a
     dict of module name to source, that no module mentions outside the
-    definition itself."""
-    defined = []
-    mentioned_in = defaultdict(set)  # name -> {(module, top-level definition or None)}
+    definition itself. A method is mentioned wherever its name is, on any
+    object."""
+    defined = []  # (module, name, label)
+    mentioned_in = defaultdict(set)  # name -> {(module, owning definition or None)}
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             own = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = stmt.name
                 if not own.startswith("_"):
-                    defined.append((module, own))
-            for name in _mentions(stmt):
-                mentioned_in[name].add((module, own))
+                    defined.append((module, own, own))
+                    for node, label in _pieces(stmt, own):
+                        if label != own and not node.name.startswith("_"):
+                            defined.append((module, node.name, label))
+            for node, owner in _pieces(stmt, own):
+                for name in _mentions(node):
+                    mentioned_in[name].add((module, owner))
+
+    def inside(module, label, mention):
+        where, owner = mention
+        return where == module and owner is not None and (
+            owner == label or owner.startswith(label + ".")
+        )
+
     return sorted(
-        name for module, name in defined if mentioned_in[name] <= {(module, name)}
+        label
+        for module, name, label in defined
+        if all(inside(module, label, mention) for mention in mentioned_in[name])
     )
 
 
@@ -138,8 +174,25 @@ def test_uncalled_definition_detector_on_a_sample():
             "class Lonely: pass\n"
         ),
         "b": "from a import Lonely\nimport a\nvalue = a.used()\n",
+        "c": (
+            "class Box:\n"
+            "    size: int = 0\n"
+            "    def width(self): return self.height()\n"
+            "    def height(self): return 1\n"
+            "    def depth(self): return self.depth()\n"
+            "    def _hidden(self): return 0\n"
+            "    @classmethod\n"
+            "    def make(cls): return Box()\n"
+            "class Selfish:\n"
+            "    def clone(self): return Selfish()\n"
+            "class _Private:\n"
+            "    def orphan(self): return 0\n"
+        ),
+        "d": "import c\nvalue = c.Box.make().width()\n",
     }
-    assert uncalled_definitions(sources) == ["Lonely", "annotated", "recursive"]
+    assert uncalled_definitions(sources) == [
+        "Box.depth", "Lonely", "Selfish", "Selfish.clone", "annotated", "recursive"
+    ]
 
 
 def test_every_public_definition_has_a_caller_or_a_reason():

@@ -21,6 +21,8 @@ from transfusion.groupoids import inertia, nerve, nerve_index, point_groupoid
 from transfusion.groups import all_subgroups, construct_group, dihedral, elementary_abelian, symmetric
 from transfusion.smith import solve_mod1
 
+from support_groupoids import as_dict_groupoid
+
 
 def _mat_mul(a, b):
     return [
@@ -309,6 +311,7 @@ def _oracle_coboundary_rows(g, k):
     walk over the k-tuples and one position lookup per face."""
     at = nerve_index(g, k - 1).at
     n_cols = nerve_index(g, k - 1).size
+    compose = as_dict_groupoid(g).compose
     rows = []
     for tup in nerve(g, k):
         row = [0] * n_cols
@@ -319,7 +322,7 @@ def _oracle_coboundary_rows(g, k):
             row[at(tup[1:])] += 1
             sign = -1
             for i in range(k - 1):
-                merged = tup[:i] + (g.compose[(tup[i], tup[i + 1])],) + tup[i + 2 :]
+                merged = tup[:i] + (compose[(tup[i], tup[i + 1])],) + tup[i + 2 :]
                 row[at(merged)] += sign
                 sign = -sign
             row[at(tup[:-1])] += sign
