@@ -4,9 +4,10 @@ A degree-k cochain assigns a rational-mod-1 value to every composable
 k-tuple of arrows (degree 0: to every object). Everything is exact: a
 cochain stores one modulus N and a dense list of integers in 0..N-1, one
 per tuple in nerve order, each standing for itself over N mod 1, and all
-identities are tested with literal equality. Fractions appear only at the boundaries:
-the public constructor, value(), the cochain file format, and the
-right-hand side and solution of a coboundary solve.
+identities are tested with literal equality. Fractions appear only at the
+boundaries: the public constructor, value(), the cochain file format, the
+right-hand side and solution of a coboundary solve, and the commutator
+pairing, which is report output. Homomorphisms into Z/2 are 0/1 lists.
 
 This module carries the transgression machinery (loop-groupoid transgression
 of a cochain, the product homotopy correcting its multiplicativity, the
@@ -17,7 +18,6 @@ polynomial toolkit used to build explicit cocycles on elementary abelian
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,18 +39,8 @@ from .groupoids import (
 )
 from .smith import solve_mod1
 
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
-
 # guard for coboundary solves: rows * unknowns of the linear system
 SOLVE_ENTRY_CAP = 10**6
-
-
-@functools.lru_cache(maxsize=4096)
-def _angle(v: int, modulus: int) -> Fraction:
-    # value() is read in hot loops over few distinct angles; Fractions are
-    # immutable
-    return Fraction(v, modulus)
 
 
 class CocycleError(ValueError):
@@ -99,8 +89,7 @@ class Cochain:
 
     def value_at(self, p: int) -> Fraction:
         """The value at position p; in degree 1 that is the value at arrow p."""
-        v = self.values[p]
-        return _angle(v, self.modulus) if v else ZERO
+        return Fraction(self.values[p], self.modulus)
 
     def is_zero(self) -> bool:
         return not any(self.values)
@@ -573,42 +562,40 @@ def _coboundary_rows(g: FiniteGroupoid, k: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(zip(*[iter(digits)] * n_cols))
 
 
-# cup products of half-valued characters, and the mod-2 polynomial toolkit
+# cup products of homomorphisms into Z/2, and the mod-2 polynomial toolkit
 
 
-def cup_one_cochains(group: FiniteGroup, fs: Sequence[Sequence[Fraction]]) -> Cochain:
-    """Cup product of half-valued homomorphisms: the value at (g_1..g_d) is
-    1/2 when every f_i(g_i) is 1/2, else 0."""
+def cup_one_cochains(group: FiniteGroup, fs: Sequence[Sequence[int]]) -> Cochain:
+    """Cup product of homomorphisms into Z/2, each a 0/1 list indexed by
+    element: the value at (g_1..g_d) is 1/2 when every f_i(g_i) is 1, else
+    0."""
     if not fs:
         raise ValueError("need at least one 1-cochain")
+    mult = group.mult
     for idx, f in enumerate(fs):
         if len(f) != group.order:
             raise ValueError(f"cochain {idx} has wrong length")
-        for v in f:
-            if Fraction(v) % 1 not in (ZERO, HALF):
-                raise ValueError(f"cochain {idx} takes a value outside {{0, 1/2}}")
-        for a in group.elements():
-            for b in group.elements():
-                if (Fraction(f[group.mul(a, b)]) - f[a] - f[b]) % 1:
-                    raise ValueError(
-                        f"cochain {idx} is not a homomorphism at ({a},{b})"
-                    )
-    d = len(fs)
-    table: Dict[Tuple[int, ...], Fraction] = {}
-    supports = [[g for g in group.elements() if Fraction(f[g]) % 1 == HALF] for f in fs]
-    for tup in itertools.product(*supports):
-        table[tup] = HALF
-    return Cochain(point_groupoid(group), d, table)
+        if not all(isinstance(v, int) and 0 <= v <= 1 for v in f):
+            raise ValueError(f"cochain {idx} takes a value outside {{0, 1}}")
+        # f(ab) = f(a) xor f(b), one row of products at a time
+        for a, fa in enumerate(f):
+            if [f[c] for c in mult[a]] != [fa ^ fb for fb in f]:
+                b = next(b for b, c in enumerate(mult[a]) if f[c] != fa ^ f[b])
+                raise ValueError(f"cochain {idx} is not a homomorphism at ({a},{b})")
+    # the tuples in nerve order: (g_1..g_d) sits at the base-|G| number
+    # with those digits
+    values = [1]
+    for f in fs:
+        values = [v & x for v in values for x in f]
+    return _cochain(point_groupoid(group), len(fs), 2 if any(values) else 1, values)
 
 
-def dual_cochains(group: FiniteGroup, n: int) -> List[List[Fraction]]:
-    """Digit duals of an elementary abelian 2-group in its index encoding."""
+def dual_cochains(group: FiniteGroup, n: int) -> List[List[int]]:
+    """Digit duals of an elementary abelian 2-group in its index encoding,
+    as 0/1 lists."""
     if group.order != 2**n:
         raise ValueError("group order does not match the variable count")
-    out = []
-    for i in range(n):
-        out.append([HALF * ((g >> i) & 1) for g in group.elements()])
-    return out
+    return [[g >> i & 1 for g in group.elements()] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -809,7 +796,7 @@ def commutator_pairing(group: FiniteGroup, tau: Cochain) -> Dict[Tuple[int, int]
 def write_cochain(c: Cochain) -> List[str]:
     lines = [f"degree {c.degree}"]
     for key, raw in c.table.items():
-        v = _angle(raw, c.modulus)
+        v = Fraction(raw, c.modulus)
         head = " ".join(str(i) for i in key)
         lines.append(f"{head} {v.numerator}/{v.denominator}".strip())
     return lines

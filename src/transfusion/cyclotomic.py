@@ -3,8 +3,10 @@
 An element is a polynomial in zeta_N, reduced modulo the N-th cyclotomic
 polynomial and stored as integer numerators over one denominator; since
 that polynomial is monic, reduction and the field operations are integer
-arithmetic. Fraction appears only at the edges: `coeffs`, `phase` and the
-value of a rational that is not an integer.
+arithmetic. Fraction appears only at the edges: the constructor's
+coefficients, `from_rational`, `coeffs`, `phase` and the value of a
+rational that is not an integer. Roots of unity inside the module are
+integer exponents over a modulus.
 Binary operations promote both sides to the lcm conductor. This is enough
 field theory for unit-circle phases, characters, and the small exact linear
 algebra the fusion checks need.
@@ -287,16 +289,19 @@ class Cyclotomic:
 
 
 @lru_cache(maxsize=8192)
-def _phase_cached(num: int, den: int) -> Cyclotomic:
-    big = [0] * den
-    big[num % den] = 1
-    return Cyclotomic(den, big)
+def _root(e: int, m: int) -> Cyclotomic:
+    """zeta_m^e at the conductor of its order, m / gcd(e, m)."""
+    g = gcd(e, m)
+    e, m = e // g % (m // g), m // g
+    big = [0] * m
+    big[e] = 1
+    return Cyclotomic(m, big)
 
 
 def phase(f: Rat) -> Cyclotomic:
     """exp(2 pi i f) for rational f, exact."""
-    fr = Fraction(f) % 1
-    return _phase_cached(fr.numerator, fr.denominator)
+    fr = Fraction(f)
+    return _root(fr.numerator, fr.denominator)
 
 
 # matrix helpers; a matrix is a tuple of row tuples of Cyclotomic
@@ -348,7 +353,7 @@ def mat_trace(a) -> Cyclotomic:
 @lru_cache(maxsize=64)
 def _root_exponents(m: int) -> Dict[Tuple[Fraction, ...], int]:
     """Coefficient tuple at conductor m of zeta_m^k, mapped to k."""
-    return {phase(Fraction(k, m)).key_at(m): k for k in range(m)}
+    return {_root(k, m).key_at(m): k for k in range(m)}
 
 
 class MonomialMatrix:
@@ -389,15 +394,6 @@ class MonomialMatrix:
         return MonomialMatrix(range(n), (0,) * n, 1)
 
     @staticmethod
-    def from_angles(perm: Sequence[int], angles: Sequence[Rat]) -> "MonomialMatrix":
-        """Row i to column perm[i] with entry exp(2 pi i angles[i])."""
-        fr = [Fraction(a) % 1 for a in angles]
-        m = 1
-        for a in fr:
-            m = lcm(m, a.denominator)
-        return MonomialMatrix(perm, [a.numerator * (m // a.denominator) for a in fr], m)
-
-    @staticmethod
     def from_dense(rows) -> "MonomialMatrix":
         """The monomial form of a dense square matrix; ValueError unless each
         row and column has exactly one nonzero entry and it is a root of
@@ -405,7 +401,7 @@ class MonomialMatrix:
         rows = matrix(rows)
         n = len(rows)
         perm = []
-        angles = []
+        roots = []
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
@@ -418,10 +414,13 @@ class MonomialMatrix:
             if k is None:
                 raise ValueError(f"entry {x!r} in row {i} is not a root of unity")
             perm.append(cols[0])
-            angles.append(Fraction(k, m))
+            g = gcd(k, m)
+            roots.append((k // g, m // g))
         if len(set(perm)) != n:
             raise ValueError("two rows have their nonzero entry in the same column")
-        return MonomialMatrix.from_angles(perm, angles)
+        # zeta_r^k at the lcm of the rows' root orders r
+        modulus = lcm(1, *(r for _, r in roots))
+        return MonomialMatrix(perm, [k * (modulus // r) for k, r in roots], modulus)
 
     def __len__(self) -> int:
         return len(self.perm)
@@ -458,11 +457,14 @@ class MonomialMatrix:
             m,
         )
 
-    def scale(self, angle: Rat) -> "MonomialMatrix":
-        """This matrix times exp(2 pi i angle)."""
-        m = lcm(self.modulus, angle.denominator)
-        shift = angle.numerator * (m // angle.denominator)
-        return MonomialMatrix._derived(self.perm, [e + shift for e in self.exps_at(m)], m)
+    def scale(self, e: int, m: int) -> "MonomialMatrix":
+        """This matrix times zeta_m^e. The root is taken at its order, so the
+        result's modulus is the lcm of this one and m / gcd(e, m)."""
+        g = gcd(e, m)
+        r = m // g
+        n = lcm(self.modulus, r)
+        shift = e // g * (n // r)
+        return MonomialMatrix._derived(self.perm, [x + shift for x in self.exps_at(n)], n)
 
     @staticmethod
     def stack(blocks: Sequence[Tuple[int, "MonomialMatrix"]]) -> "MonomialMatrix":
@@ -504,7 +506,7 @@ class MonomialMatrix:
         rows = []
         for p, e in zip(self.perm, self.exps):
             row = [zero] * n
-            row[p] = phase(Fraction(e, self.modulus))
+            row[p] = _root(e, self.modulus)
             rows.append(tuple(row))
         return tuple(rows)
 

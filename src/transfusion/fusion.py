@@ -104,24 +104,25 @@ class TwistContext:
     def tau_table(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
         """The sector 2-cocycle at loop g against conjugators u1 then u2,
         as an integer over tau.modulus, indexed [g][u1][u2]."""
-        n, values = self.group.order, self.tau.values
         # tau lives on the 1-sectors of the group's one-object groupoid, so
         # arrow g*n + u1 is loop g conjugated by u1, and the n values of the
         # pairs it starts are that row's values at u2 = 0..n-1
-        rows = [tuple(values[i : i + n]) for i in range(0, len(values), n)]
-        return tuple(tuple(rows[g * n : g * n + n]) for g in range(n))
+        return _cube(self.tau.values, self.group.order)
 
-    def tau_value(self, g: int, u1: int, u2: int) -> Fraction:
-        """Sector 2-cocycle at loop g against conjugators u1 then u2."""
-        return Fraction(self.tau_table[g][u1][u2], self.tau.modulus)
+    @cached_property
+    def mu_table(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """The product homotopy at the loop pair (g1, g2) against conjugator
+        u, as an integer over mu.modulus, indexed [g1][g2][u]."""
+        # the 2-sectors of the group's one-object groupoid number its
+        # elements as the group does, so the pair (g1, g2) is point
+        # g1*n + g2 and its arrow along u is that times n, plus u
+        return _cube(self.mu.values, self.group.order)
 
-    def mu_value(self, g1: int, g2: int, u: int) -> Fraction:
-        """Product homotopy at the loop pair (g1, g2) against conjugator u."""
-        # as in tau_table: the 2-sectors of the group's one-object groupoid
-        # number its elements as the group does, so the pair (g1, g2) is
-        # point g1*n + g2 and its arrow along u is that times n, plus u
-        n = self.group.order
-        return self.mu.value_at((g1 * n + g2) * n + u)
+
+def _cube(values: Sequence[int], n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """n^3 values as a table indexed [i][j][k], read at (i*n + j)*n + k."""
+    rows = [tuple(values[i : i + n]) for i in range(0, len(values), n)]
+    return tuple(tuple(rows[i : i + n]) for i in range(0, len(rows), n))
 
 
 def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
@@ -160,24 +161,26 @@ def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
         conductor=1,
     )
 
+    # values lie in 0..modulus-1, so an angle vanishes iff its integer does
+    tau_t, mu_t = ctx.tau_table, ctx.mu_table
     normalized = (
         all(
-            ctx.tau_value(g, 0, u) == 0 and ctx.tau_value(g, u, 0) == 0
+            tau_t[g][0][u] == 0 and tau_t[g][u][0] == 0
             for g in group.elements()
             for u in group.elements()
         )
         and all(
-            ctx.tau_value(0, u1, u2) == 0
+            tau_t[0][u1][u2] == 0
             for u1 in group.elements()
             for u2 in group.elements()
         )
         and all(
-            ctx.mu_value(g1, g2, 0) == 0
+            mu_t[g1][g2][0] == 0
             for g1 in group.elements()
             for g2 in group.elements()
         )
         and all(
-            ctx.mu_value(0, g, u) == 0 and ctx.mu_value(g, 0, u) == 0
+            mu_t[0][g][u] == 0 and mu_t[g][0][u] == 0
             for g in group.elements()
             for u in group.elements()
         )
@@ -279,10 +282,8 @@ def unit_bundle(ctx: TwistContext) -> TwistedBundle:
     """
     n = ctx.group.order
     dims = tuple(1 if g == 0 else 0 for g in range(n))
-    maps = {
-        (0, u): MonomialMatrix.from_angles((0,), (ctx.mu_value(0, 0, u),))
-        for u in range(n)
-    }
+    one, mu_0, m = MonomialMatrix.identity(1), ctx.mu_table[0][0], ctx.mu.modulus
+    maps = {(0, u): one.scale(mu_0[u], m) for u in range(n)}
     return TwistedBundle(context=ctx, dims=dims, maps=maps)
 
 
@@ -296,13 +297,14 @@ def regular_bundle(ctx: TwistContext) -> TwistedBundle:
     group = ctx.group
     n = group.order
     dims = tuple(n if g == 0 else 0 for g in range(n))
-    maps = {
-        (0, u): MonomialMatrix.from_angles(
-            [group.mult[h][u] for h in range(n)],
-            [ctx.tau_value(0, h, u) for h in range(n)],
-        )
-        for u in range(n)
-    }
+    tau_0, m = ctx.tau_table[0], ctx.tau.modulus
+    maps = {}
+    for u in range(n):
+        exps = [tau_0[h][u] for h in range(n)]
+        # each map at its smallest modulus
+        c = math.gcd(m, *exps)
+        perm = [group.mult[h][u] for h in range(n)]
+        maps[(0, u)] = MonomialMatrix(perm, [e // c for e in exps], m // c)
     return TwistedBundle(context=ctx, dims=dims, maps=maps)
 
 
@@ -334,6 +336,7 @@ def star(a: TwistedBundle, b: TwistedBundle) -> TwistedBundle:
             pairs[g].append((g1, g2))
             dims[g] += a.dims[g1] * b.dims[g2]
     maps: Dict[Tuple[int, int], MonomialMatrix] = {}
+    mu_t, m = ctx.mu_table, ctx.mu.modulus
     for g in range(n):
         if not dims[g]:
             continue
@@ -343,7 +346,7 @@ def star(a: TwistedBundle, b: TwistedBundle) -> TwistedBundle:
             for g1, g2 in pairs[g]:
                 block = a.maps[(g1, u)].kron(b.maps[(g2, u)])
                 c0 = offsets[h][(group.conjugate(g1, u), group.conjugate(g2, u))]
-                blocks.append((c0, block.scale(-ctx.mu_value(g1, g2, u))))
+                blocks.append((c0, block.scale(-mu_t[g1][g2][u], m)))
             maps[(g, u)] = MonomialMatrix.stack(blocks)
     return TwistedBundle(context=ctx, dims=tuple(dims), maps=maps)
 
@@ -474,6 +477,7 @@ def kclass_star(x: KClass, y: KClass) -> KClass:
         raise ValueError("classes live over different contexts")
     ctx = x.context
     group = ctx.group
+    mu_t, m = ctx.mu_table, ctx.mu.modulus
     table = {}
     for g, u in ctx.char_keys:
         acc = as_cyclotomic(0)
@@ -481,7 +485,8 @@ def kclass_star(x: KClass, y: KClass) -> KClass:
             if group.conjugate(g1, u) != g1:
                 continue
             g2 = group.mult[group.inv[g1]][g]
-            acc = acc + phase(-ctx.mu_value(g1, g2, u)) * x.table[(g1, u)] * y.table[(g2, u)]
+            mu = Fraction(-mu_t[g1][g2][u], m)
+            acc = acc + phase(mu) * x.table[(g1, u)] * y.table[(g2, u)]
         table[(g, u)] = acc
     return KClass(context=ctx, table=table)
 
@@ -532,7 +537,7 @@ def _class_basis(ctx: TwistContext) -> List[TwistedBundle]:
                     z = mult[mult[xh][u]][inv[xhu]]
                     eps = (tau_g[xh][u] - tau_g[z][xhu]) % modulus
                     mat = mats[zpos[z]]
-                    maps[(h, u)] = mat.scale(Fraction(eps, modulus)) if eps else mat
+                    maps[(h, u)] = mat.scale(eps, modulus) if eps else mat
             out.append(TwistedBundle(context=ctx, dims=dims, maps=maps))
     return out
 

@@ -107,41 +107,42 @@ def make_hom(
         for a, b in enumerate(am):
             if not 0 <= b < n_arrows:
                 raise GroupoidValidationError(f"hom sends arrow {a} to {b}, out of range")
-    tsource, ttarget, ssource, starget = (
-        target.source, target.target, source.source, source.target
-    )
-    image_of = om.__getitem__
-    if not (
-        list(map(tsource.__getitem__, am)) == list(map(image_of, ssource))
-        and list(map(ttarget.__getitem__, am)) == list(map(image_of, starget))
-    ):
-        for a, b in enumerate(am):
-            if tsource[b] != om[ssource[a]]:
-                raise GroupoidValidationError(f"hom breaks source at arrow {a}")
-            if ttarget[b] != om[starget[a]]:
-                raise GroupoidValidationError(f"hom breaks target at arrow {a}")
+    # f[x][g] is the element of the image of arrow x*|G| + g; the arrow
+    # keeps its source iff it lies in the block of om[x], and its target
+    # iff that element moves om[x] to om[x.g]. A point's arrows are checked
+    # together (an itemgetter of one index returns the item, on both sides)
     m, n = source.order, target.order
+    f = [[b % n for b in am[i : i + m]] for i in range(0, len(am), m)]
+    for x, (y, fx, row) in enumerate(zip(om, f, source.act)):
+        block, ty = am[x * m : x * m + m], target.act[y]
+        if not (
+            y * n <= min(block) and max(block) < y * n + n
+            and itemgetter(*fx)(ty) == itemgetter(*row)(om)
+        ):
+            for g, (b, e, z) in enumerate(zip(block, fx, row)):
+                if b // n != y:
+                    raise GroupoidValidationError(f"hom breaks source at arrow {x * m + g}")
+                if ty[e] != om[z]:
+                    raise GroupoidValidationError(f"hom breaks target at arrow {x * m + g}")
     if list(am[::m]) != [y * n for y in om]:
         for x, y in enumerate(om):
             if am[x * m] != y * n:
                 raise GroupoidValidationError(f"hom breaks identity at object {x}")
-    bad = _first_broken_pair(source, target, am)
+    bad = _first_broken_pair(source, target, f)
     if bad is not None:
         raise GroupoidValidationError(f"hom breaks composition at ({bad[0]},{bad[1]})")
     return GroupoidHom(source=source, target=target, object_map=om, arrow_map=am)
 
 
 def _first_broken_pair(
-    source: FiniteGroupoid, target: FiniteGroupoid, am: Tuple[int, ...]
+    source: FiniteGroupoid, target: FiniteGroupoid, f: Sequence[Sequence[int]]
 ) -> Optional[Tuple[int, int]]:
-    """The first composable pair (a, b), by a then b, whose images under am
-    do not compose to the image of a.b; None if there is none. The hom must
-    preserve endpoints already, so am[x*|G| + g] is the arrow of element
-    f_x(g) out of the image of x, and the pair (x, g), (x.g, h) holds iff
-    f_x(g) f_(x.g)(h) == f_x(gh)."""
-    m, n, smult, tmult = source.order, target.order, source.mult, target.mult
-    el = [b % n for b in am]
-    f = [el[i : i + m] for i in range(0, len(el), m)]
+    """The first composable pair (a, b), by a then b, whose images do not
+    compose to the image of a.b; None if there is none. The hom must
+    preserve endpoints already, so f[x][g] is the element f_x(g) of the
+    image of arrow x*|G| + g out of the image of x, and the pair (x, g),
+    (x.g, h) holds iff f_x(g) f_(x.g)(h) == f_x(gh)."""
+    m, smult, tmult = source.order, source.mult, target.mult
     # if every point maps its arrows by the same f, every point holds iff
     # point 0 does: f must be a group homomorphism
     points = 1 if f and f.count(f[0]) == len(f) else len(f)
@@ -162,7 +163,6 @@ def action_groupoid(
     group: FiniteGroup,
     n_points: int,
     act: Sequence[Sequence[int]],
-    arrow_cap: int = DEFAULT_ARROW_CAP,
 ) -> FiniteGroupoid:
     """Right action: arrow (x, g) runs from x to x.g; index is x*|G| + g.
 
@@ -174,8 +174,10 @@ def action_groupoid(
         raise GroupoidValidationError("action table has wrong number of rows")
     order = group.order
     n_arrows = n_points * order
-    if n_arrows > arrow_cap:
-        raise GroupoidValidationError(f"arrow count {n_arrows} exceeds cap {arrow_cap}")
+    if n_arrows > DEFAULT_ARROW_CAP:
+        raise GroupoidValidationError(
+            f"arrow count {n_arrows} exceeds cap {DEFAULT_ARROW_CAP}"
+        )
     for x, row in enumerate(act):
         if len(row) != order:
             raise GroupoidValidationError(f"action row {x} has wrong length")
@@ -251,11 +253,7 @@ class SectorGroupoid:
         return divmod(j, self.base.n_arrows)
 
 
-def k_sectors(
-    base: FiniteGroupoid,
-    k: int,
-    arrow_cap: int = DEFAULT_ARROW_CAP,
-) -> SectorGroupoid:
+def k_sectors(base: FiniteGroupoid, k: int) -> SectorGroupoid:
     """The action groupoid of G on G^k by conjugation, for the point
     groupoid of G as base.
 
@@ -276,16 +274,16 @@ def k_sectors(
 
     group = base.group
     n = group.order
-    if n ** (k + 1) > arrow_cap:
+    if n ** (k + 1) > DEFAULT_ARROW_CAP:
         raise GroupoidValidationError(
-            f"sector groupoid would have {n ** (k + 1)} arrows, over cap {arrow_cap}"
+            f"sector groupoid would have {n ** (k + 1)} arrows, over cap {DEFAULT_ARROW_CAP}"
         )
     # conj[g][v] = v^-1 g v; point i*|G| + g of G^(j+1) extends point i of G^j by g
     conj = [[group.conjugate(g, v) for v in range(n)] for g in range(n)]
     act = conj
     for _ in range(k - 1):
         act = [[p * n + c for p, c in zip(row, crow)] for row in act for crow in conj]
-    gpd = action_groupoid(group, len(act), act, arrow_cap=arrow_cap)
+    gpd = action_groupoid(group, len(act), act)
 
     objects = tuple((0, tup) for tup in itertools.product(range(n), repeat=k))
     # the tuple of identity loops is point 0, and base loop v is its arrow v

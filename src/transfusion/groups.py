@@ -308,7 +308,7 @@ def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(parent=group, members=tuple(sorted(seen)))
 
 
-def subgroup_as_group(sub: Subgroup, name: str = "") -> Tuple[FiniteGroup, Tuple[int, ...]]:
+def subgroup_as_group(sub: Subgroup) -> Tuple[FiniteGroup, Tuple[int, ...]]:
     """Reindex a subgroup as a standalone group; returns it with the
     member list mapping new indices to parent indices (identity first)."""
     parent = sub.parent
@@ -329,7 +329,7 @@ def subgroup_as_group(sub: Subgroup, name: str = "") -> Tuple[FiniteGroup, Tuple
             row.append(pos[c])
         mult.append(row)
     labels = [parent.label(m) for m in members]
-    g = from_table(mult, name=name or f"sub{len(members)}of:{parent.name}", labels=labels)
+    g = from_table(mult, name=f"sub{len(members)}of:{parent.name}", labels=labels)
     return g, tuple(members)
 
 

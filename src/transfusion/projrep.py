@@ -11,6 +11,11 @@ cyclotomic field.
 The irreducibles themselves are built by one construction for every
 cocycle, the zero one included: monomial induction of alpha-characters,
 the 1-cochains on a subgroup whose coboundary is the cocycle there.
+
+Cocycles, characters and alpha-characters are integers over a modulus.
+Fraction appears only at the edges: the angle table normalize_cocycle
+accepts and the shift it returns, TwoCocycleGroup.value, and the
+center_dimension oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 from .cochains import (
     Cochain,
     CocycleError,
+    _cochain,
     coboundary_solve,
     cocycle,
     group_cochain,
@@ -179,14 +185,15 @@ def center_dimension(alg: TwistedAlgebra) -> int:
 # is the product R(a) @ R(b)
 
 
-def linear_characters(group: FiniteGroup) -> List[Tuple[Fraction, ...]]:
-    """All homomorphisms into Q/Z, as value tuples indexed by element.
+def linear_characters(group: FiniteGroup) -> Tuple[int, List[Tuple[int, ...]]]:
+    """All homomorphisms into Q/Z, as (L, value tuples indexed by element):
+    each value is an integer v in 0..L-1 standing for v/L, and L is the lcm
+    of the generator orders. The tuples are sorted.
 
     Generators are picked greedily; each assignment of generator values
     compatible with their orders is propagated and then checked against the
     full multiplication table, so nonabelian groups work too (characters of
-    the abelianization). Both run over integers mod the lcm of the generator
-    orders; only the returned values are Fractions.
+    the abelianization).
     """
     gens: List[int] = []
     reached = {0}
@@ -195,7 +202,7 @@ def linear_characters(group: FiniteGroup) -> List[Tuple[Fraction, ...]]:
             gens.append(g)
             reached = set(subgroup_generated(group, gens).members)
     if not gens:
-        return [(Fraction(0),)]
+        return 1, [(0,)]
     orders = [group.element_order(g) for g in gens]
     # values are integers mod L, standing for v/L
     L = math.lcm(*orders)
@@ -227,11 +234,8 @@ def linear_characters(group: FiniteGroup) -> List[Tuple[Fraction, ...]]:
             for a, va in enumerate(vals)
         ):
             out.append(tuple(vals))
-    # Fraction(v, L) is increasing in v, so sorting the integers sorts the
-    # value tuples
     out.sort()
-    frac = [Fraction(v, L) for v in range(L)]
-    return [tuple([frac[v] for v in vals]) for vals in out]
+    return L, out
 
 
 def _right_coset_reps(group: FiniteGroup, members: Tuple[int, ...]) -> List[int]:
@@ -300,14 +304,10 @@ def projective_irreducibles(
         ):
             continue
         sub, mem = subgroup_as_group(Subgroup(parent=group, members=members))
-        table = {
-            (i, j): Fraction(tau[a][b], modulus)
-            for i, a in enumerate(mem)
-            for j, b in enumerate(mem)
-            if tau[a][b]
-        }
-        if table:
-            lam = coboundary_solve(group_cochain(sub, 2, table))
+        # tau on the subgroup's one-object groupoid: (i, j) sits at i*|H| + j
+        restricted = [tau[a][b] % modulus for a in mem for b in mem]
+        if any(restricted):
+            lam = coboundary_solve(_cochain(point_groupoid(sub), 2, modulus, restricted))
             if lam is None:
                 continue
         else:
@@ -316,13 +316,14 @@ def projective_irreducibles(
         reps = _right_coset_reps(group, members)
         coset_of = {mult[h][t]: (j, h) for j, t in enumerate(reps) for h in members}
         moves = [[coset_of[mult[t][u]] for t in reps] for u in group.elements()]
-        for chi in linear_characters(sub):
-            alpha = [lam.value((i,)) + chi[i] for i in range(len(mem))]
-            m = modulus
-            for a in alpha:
-                m = math.lcm(m, a.denominator)
-            step = m // modulus
-            alpha_at = {h: a.numerator * (m // a.denominator) for h, a in zip(mem, alpha)}
+        # alpha = lambda + chi, integers over a common multiple m of the
+        # moduli of tau, lambda and the characters
+        L, chars = linear_characters(sub)
+        m = math.lcm(modulus, lam.modulus, L)
+        step = m // modulus
+        lam_at = [v * (m // lam.modulus) for v in lam.values]
+        for chi in chars:
+            alpha_at = {h: lv + c * (m // L) for h, lv, c in zip(mem, lam_at, chi)}
             mats = []
             for u in group.elements():
                 perm = []

@@ -59,6 +59,19 @@ from transfusion.projrep import (
 # replaced, as they stood; each irreducible is a dict from element to map
 
 
+def _from_angles(perm, angles):
+    """Row i to column perm[i] with entry exp(2 pi i angles[i])."""
+    fr = [Fraction(a) % 1 for a in angles]
+    m = math.lcm(1, *(a.denominator for a in fr))
+    return MonomialMatrix(perm, [a.numerator * (m // a.denominator) for a in fr], m)
+
+
+def _angle_characters(group):
+    """The linear characters with values as Fractions."""
+    L, chars = linear_characters(group)
+    return [tuple(Fraction(v, L) for v in chi) for chi in chars]
+
+
 def _oracle_coset_reps(group, members):
     seen = set()
     reps = []
@@ -93,7 +106,7 @@ def _oracle_induced_monomial_rep(group, members, lam_parent):
             h = group.mult[tu][group.inv[reps[jp]]]
             perm.append(jp)
             angles.append(lam_parent[h])
-        mats[u] = MonomialMatrix.from_angles(perm, angles)
+        mats[u] = _from_angles(perm, angles)
     return mats
 
 
@@ -109,7 +122,7 @@ def _oracle_group_irreducibles(group):
         d = n // len(members)
         if total + d * d > n:
             continue
-        for lam in linear_characters(subgrp):
+        for lam in _angle_characters(subgrp):
             lam_parent = {mem[i]: lam[i] for i in range(len(mem))}
             rep = _oracle_induced_monomial_rep(group, members, lam_parent)
             char = [rep[u].trace() for u in group.elements()]
@@ -162,7 +175,7 @@ def _oracle_abelian_projective_irreps(tc):
 
     collected = []
     seen_chars = set()
-    for chi in linear_characters(lgrp):
+    for chi in _angle_characters(lgrp):
         f_rows = [
             {
                 group.mult[l][t]: -(nu.value((i,)) + chi[i] + tc.value(l, t)) % 1
@@ -184,7 +197,7 @@ def _oracle_abelian_projective_irreps(tc):
                 assert not any((image[x] - c - target[x]) % 1 for x in target)
                 perm.append(jp)
                 angles.append(c)
-            mats[u] = MonomialMatrix.from_angles(perm, angles)
+            mats[u] = _from_angles(perm, angles)
         key = _oracle_char_key([mats[u].trace() for u in group.elements()])
         if key not in seen_chars:
             seen_chars.add(key)
@@ -322,8 +335,8 @@ def test_irreducibles_carry_the_multiplier_exactly():
     # the halved cup of two characters of Z/4 x Z/2 is a nontrivial class:
     # two irreducibles of dimension 2 whose composites pick up tau itself
     group = construct_group("product:cyclic:4,cyclic:2")
-    fx = [Fraction((e // 2) % 2, 2) for e in group.elements()]
-    fy = [Fraction(e % 2, 2) for e in group.elements()]
+    fx = [(e // 2) % 2 for e in group.elements()]
+    fy = [e % 2 for e in group.elements()]
     tau = cup_one_cochains(group, [fx, fy])
     table = [[tau.table.get((a, b), 0) for b in group.elements()] for a in group.elements()]
     irreps = projective_irreducibles(group, table, tau.modulus, all_subgroups(group))
@@ -331,7 +344,8 @@ def test_irreducibles_carry_the_multiplier_exactly():
     assert len(irreps) == twisted_rank(TwoCocycleGroup(group, tau.modulus, table))
     for mats in irreps:
         for u, v in itertools.product(group.elements(), repeat=2):
-            assert mats[u] @ mats[v] == mats[group.mult[u][v]].scale(tau.value((u, v)))
+            want = mats[group.mult[u][v]].scale(table[u][v], tau.modulus)
+            assert mats[u] @ mats[v] == want
 
 
 def _assert_complete_table(ctx, basis):
@@ -359,8 +373,10 @@ def test_coboundary_twist_at_conductor_twelve():
 
 def test_dihedral4_cup_twists_give_complete_tables():
     group = dihedral(4)
-    halves = [list(c) for c in linear_characters(group) if any(c)]
-    assert len(halves) == 3 and all(2 * v in (0, 1) for c in halves for v in c)
+    L, chars = linear_characters(group)
+    assert all(2 * v in (0, L) for c in chars for v in c)
+    halves = [[2 * v // L for v in c] for c in chars if any(c)]
+    assert len(halves) == 3
     for triple in itertools.product(halves, repeat=3):
         ctx = make_context(group, cup_one_cochains(group, list(triple)))
         assert not ctx.tau.is_zero()
@@ -371,8 +387,8 @@ def test_dihedral4_cup_twists_give_complete_tables():
 
 def test_nontrivial_class_on_a_nonabelian_centralizer():
     group = construct_group("product:symmetric:3,elemab:2,2")
-    lc = linear_characters(group)
-    phi = cup_one_cochains(group, [list(lc[1]), list(lc[2]), list(lc[4])])
+    L, lc = linear_characters(group)
+    phi = cup_one_cochains(group, [[2 * v // L for v in lc[i]] for i in (1, 2, 4)])
     for g in (1, 2, 3):
         assert centralizer(group, g).members == tuple(group.elements())
         theta, _, _ = shuffle_transgression(group, phi, g)

@@ -200,7 +200,8 @@ def test_fusion_table_covers_twisted_nonabelian(tmp_path, capsys):
     from transfusion.projrep import linear_characters
 
     s3 = construct_group("symmetric:3")
-    sign = linear_characters(s3)[1]
+    L, chars = linear_characters(s3)
+    sign = [2 * v // L for v in chars[1]]
     phi = cup_one_cochains(s3, [sign, sign, sign])
     path = tmp_path / "sign_cup.cochain"
     path.write_text("\n".join(write_cochain(phi)) + "\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +11,7 @@ from transfusion.cochains import (
     Cocycle,
     CocycleError,
     InconsistencyError,
+    Poly2,
     bockstein_lift,
     coboundary_solve,
     cocycle,
@@ -696,14 +698,60 @@ def test_coboundary_solve_refuses_and_detects():
 
 def test_cup_validation():
     z4 = cyclic(4)
-    good = [F(0), H, F(0), H]
+    good = [0, 1, 0, 1]
     assert is_cocycle(cup_one_cochains(z4, [good, good]))
-    with pytest.raises(ValueError):
-        cup_one_cochains(z4, [[F(0), H, F(0), F(0)]])
-    with pytest.raises(ValueError):
-        cup_one_cochains(z4, [[F(0), F(1, 3), F(2, 3), F(0)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a homomorphism at"):
+        cup_one_cochains(z4, [[0, 1, 0, 0]])
+    with pytest.raises(ValueError, match="outside"):
+        cup_one_cochains(z4, [[0, 2, 0, 2]])
+    # the factors are 0/1 lists, not angles
+    with pytest.raises(ValueError, match="outside"):
+        cup_one_cochains(z4, [[0, H, 0, H]])
+    with pytest.raises(ValueError, match="at least one"):
         cup_one_cochains(z4, [])
+
+
+# oracle: the cup product and the polynomial realization as they stood, on
+# half-valued Fraction homomorphisms through a {key: Fraction} table; the
+# factor checks are left out
+
+
+def _fraction_cup(group, fs):
+    supports = [[g for g in group.elements() if Fraction(f[g]) % 1 == H] for f in fs]
+    table = {tup: H for tup in itertools.product(*supports)}
+    return Cochain(point_groupoid(group), len(fs), table)
+
+
+def _fraction_poly_to_cocycle(p, group):
+    (d,) = p.degree_set()
+    duals = [[H * ((g >> i) & 1) for g in group.elements()] for i in range(p.n)]
+    acc = zero_cochain(point_groupoid(group), d)
+    for t in sorted(p.terms):
+        factors = []
+        for i, e in enumerate(t):
+            factors.extend([duals[i]] * e)
+        acc = acc + _fraction_cup(group, factors)
+    return acc
+
+
+def _same_integers(a, b):
+    def key(c):
+        return c.groupoid, c.degree, c.modulus, c.values
+
+    return key(a) == key(b)
+
+
+def test_integer_cup_matches_the_fraction_oracle():
+    for n in range(1, 5):
+        group = elementary_abelian(2, n)
+        cubes = [t for t in itertools.product(range(4), repeat=n) if sum(t) == 3]
+        for t in cubes:
+            q = Poly2(n, frozenset({t}))
+            assert _same_integers(poly_to_cocycle(q, group), _fraction_poly_to_cocycle(q, group))
+            if n <= 3:
+                p = sq1(q)
+                want = _fraction_poly_to_cocycle(sq1_preimage(p), group)
+                assert _same_integers(bockstein_lift(p, group), want)
 
 
 def test_squaring_derivation():

@@ -163,9 +163,9 @@ def test_monomial_ops_match_dense_reference():
         assert (a @ b).dense() == _mat_mul(a.dense(), b.dense())
         assert a.kron(c).dense() == _kron(a.dense(), c.dense())
         assert a.trace() == mat_trace(a.dense())
-        angle = Fraction(rng.randrange(12), 12)
-        scaled = tuple(tuple(phase(angle) * x for x in row) for row in a.dense())
-        assert a.scale(angle).dense() == scaled
+        e = rng.randrange(12)
+        scaled = tuple(tuple(phase(Fraction(e, 12)) * x for x in row) for row in a.dense())
+        assert a.scale(e, 12).dense() == scaled
         assert MonomialMatrix.from_dense(a.dense()) == a
 
 
@@ -178,6 +178,15 @@ def test_monomial_equality_across_moduli():
     # -1 and -zeta_3 live at odd conductors but are sixth roots of unity
     minus = MonomialMatrix.from_dense([[0, -1], [-phase(Fraction(1, 3)), 0]])
     assert minus == MonomialMatrix([1, 0], [3, 5], 6)
+
+
+def test_scale_takes_the_root_in_lowest_terms():
+    # zeta_4^2 is -1, a root of order 2, so the modulus stays 2
+    assert MonomialMatrix.identity(2).scale(2, 4).modulus == 2
+    assert MonomialMatrix.identity(2).scale(2, 4) == MonomialMatrix([0, 1], [1, 1], 2)
+    minus_i = MonomialMatrix.identity(1).scale(-3, 12)
+    assert (minus_i.exps, minus_i.modulus) == ((3,), 4)
+    assert MonomialMatrix.identity(1).scale(0, 6).modulus == 1
 
 
 def test_from_dense_refuses_non_monomial_input():

@@ -355,7 +355,7 @@ def test_ab_ba_conjugate():
 
 def test_sector_cap():
     with pytest.raises(GroupoidValidationError):
-        k_sectors(point_groupoid(elementary_abelian(2, 4)), 4, arrow_cap=10**5)
+        k_sectors(point_groupoid(elementary_abelian(2, 4)), 4)
 
 
 SECTOR_CASES = [

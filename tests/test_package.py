@@ -1,7 +1,8 @@
 """Package surface: the README example runs, no module (nor the tests'
-groupoid support module) carries an import it never uses, and every
-public function, class or method of a class has a caller in the package
-or a stated reason to stay."""
+groupoid support module) carries an import it never uses, every public
+function, class or method of a class has a caller in the package or a
+stated reason to stay, and Fractions are built only where a stated reason
+allows."""
 
 import ast
 import re
@@ -203,3 +204,77 @@ def test_every_public_definition_has_a_caller_or_a_reason():
     assert [name for name in uncalled if name not in UNCALLED_ALLOWED] == []
     # an allowed name that gains a caller leaves the list
     assert sorted(UNCALLED_ALLOWED) == uncalled
+
+
+# the functions that build Fractions, each with its reason: an angle is an
+# integer over a modulus everywhere else, and crosses into or out of a
+# Fraction only at a boundary the README names, or inside an oracle
+FRACTION_ALLOWED = {
+    # value(), the constructor's table and a solve's solution, the
+    # right-hand side of a solve, report text and cochain files
+    "cochains.Cochain.value_at": "boundary",
+    "cochains._integers": "boundary",
+    "cochains.coboundary_solve": "boundary",
+    "cochains.commutator_pairing": "boundary",
+    "cochains.write_cochain": "boundary",
+    "cochains.read_cochain": "boundary",
+    # rational coefficients in and out, and phase
+    "cyclotomic._common_denominator": "boundary",
+    "cyclotomic.Cyclotomic.coeffs": "boundary",
+    "cyclotomic.Cyclotomic.from_rational": "boundary",
+    "cyclotomic.Cyclotomic.rational_value": "boundary",
+    "cyclotomic.phase": "boundary",
+    # the shift normalize_cocycle returns
+    "projrep.normalize_cocycle": "boundary",
+    "smith.solve_mod1": "boundary",
+    "fusion.kclass_star": "oracle",
+    # read by the center_dimension oracle
+    "projrep.TwoCocycleGroup.value": "oracle",
+}
+
+
+def fraction_calls(source: str):
+    """(line, owning definition) of every call of Fraction, by name or as
+    fractions.Fraction, in a module: the owner is the top-level function
+    or class, or Class.method, the call sits in, and None at module
+    level."""
+    found = []
+    for stmt in ast.parse(source).body:
+        own = None
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = stmt.name
+        for node, owner in _pieces(stmt, own):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and (
+                    isinstance(sub.func, ast.Name) and sub.func.id == "Fraction"
+                    or isinstance(sub.func, ast.Attribute) and sub.func.attr == "Fraction"
+                ):
+                    found.append((sub.lineno, owner))
+    return sorted(found, key=lambda item: item[0])
+
+
+def test_fraction_call_detector_on_a_sample():
+    sample = (
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "HALF = Fraction(1, 2)\n"
+        "def f(x): return Fraction(x) + fractions.Fraction(1)\n"
+        "def g(x): return isinstance(x, Fraction)\n"
+        "class C:\n"
+        "    one = Fraction(1)\n"
+        "    def m(self):\n"
+        "        def inner(): return Fraction(2)\n"
+        "        return inner\n"
+    )
+    assert fraction_calls(sample) == [(3, None), (4, "f"), (4, "f"), (7, "C"), (9, "C.m")]
+
+
+def test_fractions_are_built_only_at_the_boundaries_and_in_oracles():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for _, owner in fraction_calls(path.read_text(encoding="utf-8")):
+            found.add(f"{path.stem}.{owner}")
+    assert sorted(found - set(FRACTION_ALLOWED)) == []
+    # a function that stops building Fractions leaves the list
+    assert sorted(FRACTION_ALLOWED) == sorted(found)
+    assert set(FRACTION_ALLOWED.values()) == {"boundary", "oracle"}

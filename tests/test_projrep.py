@@ -160,8 +160,8 @@ def test_center_matches_rank_on_all_classes():
 
     # Z/4 x Z/2: trivial class and the halved cup of the two reductions
     g42 = direct_product(cyclic(4), cyclic(2))
-    fx = [H * ((e // 2) % 2) for e in g42.elements()]
-    fy = [H * (e % 2) for e in g42.elements()]
+    fx = [(e // 2) % 2 for e in g42.elements()]
+    fy = [e % 2 for e in g42.elements()]
     trivial = zero_cochain(point_groupoid(g42), 2)
     twisted = cup_one_cochains(g42, [fx, fy])
     assert coboundary_solve(twisted) is None

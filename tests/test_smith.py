@@ -450,12 +450,12 @@ def test_e16_sectors_share_one_elimination(monkeypatch, capsys):
 
 
 def _half_homs(group):
-    """Every homomorphism to {0, 1/2}: one per subgroup of index 2."""
+    """Every homomorphism to Z/2, as a 0/1 list: one per subgroup of index 2."""
     out = []
     for sub in all_subgroups(group):
         if 2 * len(sub) == group.order:
             inside = set(sub)
-            out.append([Fraction(0) if g in inside else Fraction(1, 2) for g in group.elements()])
+            out.append([0 if g in inside else 1 for g in group.elements()])
     return out
 
 
