@@ -13,8 +13,9 @@ algebra the fusion checks need.
 
 Bundle maps are monomial matrices of roots of unity and live in
 MonomialMatrix: a permutation plus integer exponents mod N, so composing,
-tensoring and comparing them is integer arithmetic. Dense tuples of
-Cyclotomic rows are kept for linear algebra only.
+scaling and comparing them is integer arithmetic. The fusion product
+writes each of its maps' permutation and exponents directly, at one
+modulus. Dense tuples of Cyclotomic rows are kept for linear algebra only.
 """
 
 from __future__ import annotations
@@ -277,9 +278,11 @@ class Cyclotomic:
     # keys go through key_at with a batch-wide conductor instead
     __hash__ = None
 
-    def key_at(self, m: int) -> Tuple[Fraction, ...]:
-        """Coefficient tuple at conductor m, for dict keys across a batch."""
-        return self.promote(m).coeffs
+    def key_at(self, m: int) -> Tuple[Tuple[int, ...], int]:
+        """Numerators and denominator at conductor m, for dict keys across a
+        batch; they are in lowest terms, so equal values give equal keys."""
+        x = self.promote(m)
+        return x.num, x.den
 
     def __repr__(self):
         if self.is_rational():
@@ -351,8 +354,8 @@ def mat_trace(a) -> Cyclotomic:
 
 
 @lru_cache(maxsize=64)
-def _root_exponents(m: int) -> Dict[Tuple[Fraction, ...], int]:
-    """Coefficient tuple at conductor m of zeta_m^k, mapped to k."""
+def _root_exponents(m: int) -> Dict[Tuple[Tuple[int, ...], int], int]:
+    """The key at conductor m of zeta_m^k, mapped to k."""
     return {_root(k, m).key_at(m): k for k in range(m)}
 
 
@@ -446,17 +449,6 @@ class MonomialMatrix:
             m,
         )
 
-    def kron(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        """Kronecker product: row i*len(other) + k pairs row i with row k."""
-        m = lcm(self.modulus, other.modulus)
-        ea, eb = self.exps_at(m), other.exps_at(m)
-        nb = len(other)
-        return MonomialMatrix._derived(
-            tuple(p * nb + q for p in self.perm for q in other.perm),
-            [x + y for x in ea for y in eb],
-            m,
-        )
-
     def scale(self, e: int, m: int) -> "MonomialMatrix":
         """This matrix times zeta_m^e. The root is taken at its order, so the
         result's modulus is the lcm of this one and m / gcd(e, m)."""
@@ -465,20 +457,6 @@ class MonomialMatrix:
         n = lcm(self.modulus, r)
         shift = e // g * (n // r)
         return MonomialMatrix._derived(self.perm, [x + shift for x in self.exps_at(n)], n)
-
-    @staticmethod
-    def stack(blocks: Sequence[Tuple[int, "MonomialMatrix"]]) -> "MonomialMatrix":
-        """Block matrix whose k-th band of rows is blocks[k][1], placed at
-        column offset blocks[k][0]."""
-        m = 1
-        for _, b in blocks:
-            m = lcm(m, b.modulus)
-        perm: List[int] = []
-        exps: List[int] = []
-        for c0, b in blocks:
-            perm.extend(c0 + p for p in b.perm)
-            exps.extend(b.exps_at(m))
-        return MonomialMatrix(perm, exps, m)
 
     def __eq__(self, other):
         if not isinstance(other, MonomialMatrix):

@@ -78,8 +78,6 @@ class TwistContext:
     """
 
     group: FiniteGroup
-    phi: Cochain
-    base: object
     sectors: SectorGroupoid
     two_sectors: SectorGroupoid
     tau: Cochain
@@ -151,8 +149,6 @@ def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
 
     ctx = TwistContext(
         group=group,
-        phi=phi,
-        base=base,
         sectors=sectors,
         two_sectors=two,
         tau=tau,
@@ -316,6 +312,11 @@ def star(a: TwistedBundle, b: TwistedBundle) -> TwistedBundle:
     product of the two maps times phase(-mu(g1, g2; u)). The sign in the
     exponent is forced: with it, the product identity turns the twisted
     composition rules for a and b into the rule for the product.
+
+    Every map of the product is written at one modulus, the lcm of mu's
+    and of the factors' maps: row (i1, i2) of a summand goes to column
+    p1(i1) * dim2 + p2(i2) of the conjugated summand, with exponent
+    e1 + e2 - mu.
     """
     if a.context is not b.context:
         raise ValueError("bundles live over different contexts")
@@ -324,7 +325,7 @@ def star(a: TwistedBundle, b: TwistedBundle) -> TwistedBundle:
     n = group.order
     dims = [0] * n
     pairs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    offsets: List[Dict[Tuple[int, int], int]] = [dict() for _ in range(n)]
+    offset: Dict[Tuple[int, int], int] = {}
     for g1 in range(n):
         if not a.dims[g1]:
             continue
@@ -332,22 +333,33 @@ def star(a: TwistedBundle, b: TwistedBundle) -> TwistedBundle:
             if not b.dims[g2]:
                 continue
             g = group.mult[g1][g2]
-            offsets[g][(g1, g2)] = dims[g]
+            offset[(g1, g2)] = dims[g]
             pairs[g].append((g1, g2))
             dims[g] += a.dims[g1] * b.dims[g2]
+    mu_t = ctx.mu_table
+    m = math.lcm(ctx.mu.modulus, *(mat.modulus for v in (a, b) for mat in v.maps.values()))
+    step = m // ctx.mu.modulus
+    lift_a = {key: (mat.perm, mat.exps_at(m)) for key, mat in a.maps.items()}
+    lift_b = {key: (mat.perm, mat.exps_at(m)) for key, mat in b.maps.items()}
+    conj = group.conjugate
     maps: Dict[Tuple[int, int], MonomialMatrix] = {}
-    mu_t, m = ctx.mu_table, ctx.mu.modulus
     for g in range(n):
         if not dims[g]:
             continue
         for u in range(n):
-            h = group.conjugate(g, u)
-            blocks = []
+            perm: List[int] = []
+            exps: List[int] = []
             for g1, g2 in pairs[g]:
-                block = a.maps[(g1, u)].kron(b.maps[(g2, u)])
-                c0 = offsets[h][(group.conjugate(g1, u), group.conjugate(g2, u))]
-                blocks.append((c0, block.scale(-mu_t[g1][g2][u], m)))
-            maps[(g, u)] = MonomialMatrix.stack(blocks)
+                pa, ea = lift_a[(g1, u)]
+                pb, eb = lift_b[(g2, u)]
+                c0 = offset[(conj(g1, u), conj(g2, u))]
+                nb = b.dims[g2]
+                s = mu_t[g1][g2][u] * step
+                for p, x in zip(pa, ea):
+                    col = c0 + p * nb
+                    perm.extend(col + q for q in pb)
+                    exps.extend(x + y - s for y in eb)
+            maps[(g, u)] = MonomialMatrix(perm, exps, m)
     return TwistedBundle(context=ctx, dims=tuple(dims), maps=maps)
 
 

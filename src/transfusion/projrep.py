@@ -250,7 +250,7 @@ def _right_coset_reps(group: FiniteGroup, members: Tuple[int, ...]) -> List[int]
     return reps
 
 
-def _char_key(vals: List[Cyclotomic]) -> Tuple[Tuple[Fraction, ...], ...]:
+def _char_key(vals: List[Cyclotomic]) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     m = 1
     for v in vals:
         m = math.lcm(m, v.conductor)

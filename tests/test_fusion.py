@@ -10,6 +10,7 @@ import pytest
 from transfusion.cochains import (
     cup_one_cochains,
     delta,
+    group_cochain,
     parse_poly,
     poly_to_cocycle,
     random_cochain,
@@ -52,6 +53,7 @@ from transfusion.groups import (
     symmetric,
 )
 from transfusion.projrep import BasisError, linear_characters
+from support_fusion import stacked_star
 
 _CTX = {}
 
@@ -347,6 +349,34 @@ def test_unit_is_strict_two_sided():
             for prod in (star(unit, v), star(v, unit)):
                 assert prod.dims == v.dims
                 assert all(prod.maps[k] == v.maps[k] for k in v.maps)
+
+
+def test_star_matches_the_block_by_block_product():
+    e4 = elementary_abelian(2, 2)
+    e4_ctx = make_context(e4, poly_to_cocycle(parse_poly("x2y|y3"), e4))
+    # the generator of H^3(Z/3; U(1)): mu of order 3, maps at modulus 9,
+    # so a sign error in the mu phase shows
+    z3 = cyclic(3)
+    z3_ctx = make_context(z3, group_cochain(z3, 3, {
+        (a, b, c): Fraction(a * (b + c - (b + c) % 3), 9)
+        for a, b, c in itertools.product(range(3), repeat=3)
+    }))
+    assert z3_ctx.mu.modulus == 3
+    z2 = z2_context()
+    z3_basis = basis_bundles(z3_ctx)
+    cases = [basis_bundles(ctx) for ctx in (cube_context(), s3_context(), d4_context(), e4_ctx)]
+    cases.append(z3_basis)
+    cases.append([_doubled_line(z2)] + basis_bundles(z2)[1:])
+    # products of products, whose maps meet factors at other moduli
+    cases.append([star(a, b) for a in z3_basis[:3] for b in z3_basis[-3:]] + z3_basis)
+    for basis in cases:
+        for a, b in itertools.product(basis, repeat=2):
+            got, want = star(a, b), stacked_star(a, b)
+            assert got.dims == want.dims
+            assert got.maps.keys() == want.maps.keys()
+            assert all(got.maps[k] == want.maps[k] for k in got.maps)
+            # every map of a product at one modulus
+            assert len({mat.modulus for mat in got.maps.values()}) == 1
 
 
 def test_untwisted_star_agreement():
