@@ -402,7 +402,7 @@ def cmd_transgress(args) -> Report:
         tg, zgrp, members = shuffle_transgression(group, phi, g)
         try:
             tg = cocycle(tg)
-            tc, _ = normalize_cocycle(zgrp, tg)
+            tc = normalize_cocycle(tg)
         except CocycleError as e:
             cocycle_failures.append((g, str(e)))
             continue

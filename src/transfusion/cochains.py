@@ -492,7 +492,7 @@ def shuffle_transgression(
         raise ValueError("shuffle transgression expects a cochain on the group groupoid")
     if phi.degree < 1:
         raise ValueError("transgression needs degree at least 1")
-    zgrp, members = subgroup_as_group(centralizer(group, g))
+    zgrp, members = subgroup_as_group(group, centralizer(group, g))
     k = phi.degree - 1
     base = point_groupoid(zgrp)
     n = phi.modulus

@@ -34,6 +34,7 @@ from .cochains import (
     is_cocycle,
     product_homotopy,
     product_identity_sides,
+    pullback,
 )
 from .cyclotomic import (
     Cyclotomic,
@@ -54,11 +55,11 @@ from .groups import (
 from .groupoids import (
     SectorGroupoid,
     k_sectors,
+    make_hom,
     point_groupoid,
 )
 from .projrep import (
     BasisError,
-    TwoCocycleGroup,
     projective_irreducibles,
     twisted_rank,
 )
@@ -72,9 +73,7 @@ class TwistContext:
     """A group with a degree-3 cocycle and everything derived from it.
 
     tau is the transgressed 2-cochain on the loop sectors, mu the product
-    homotopy on the pair sectors. normalized records whether both vanish
-    whenever a conjugator or loop is the identity; bundle constructions
-    that need strict identities require it.
+    homotopy on the pair sectors.
     """
 
     group: FiniteGroup
@@ -82,8 +81,39 @@ class TwistContext:
     two_sectors: SectorGroupoid
     tau: Cochain
     mu: Cochain
-    normalized: bool
-    conductor: int
+
+    @cached_property
+    def normalized(self) -> bool:
+        """Whether tau and mu vanish whenever a conjugator or loop is the
+        identity; bundle constructions that need strict identities require
+        it."""
+        # values lie in 0..modulus-1, so an angle vanishes iff its integer does
+        elements = self.group.elements()
+        tau_t, mu_t = self.tau_table, self.mu_table
+        return (
+            all(
+                tau_t[g][0][u] == 0 and tau_t[g][u][0] == 0
+                for g in elements
+                for u in elements
+            )
+            and all(tau_t[0][u1][u2] == 0 for u1 in elements for u2 in elements)
+            and all(mu_t[g1][g2][0] == 0 for g1 in elements for g2 in elements)
+            and all(
+                mu_t[0][g][u] == 0 and mu_t[g][0][u] == 0
+                for g in elements
+                for u in elements
+            )
+        )
+
+    @cached_property
+    def conductor(self) -> int:
+        """The least m such that every phase of tau and mu is an m-th root
+        of unity."""
+        conductor = 1
+        for c in (self.tau, self.mu):
+            for v in set(c.values):
+                conductor = math.lcm(conductor, c.modulus // math.gcd(v, c.modulus))
+        return conductor
 
     @cached_property
     def conjugacy(self) -> ConjugacyPartition:
@@ -95,7 +125,7 @@ class TwistContext:
         """Evaluation points of characters: (g, u) with u centralizing g."""
         group = self.group
         return tuple(
-            (g, u) for g in group.elements() for u in centralizer(group, g).members
+            (g, u) for g in group.elements() for u in centralizer(group, g)
         )
 
     @cached_property
@@ -147,47 +177,7 @@ def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
     if lhs != rhs:
         raise FusionError("product identity fails; homotopy bug")
 
-    ctx = TwistContext(
-        group=group,
-        sectors=sectors,
-        two_sectors=two,
-        tau=tau,
-        mu=mu,
-        normalized=False,
-        conductor=1,
-    )
-
-    # values lie in 0..modulus-1, so an angle vanishes iff its integer does
-    tau_t, mu_t = ctx.tau_table, ctx.mu_table
-    normalized = (
-        all(
-            tau_t[g][0][u] == 0 and tau_t[g][u][0] == 0
-            for g in group.elements()
-            for u in group.elements()
-        )
-        and all(
-            tau_t[0][u1][u2] == 0
-            for u1 in group.elements()
-            for u2 in group.elements()
-        )
-        and all(
-            mu_t[g1][g2][0] == 0
-            for g1 in group.elements()
-            for g2 in group.elements()
-        )
-        and all(
-            mu_t[0][g][u] == 0 and mu_t[g][0][u] == 0
-            for g in group.elements()
-            for u in group.elements()
-        )
-    )
-    ctx.normalized = normalized
-    conductor = 1
-    for c in (tau, mu):
-        for v in set(c.values):
-            conductor = math.lcm(conductor, c.modulus // math.gcd(v, c.modulus))
-    ctx.conductor = conductor
-    return ctx
+    return TwistContext(group=group, sectors=sectors, two_sectors=two, tau=tau, mu=mu)
 
 
 @dataclass(eq=False)
@@ -421,18 +411,8 @@ def untwisted_star(a: TwistedBundle, b: TwistedBundle) -> TwistedBundle:
     return TwistedBundle(context=ctx, dims=dims, maps=maps)
 
 
-# characters and virtual classes
-
-
-@dataclass(eq=False)
-class KClass:
-    """A virtual class, known by its character table on ctx.char_keys."""
-
-    context: TwistContext
-    table: Dict[Tuple[int, int], Cyclotomic]
-
-    def value(self, g: int, u: int) -> Cyclotomic:
-        return self.table[(g, u)]
+# characters: a virtual class is known by its {(g, u): trace} table on
+# ctx.char_keys, and two classes are equal when their tables are
 
 
 def trace_table(v: TwistedBundle) -> Dict[Tuple[int, int], Cyclotomic]:
@@ -452,42 +432,25 @@ def trace_table(v: TwistedBundle) -> Dict[Tuple[int, int], Cyclotomic]:
     return table
 
 
-def character(v: TwistedBundle) -> KClass:
+def character(v: TwistedBundle) -> Dict[Tuple[int, int], Cyclotomic]:
     """Trace of each centralizing map; raises on an invalid bundle."""
     w = bundle_violation(v)
     if w is not None:
         raise ValueError(f"invalid bundle: {w[0]} at {w[1]}")
-    return KClass(context=v.context, table=trace_table(v))
+    return trace_table(v)
 
 
-def kclass_eq(x: KClass, y: KClass) -> bool:
-    if x.context is not y.context:
-        raise ValueError("classes live over different contexts")
-    return all(x.table[k] == y.table[k] for k in x.table)
-
-
-def kclass_add(x: KClass, y: KClass) -> KClass:
-    if x.context is not y.context:
-        raise ValueError("classes live over different contexts")
-    return KClass(x.context, {k: x.table[k] + y.table[k] for k in x.table})
-
-
-def kclass_sub(x: KClass, y: KClass) -> KClass:
-    if x.context is not y.context:
-        raise ValueError("classes live over different contexts")
-    return KClass(x.context, {k: x.table[k] - y.table[k] for k in x.table})
-
-
-def kclass_star(x: KClass, y: KClass) -> KClass:
-    """Character-level product.
+def kclass_star(
+    ctx: TwistContext,
+    x: Dict[Tuple[int, int], Cyclotomic],
+    y: Dict[Tuple[int, int], Cyclotomic],
+) -> Dict[Tuple[int, int], Cyclotomic]:
+    """Character-level product of two character tables over ctx.
 
     Only summands fixed by the conjugator contribute to a trace, so the
     value at (g, u) sums phase(-mu(g1, g2; u)) x(g1, u) y(g2, u) over
     factorizations g1*g2 = g with g1 fixed by u (g2 is then fixed too).
     """
-    if x.context is not y.context:
-        raise ValueError("classes live over different contexts")
-    ctx = x.context
     group = ctx.group
     mu_t, m = ctx.mu_table, ctx.mu.modulus
     table = {}
@@ -498,12 +461,26 @@ def kclass_star(x: KClass, y: KClass) -> KClass:
                 continue
             g2 = group.mult[group.inv[g1]][g]
             mu = Fraction(-mu_t[g1][g2][u], m)
-            acc = acc + phase(mu) * x.table[(g1, u)] * y.table[(g2, u)]
+            acc = acc + phase(mu) * x[(g1, u)] * y[(g2, u)]
         table[(g, u)] = acc
-    return KClass(context=ctx, table=table)
+    return table
 
 
 # basis construction and integer structure constants
+
+
+def sector_cocycle(ctx: TwistContext, g: int) -> Cochain:
+    """tau at loop g against conjugators in the centralizer of g: its
+    pullback along the inclusion of the centralizer, reindexed as a group
+    by subgroup_as_group, onto loop g of the 1-sectors."""
+    group = ctx.group
+    zgrp, zmem = subgroup_as_group(group, centralizer(group, g))
+    # the arrows out of loop g are g*n + u, and the centralizer fixes g
+    n = group.order
+    inclusion = make_hom(
+        point_groupoid(zgrp), ctx.sectors.groupoid, [g], [g * n + z for z in zmem]
+    )
+    return pullback(inclusion, ctx.tau)
 
 
 def _class_basis(ctx: TwistContext) -> List[TwistedBundle]:
@@ -525,15 +502,14 @@ def _class_basis(ctx: TwistContext) -> List[TwistedBundle]:
     for cls in part.classes:
         g = cls[0]
         tau_g = ctx.tau_table[g]
-        zgrp, zmem = subgroup_as_group(centralizer(group, g))
-        zpos = {m: i for i, m in enumerate(zmem)}
-        tau_z = [[tau_g[a][b] for b in zmem] for a in zmem]
-        # zmem ascends, so relabelled subgroups stay sorted
+        tau_z = sector_cocycle(ctx, g)
+        zpos = {m: i for i, m in enumerate(centralizer(group, g))}
+        # the centralizer ascends, so relabelled subgroups stay sorted
         inside = [
             tuple(zpos[m] for m in sub) for sub in subgroups if all(m in zpos for m in sub)
         ]
-        irreps = projective_irreducibles(zgrp, tau_z, modulus, inside)
-        rank = twisted_rank(TwoCocycleGroup(group=zgrp, modulus=modulus, values=tau_z))
+        irreps = projective_irreducibles(tau_z, inside)
+        rank = twisted_rank(tau_z)
         if len(irreps) != rank:
             raise BasisError(
                 f"class of {g}: built {len(irreps)} irreducibles, twisted rank says {rank}"
@@ -781,7 +757,7 @@ def fusion_table(
     tables = [v.traces for v in basis]
     solver = CharacterSolver(ctx, tables)
     unit = character(unit_bundle(ctx))
-    unit_candidates = [k for k, t in enumerate(tables) if kclass_eq(KClass(ctx, t), unit)]
+    unit_candidates = [k for k, t in enumerate(tables) if t == unit]
 
     n = len(basis)
     tasks = [(i, j) for i in range(n) for j in range(i, n)]

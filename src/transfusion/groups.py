@@ -30,12 +30,6 @@ class FiniteGroup:
     name: str = field(default="group", compare=False)
     labels: Optional[Tuple[str, ...]] = field(default=None, compare=False)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -62,16 +56,6 @@ class FiniteGroup:
         if self.labels is not None:
             return self.labels[g]
         return str(g)
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    parent: FiniteGroup
-    members: Tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -256,9 +240,9 @@ def dihedral(n: int) -> FiniteGroup:
     return from_table(mult, name=f"dihedral:{n}", labels=labels)
 
 
-def centralizer(group: FiniteGroup, g: int) -> Subgroup:
-    members = tuple(h for h in group.elements() if group.mult[g][h] == group.mult[h][g])
-    return Subgroup(parent=group, members=members)
+def centralizer(group: FiniteGroup, g: int) -> Tuple[int, ...]:
+    """The elements commuting with g, ascending."""
+    return tuple(h for h in group.elements() if group.mult[g][h] == group.mult[h][g])
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyPartition:
@@ -290,7 +274,8 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyPartition:
     )
 
 
-def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
+def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Tuple[int, ...]:
+    """The members of the subgroup the generators generate, ascending."""
     seen = {0}
     frontier = [0]
     gens = [g for g in gens]
@@ -305,21 +290,23 @@ def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
             if z not in seen:
                 seen.add(z)
                 frontier.append(z)
-    return Subgroup(parent=group, members=tuple(sorted(seen)))
+    return tuple(sorted(seen))
 
 
-def subgroup_as_group(sub: Subgroup) -> Tuple[FiniteGroup, Tuple[int, ...]]:
-    """Reindex a subgroup as a standalone group; returns it with the
-    member list mapping new indices to parent indices (identity first)."""
-    parent = sub.parent
-    members = [0] + [m for m in sorted(sub.members) if m != 0]
-    if set(members) != set(sub.members):
+def subgroup_as_group(
+    parent: FiniteGroup, members: Sequence[int]
+) -> Tuple[FiniteGroup, Tuple[int, ...]]:
+    """Reindex a subgroup, given by its members, as a standalone group;
+    returns it with the member list mapping new indices to parent indices
+    (identity first)."""
+    ordered = [0] + [m for m in sorted(members) if m != 0]
+    if set(ordered) != set(members):
         raise GroupValidationError("subgroup does not contain the identity")
-    pos = {m: i for i, m in enumerate(members)}
+    pos = {m: i for i, m in enumerate(ordered)}
     mult = []
-    for a in members:
+    for a in ordered:
         row = []
-        for b in members:
+        for b in ordered:
             c = parent.mult[a][b]
             if c not in pos:
                 raise GroupValidationError(
@@ -328,9 +315,9 @@ def subgroup_as_group(sub: Subgroup) -> Tuple[FiniteGroup, Tuple[int, ...]]:
                 )
             row.append(pos[c])
         mult.append(row)
-    labels = [parent.label(m) for m in members]
-    g = from_table(mult, name=f"sub{len(members)}of:{parent.name}", labels=labels)
-    return g, tuple(members)
+    labels = [parent.label(m) for m in ordered]
+    g = from_table(mult, name=f"sub{len(ordered)}of:{parent.name}", labels=labels)
+    return g, tuple(ordered)
 
 
 def all_subgroups(group: FiniteGroup) -> List[Tuple[int, ...]]:
@@ -343,7 +330,7 @@ def all_subgroups(group: FiniteGroup) -> List[Tuple[int, ...]]:
         for g in group.elements():
             if g in mset:
                 continue
-            bigger = subgroup_generated(group, list(members) + [g]).members
+            bigger = subgroup_generated(group, list(members) + [g])
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)

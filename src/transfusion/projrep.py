@@ -1,38 +1,35 @@
 """Projective representations over an explicit 2-cocycle.
 
-A 2-cocycle on a finite group twists its group algebra; the number of
-irreducible projective representations for that cocycle equals the number
-of regular conjugacy classes (g is regular when the normalized cocycle is
-symmetric against every element of the centralizer of g). That count is
-validated here against an independent oracle: the dimension of the center
-of the twisted group algebra, computed by exact linear algebra over a
-cyclotomic field.
+A 2-cocycle on a finite group is a degree-2 Cochain on the group's
+one-object groupoid, whose value at (g, h) sits at position g*|G| + h. It
+twists the group algebra; the number of irreducible projective
+representations for that cocycle equals the number of regular conjugacy
+classes (g is regular when the cocycle is symmetric against every element
+of the centralizer of g). That count is validated here against an
+independent oracle: the dimension of the center of the twisted group
+algebra, computed by exact linear algebra over a cyclotomic field.
 
 The irreducibles themselves are built by one construction for every
 cocycle, the zero one included: monomial induction of alpha-characters,
 the 1-cochains on a subgroup whose coboundary is the cocycle there.
 
-Cocycles, characters and alpha-characters are integers over a modulus.
-Fraction appears only at the edges: the angle table normalize_cocycle
-accepts and the shift it returns, TwoCocycleGroup.value, and the
-center_dimension oracle.
+Cocycles, characters and alpha-characters are integers over a modulus;
+this module builds no Fraction. The center_dimension oracle reads its
+phases through Cochain.value_at.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .cochains import (
     Cochain,
-    CocycleError,
-    _cochain,
     coboundary_solve,
     cocycle,
     group_cochain,
+    pullback,
 )
 from .cyclotomic import (
     Cyclotomic,
@@ -43,13 +40,12 @@ from .cyclotomic import (
 )
 from .groups import (
     FiniteGroup,
-    Subgroup,
     centralizer,
     conjugacy_classes,
     subgroup_as_group,
     subgroup_generated,
 )
-from .groupoids import point_groupoid
+from .groupoids import make_hom, nerve, point_groupoid
 
 ALGEBRA_ORDER_CAP = 64
 
@@ -58,71 +54,50 @@ class BasisError(RuntimeError):
     """A representation search did not produce a complete set."""
 
 
-@dataclass(frozen=True)
-class TwoCocycleGroup:
-    """Normalized 2-cocycle, values[1][g] = values[g][1] = 0: values[g][h]
-    is an integer standing for itself over the modulus, mod 1."""
-
-    group: FiniteGroup
-    modulus: int
-    values: Sequence[Sequence[int]]
-
-    def value(self, g: int, h: int) -> Fraction:
-        return Fraction(self.values[g][h], self.modulus)
+def _group_of(tau: Cochain) -> FiniteGroup:
+    """The group of a degree-2 cochain on its one-object groupoid."""
+    group = tau.groupoid.group
+    if tau.groupoid is not point_groupoid(group) or tau.degree != 2:
+        raise ValueError("expected a degree-2 cochain on the group groupoid")
+    return group
 
 
-def normalize_cocycle(
-    group: FiniteGroup, values
-) -> Tuple[TwoCocycleGroup, Tuple[Fraction, ...]]:
-    """Validate the cocycle identity, then shift by a coboundary so both
+def normalize_cocycle(tau: Cochain) -> Cochain:
+    """Validate the cocycle identity, then shift by a constant so both
     margins through the identity vanish.
 
-    values is a degree-2 cochain on the group's one-object groupoid or a
-    G x G table of angles. The identity is checked by one delta sweep,
-    skipped for a Cocycle; a failure raises CocycleError at the first
-    failing triple (g, h, k). The identity forces tau(1,g) = tau(g,1) =
-    tau(1,1) for all g, so the shift is the coboundary of the constant
-    1-cochain at tau(1,1). Returns the normalized cocycle, over the least
-    modulus that holds its values, and that shifting 1-cochain.
+    tau is a degree-2 cochain on a group's one-object groupoid. The
+    identity is checked by one delta sweep, skipped for a Cocycle; a
+    failure raises CocycleError at the first failing triple (g, h, k). The
+    identity forces tau(1,g) = tau(g,1) = tau(1,1) for all g, so the
+    result is tau minus the constant 2-cochain at tau(1,1).
     """
+    group = _group_of(tau)
+    tau = cocycle(tau)
+    shift = tau.value_at(0)
+    if shift:
+        gpd = tau.groupoid
+        tau = tau - Cochain(gpd, 2, dict.fromkeys(nerve(gpd, 2), shift))
     n = group.order
-    if not isinstance(values, Cochain):
-        if len(values) != n or any(len(row) != n for row in values):
-            raise CocycleError("table shape does not match the group order")
-        values = group_cochain(
-            group, 2, {(g, h): v for g, row in enumerate(values) for h, v in enumerate(row)}
-        )
-    if values.groupoid is not point_groupoid(group) or values.degree != 2:
-        raise ValueError("expected a degree-2 cochain on the group groupoid")
-    cocycle(values)
-    # (g, h) sits at position g*|G| + h
-    modulus, c = values.modulus, values.values[0]
-    shifted = [(v - c) % modulus for v in values.values]
-    common = math.gcd(modulus, *shifted)
-    table = tuple(
-        tuple([v // common for v in shifted[g * n : (g + 1) * n]]) for g in range(n)
-    )
-    if any(table[0]) or any(row[0] for row in table):
+    if any(tau.values[:n]) or any(tau.values[::n]):
         raise AssertionError("normalization failed; identity margin nonzero")
-    rho = tuple([Fraction(c, modulus)] * n)
-    return TwoCocycleGroup(group=group, modulus=modulus // common, values=table), rho
+    return tau
 
 
-def tau_regular_classes(tc: TwoCocycleGroup) -> List[int]:
-    """Representatives of the regular conjugacy classes.
+def tau_regular_classes(tau: Cochain) -> List[int]:
+    """Representatives of the regular conjugacy classes of a 2-cocycle.
 
     Regularity is computed for every member of each class and asserted
     constant across the class rather than assumed.
     """
-    group = tc.group
-    v, modulus = tc.values, tc.modulus
+    group = _group_of(tau)
+    n, v = group.order, tau.values
     part = conjugacy_classes(group)
     reps = []
     for cls in part.classes:
         flags = []
         for x in cls:
-            zen = centralizer(group, x)
-            flags.append(all((v[x][h] - v[h][x]) % modulus == 0 for h in zen.members))
+            flags.append(all(v[x * n + h] == v[h * n + x] for h in centralizer(group, x)))
         if any(f != flags[0] for f in flags):
             raise AssertionError(
                 f"regularity differs inside the class of {cls[0]}; convention bug"
@@ -132,38 +107,26 @@ def tau_regular_classes(tc: TwoCocycleGroup) -> List[int]:
     return reps
 
 
-def twisted_rank(tc: TwoCocycleGroup) -> int:
-    """Number of irreducible projective representations for this cocycle."""
-    return len(tau_regular_classes(tc))
+def twisted_rank(tau: Cochain) -> int:
+    """Number of irreducible projective representations for a 2-cocycle."""
+    return len(tau_regular_classes(tau))
 
 
-@dataclass(frozen=True)
-class TwistedAlgebra:
-    """Group algebra twisted by a normalized cocycle: the basis vector for g
-    times the one for h is phase(tau(g,h)) times the one for gh."""
+def center_dimension(tau: Cochain) -> int:
+    """Dimension of the center of the group algebra twisted by a normalized
+    2-cocycle, by solving z e_g = e_g z for all g.
 
-    cocycle: TwoCocycleGroup
-
-
-def make_twisted_algebra(tc: TwoCocycleGroup) -> TwistedAlgebra:
-    group = tc.group
-    if group.order > ALGEBRA_ORDER_CAP:
-        raise ValueError(f"algebra oracle capped at order {ALGEBRA_ORDER_CAP}")
-    if any(tc.values[0][g] or tc.values[g][0] for g in group.elements()):
-        raise ValueError("algebra expects a normalized cocycle")
-    return TwistedAlgebra(cocycle=tc)
-
-
-def center_dimension(alg: TwistedAlgebra) -> int:
-    """Dimension of the center, by solving z e_g = e_g z for all g.
-
-    Matching coefficients of the basis vector at m in z e_g = e_g z gives
-    one linear equation per (g, m) over the cyclotomic field; the center is
-    the kernel of the stacked system.
+    The basis vector for g times the one for h is phase(tau(g,h)) times the
+    one for gh. Matching coefficients of the basis vector at m in
+    z e_g = e_g z gives one linear equation per (g, m) over the cyclotomic
+    field; the center is the kernel of the stacked system.
     """
-    tc = alg.cocycle
-    group = tc.group
+    group = _group_of(tau)
     n = group.order
+    if n > ALGEBRA_ORDER_CAP:
+        raise ValueError(f"algebra oracle capped at order {ALGEBRA_ORDER_CAP}")
+    if any(tau.values[:n]) or any(tau.values[::n]):
+        raise ValueError("algebra expects a normalized cocycle")
     zero = as_cyclotomic(0)
     rows = []
     for g in group.elements():
@@ -172,8 +135,8 @@ def center_dimension(alg: TwistedAlgebra) -> int:
             h1 = group.mult[m][ginv]
             h2 = group.mult[ginv][m]
             row = [zero] * n
-            row[h1] = row[h1] + phase(tc.value(h1, g))
-            row[h2] = row[h2] - phase(tc.value(g, h2))
+            row[h1] = row[h1] + phase(tau.value_at(h1 * n + g))
+            row[h2] = row[h2] - phase(tau.value_at(g * n + h2))
             if not all(x.is_zero() for x in row):
                 rows.append(row)
     if not rows:
@@ -200,7 +163,7 @@ def linear_characters(group: FiniteGroup) -> Tuple[int, List[Tuple[int, ...]]]:
     for g in group.elements():
         if g not in reached:
             gens.append(g)
-            reached = set(subgroup_generated(group, gens).members)
+            reached = set(subgroup_generated(group, gens))
     if not gens:
         return 1, [(0,)]
     orders = [group.element_order(g) for g in gens]
@@ -258,35 +221,36 @@ def _char_key(vals: List[Cyclotomic]) -> Tuple[Tuple[Tuple[int, ...], int], ...]
 
 
 def projective_irreducibles(
-    group: FiniteGroup,
-    tau: Sequence[Sequence[int]],
-    modulus: int,
-    subgroups: Sequence[Tuple[int, ...]],
+    tau: Cochain, subgroups: Sequence[Tuple[int, ...]]
 ) -> List[List[MonomialMatrix]]:
     """Irreducible projective representations whose multiplier is exactly
     tau, by induction of alpha-characters from subgroups.
 
-    tau is a normalized 2-cocycle as integers over the modulus, and
+    tau is a normalized 2-cocycle on a group's one-object groupoid, and
     subgroups is every subgroup of the group as a sorted member tuple. Each
     result is indexed by element and satisfies mats[u] @ mats[v] ==
-    zeta^tau[u][v] * mats[uv] with zeta = exp(2 pi i / modulus); the callers
-    check that equation on every pair.
+    zeta^tau(u,v) * mats[uv] with zeta = exp(2 pi i / tau.modulus); the
+    callers check that equation on every pair.
 
     Subgroups H are taken largest first. An alpha-character of H is a
-    1-cochain alpha with delta(alpha) = tau on H: a coboundary solve gives
-    one, lambda, and the others are lambda + chi for the linear characters
-    chi. tau restricted to H is a coboundary only if tau(a,b) = tau(b,a) on
-    every commuting pair, so other subgroups are skipped unsolved. Inducing
-    along the right cosets H*t, the element u moves coset j to the coset of
-    t_j*u = h*t_j' with exponent tau(t_j,u) - tau(h,t_j') + alpha(h).
-    Inductions are screened with the exact character inner product and kept
-    when irreducible and new, until their squared dimensions exhaust the
-    group order. A group with a non-monomial irreducible makes that
-    impossible, and raises BasisError instead of returning a short list.
-    With the zero cocycle these are the ordinary irreducibles.
+    1-cochain alpha with delta(alpha) = tau on H, the pullback of tau along
+    the inclusion: a coboundary solve gives one, lambda, and the others are
+    lambda + chi for the linear characters chi. tau restricted to H is a
+    coboundary only if tau(a,b) = tau(b,a) on every commuting pair, so
+    other subgroups are skipped unsolved. Inducing along the right cosets
+    H*t, the element u moves coset j to the coset of t_j*u = h*t_j' with
+    exponent tau(t_j,u) - tau(h,t_j') + alpha(h). Inductions are screened
+    with the exact character inner product and kept when irreducible and
+    new, until their squared dimensions exhaust the group order. A group
+    with a non-monomial irreducible makes that impossible, and raises
+    BasisError instead of returning a short list. With the zero cocycle
+    these are the ordinary irreducibles.
     """
+    group = _group_of(tau)
     n = group.order
     mult = group.mult
+    modulus = tau.modulus
+    rows = [tau.values[i : i + n] for i in range(0, n * n, n)]
     found: List[List[MonomialMatrix]] = []
     seen_chars = set()
     total = 0
@@ -297,17 +261,17 @@ def projective_irreducibles(
         if total + d * d > n:
             continue
         if any(
-            tau[a][b] != tau[b][a]
+            rows[a][b] != rows[b][a]
             for a in members
             for b in members
             if mult[a][b] == mult[b][a]
         ):
             continue
-        sub, mem = subgroup_as_group(Subgroup(parent=group, members=members))
-        # tau on the subgroup's one-object groupoid: (i, j) sits at i*|H| + j
-        restricted = [tau[a][b] % modulus for a in mem for b in mem]
-        if any(restricted):
-            lam = coboundary_solve(_cochain(point_groupoid(sub), 2, modulus, restricted))
+        sub, mem = subgroup_as_group(group, members)
+        inclusion = make_hom(point_groupoid(sub), tau.groupoid, [0], mem)
+        restricted = pullback(inclusion, tau)
+        if not restricted.is_zero():
+            lam = coboundary_solve(restricted)
             if lam is None:
                 continue
         else:
@@ -331,7 +295,7 @@ def projective_irreducibles(
                 for t, (jp, h) in zip(reps, moves[u]):
                     perm.append(jp)
                     exps.append(
-                        ((tau[t][u] - tau[h][reps[jp]]) * step + alpha_at[h]) % m
+                        ((rows[t][u] - rows[h][reps[jp]]) * step + alpha_at[h]) % m
                     )
                 # each matrix at its smallest modulus
                 c = math.gcd(m, *exps)

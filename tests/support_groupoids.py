@@ -601,11 +601,11 @@ def groups_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
         return False
 
     gens: List[int] = []
-    span = subgroup_generated(a, gens).members
+    span = subgroup_generated(a, gens)
     while len(span) < a.order:
         g = next(x for x in a.elements() if x not in span)
         gens.append(g)
-        span = subgroup_generated(a, gens).members
+        span = subgroup_generated(a, gens)
 
     orders_b: Dict[int, List[int]] = {}
     for h in b.elements():

@@ -24,18 +24,17 @@ from transfusion.cochains import (
 )
 from transfusion.cyclotomic import MonomialMatrix, as_cyclotomic
 from transfusion.fusion import (
-    KClass,
     basis_bundles,
     bundle_violation,
     fusion_table,
     kclass_star,
     make_context,
+    sector_cocycle,
     star,
     trace_table,
 )
 from transfusion.groupoids import point_groupoid
 from transfusion.groups import (
-    Subgroup,
     all_subgroups,
     centralizer,
     conjugacy_classes,
@@ -48,7 +47,6 @@ from transfusion.groups import (
 )
 from transfusion.projrep import (
     BasisError,
-    TwoCocycleGroup,
     linear_characters,
     projective_irreducibles,
     twisted_rank,
@@ -118,7 +116,7 @@ def _oracle_group_irreducibles(group):
     for members in sorted(all_subgroups(group), key=lambda mm: (-len(mm), mm)):
         if total == n:
             break
-        subgrp, mem = subgroup_as_group(Subgroup(parent=group, members=members))
+        subgrp, mem = subgroup_as_group(group, members)
         d = n // len(members)
         if total + d * d > n:
             continue
@@ -144,25 +142,25 @@ def _oracle_group_irreducibles(group):
     return found
 
 
-def _oracle_abelian_projective_irreps(tc):
-    group = tc.group
+def _oracle_abelian_projective_irreps(tau):
+    group = tau.groupoid.group
     n = group.order
 
     def beta(u, v):
-        return (tc.value(u, v) - tc.value(v, u)) % 1
+        return (tau.value((u, v)) - tau.value((v, u))) % 1
 
     radical = [u for u in group.elements() if all(beta(u, v) == 0 for v in group.elements())]
     members = tuple(radical)
     mset = set(members)
     for g in group.elements():
         if g not in mset and all(beta(g, l) == 0 for l in members):
-            members = subgroup_generated(group, list(members) + [g]).members
+            members = subgroup_generated(group, list(members) + [g])
             mset = set(members)
     assert len(members) ** 2 == n * len(radical)
 
-    lgrp, lmem = subgroup_as_group(Subgroup(parent=group, members=members))
+    lgrp, lmem = subgroup_as_group(group, members)
     ltab = {
-        (i, j): tc.value(lmem[i], lmem[j]) for i in range(len(lmem)) for j in range(len(lmem))
+        (i, j): tau.value((lmem[i], lmem[j])) for i in range(len(lmem)) for j in range(len(lmem))
     }
     nu = coboundary_solve(group_cochain(lgrp, 2, ltab))
     assert nu is not None
@@ -178,7 +176,7 @@ def _oracle_abelian_projective_irreps(tc):
     for chi in _angle_characters(lgrp):
         f_rows = [
             {
-                group.mult[l][t]: -(nu.value((i,)) + chi[i] + tc.value(l, t)) % 1
+                group.mult[l][t]: -(nu.value((i,)) + chi[i] + tau.value((l, t))) % 1
                 for i, l in enumerate(lmem)
             }
             for t in reps
@@ -188,7 +186,7 @@ def _oracle_abelian_projective_irreps(tc):
             perm = []
             angles = []
             for j, t in enumerate(reps):
-                image = {group.mult[h][u]: (a + tc.value(h, u)) % 1 for h, a in f_rows[j].items()}
+                image = {group.mult[h][u]: (a + tau.value((h, u))) % 1 for h, a in f_rows[j].items()}
                 jp = coset_of[group.mult[t][u]]
                 target = f_rows[jp]
                 anchor = group.mult[members[0]][reps[jp]]
@@ -215,15 +213,20 @@ def _oracle_basis(ctx):
     out = []
     if group.is_abelian():
         for g in group.elements():
-            tc = TwoCocycleGroup(group, ctx.tau.modulus, ctx.tau_table[g])
-            for mats in _oracle_abelian_projective_irreps(tc):
+            rows = ctx.tau_table[g]
+            tau = group_cochain(group, 2, {
+                (u1, u2): Fraction(v, ctx.tau.modulus)
+                for u1, row in enumerate(rows)
+                for u2, v in enumerate(row)
+            })
+            for mats in _oracle_abelian_projective_irreps(tau):
                 dims = tuple(len(mats[0]) if h == g else 0 for h in range(n))
                 out.append((dims, {(g, u): mats[u] for u in group.elements()}))
         return out
     assert ctx.tau.is_zero() and ctx.mu.is_zero()
     part = conjugacy_classes(group)
     for cls in part.classes:
-        zgrp, zmem = subgroup_as_group(centralizer(group, cls[0]))
+        zgrp, zmem = subgroup_as_group(group, centralizer(group, cls[0]))
         zpos = {m: i for i, m in enumerate(zmem)}
         for w in _oracle_group_irreducibles(zgrp):
             d = len(w[0])
@@ -283,11 +286,10 @@ def test_symmetric4_irreducibles_match_monomial_induction():
     group = symmetric(4)
     subgroups = all_subgroups(group)
     for rep, *_ in conjugacy_classes(group).classes:
-        zgrp, zmem = subgroup_as_group(centralizer(group, rep))
+        zgrp, zmem = subgroup_as_group(group, centralizer(group, rep))
         zpos = {m: i for i, m in enumerate(zmem)}
         inside = [tuple(zpos[m] for m in s) for s in subgroups if set(s) <= set(zmem)]
-        zero = [[0] * zgrp.order for _ in zgrp.elements()]
-        got = projective_irreducibles(zgrp, zero, 1, inside)
+        got = projective_irreducibles(zero_cochain(point_groupoid(zgrp), 2), inside)
         want = _oracle_group_irreducibles(zgrp)
         assert len(got) == len(want)
         for mats, w in zip(got, want):
@@ -315,10 +317,10 @@ def test_non_monomial_group_is_refused(tmp_path, capsys):
     table = _sl23()
     group = from_table(table)
     assert group.order == 24
-    zero = [[0] * 24 for _ in range(24)]
+    zero = zero_cochain(point_groupoid(group), 2)
     # 1 + 1 + 1 + 9 of 24, before and after the merge
     with pytest.raises(BasisError, match="squared-dimension total 12 of 24"):
-        projective_irreducibles(group, zero, 1, all_subgroups(group))
+        projective_irreducibles(zero, all_subgroups(group))
     with pytest.raises(BasisError, match="squared-dimension total 12 of 24"):
         _oracle_group_irreducibles(group)
     # fusion-table exits 2 on it, with nothing on stdout
@@ -339,13 +341,43 @@ def test_irreducibles_carry_the_multiplier_exactly():
     fy = [e % 2 for e in group.elements()]
     tau = cup_one_cochains(group, [fx, fy])
     table = [[tau.table.get((a, b), 0) for b in group.elements()] for a in group.elements()]
-    irreps = projective_irreducibles(group, table, tau.modulus, all_subgroups(group))
+    irreps = projective_irreducibles(tau, all_subgroups(group))
     assert [len(m[0]) for m in irreps] == [2, 2]
-    assert len(irreps) == twisted_rank(TwoCocycleGroup(group, tau.modulus, table))
+    assert len(irreps) == twisted_rank(tau)
     for mats in irreps:
         for u, v in itertools.product(group.elements(), repeat=2):
             want = mats[group.mult[u][v]].scale(table[u][v], tau.modulus)
             assert mats[u] @ mats[v] == want
+
+
+def _sign_halves(group):
+    """The nontrivial linear characters of values 0 and 1/2, as 0/1 lists."""
+    L, chars = linear_characters(group)
+    return [[2 * v // L for v in c] for c in chars if any(c) and all(2 * v in (0, L) for v in c)]
+
+
+def test_sector_cocycle_is_the_centralizer_rows_of_tau():
+    # the pullback along the centralizer's inclusion reads the rows that
+    # tau_table holds for the loop, at the same modulus
+    cube = construct_group("elemab:2,3")
+    s3, d4 = symmetric(3), dihedral(4)
+    beta = random_cochain(point_groupoid(s3), 2, random.Random("sector-cocycle"))
+    twists = [
+        (cube, poly_to_cocycle(parse_poly("xyz"), cube)),
+        (s3, cup_one_cochains(s3, _sign_halves(s3) * 3)),
+        (s3, delta(beta)),
+        (d4, cup_one_cochains(d4, _sign_halves(d4))),
+    ]
+    for group, phi in twists:
+        ctx = make_context(group, phi)
+        assert not ctx.tau.is_zero()
+        for g in group.elements():
+            zmem = centralizer(group, g)
+            tau_z = sector_cocycle(ctx, g)
+            rows = ctx.tau_table[g]
+            assert tau_z.groupoid.group.order == len(zmem) and tau_z.degree == 2
+            assert tau_z.modulus == ctx.tau.modulus
+            assert tau_z.values == [rows[a][b] for a in zmem for b in zmem]
 
 
 def _assert_complete_table(ctx, basis):
@@ -390,7 +422,7 @@ def test_nontrivial_class_on_a_nonabelian_centralizer():
     L, lc = linear_characters(group)
     phi = cup_one_cochains(group, [[2 * v // L for v in lc[i]] for i in (1, 2, 4)])
     for g in (1, 2, 3):
-        assert centralizer(group, g).members == tuple(group.elements())
+        assert centralizer(group, g) == tuple(group.elements())
         theta, _, _ = shuffle_transgression(group, phi, g)
         assert coboundary_solve(theta) is None
     ctx = make_context(group, phi)
@@ -404,5 +436,4 @@ def test_nontrivial_class_on_a_nonabelian_centralizer():
         a, b = rng.choice(basis), rng.choice(basis)
         prod = star(a, b)
         assert bundle_violation(prod) is None
-        want = kclass_star(KClass(ctx, a.traces), KClass(ctx, b.traces))
-        assert trace_table(prod) == want.table
+        assert trace_table(prod) == kclass_star(ctx, a.traces, b.traces)

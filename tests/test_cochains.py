@@ -37,7 +37,6 @@ from transfusion.cochains import (
     zero_cochain,
 )
 from transfusion.groups import (
-    Subgroup,
     all_subgroups,
     cyclic,
     dihedral,
@@ -349,7 +348,7 @@ def test_pullback_along_a_subgroupoid_inclusion_matches_the_nerve_loop():
     subgroups = [m for m in all_subgroups(s3) if 1 < len(m) < s3.order]
     assert len(subgroups) == 4
     for members in subgroups:
-        sub, members = subgroup_as_group(Subgroup(parent=s3, members=members))
+        sub, members = subgroup_as_group(s3, members)
         part = action_groupoid(sub, len(act), [[row[g] for g in members] for row in act])
         arrows = [x * s3.order + g for x in range(len(act)) for g in members]
         inclusion = make_hom(part, two, range(len(act)), arrows)
@@ -492,7 +491,7 @@ def test_transgression_matches_hand_expansion_degree_three():
         a = lam.objects[obj][1][0]
         u2 = lam.arrow(tup[1])[1]
         a1 = s3.conjugate(a, u1)
-        a2 = s3.conjugate(a, s3.mul(u1, u2))
+        a2 = s3.conjugate(a, s3.mult[u1][u2])
         want = (
             phi.value((a, u1, u2))
             - phi.value((u1, a1, u2))
@@ -646,7 +645,7 @@ def test_shuffle_frozen_values_on_rank_three_cube():
     # additive in the twisting element, on the nose for this cocycle
     for g in grp.elements():
         for h in grp.elements():
-            gh = grp.mul(g, h)
+            gh = grp.mult[g][h]
             assert (results[g] + results[h] - results[gh]).is_zero()
 
 

@@ -120,7 +120,7 @@ def test_inertia_orbits_match_classes():
         reps = [c[0] for c in conjugacy_classes(grp).classes]
         assert len(comps) == len(reps)
         # centralizer appears as the vertex group of the matching component
-        sizes_a = sorted(len(centralizer(grp, rep).members) for rep in reps)
+        sizes_a = sorted(len(centralizer(grp, rep)) for rep in reps)
         sizes_b = sorted(
             vertex_group(sect.groupoid, comp[0])[0].order for comp in comps
         )
@@ -154,7 +154,7 @@ def test_sector_compose_is_simultaneous_conjugation():
             for w in range(grp.order):
                 aw = sect.arrow_index(j, w)
                 assert compose[(av, aw)] == sect.arrow_index(
-                    i, grp.mul(v, w)
+                    i, grp.mult[v][w]
                 )
 
 
@@ -184,7 +184,7 @@ def test_evaluation_homs():
     for i, (_, (a, b)) in enumerate(two.objects):
         assert one.objects[e1.object_map[i]][1] == (a,)
         assert one.objects[e2.object_map[i]][1] == (b,)
-        assert one.objects[e12.object_map[i]][1] == (grp.mul(a, b),)
+        assert one.objects[e12.object_map[i]][1] == (grp.mult[a][b],)
     for name in ("e", "e3", "e21", "twist", "e0", "e01"):
         with pytest.raises(ValueError):
             evaluation_hom(two, name)
@@ -348,8 +348,8 @@ def test_ab_ba_conjugate():
     for a in grp.elements():
         for b in grp.elements():
             assert (
-                part_class.class_of[grp.mul(a, b)]
-                == part_class.class_of[grp.mul(b, a)]
+                part_class.class_of[grp.mult[a][b]]
+                == part_class.class_of[grp.mult[b][a]]
             )
 
 
@@ -415,7 +415,7 @@ def test_action_axiom_refuses_planted_defects_in_a_conjugation_table():
             for x in range(len(bad))
             for g in range(n)
             for h in range(n)
-            if bad[bad[x][g]][h] != bad[x][grp.mul(g, h)]
+            if bad[bad[x][g]][h] != bad[x][grp.mult[g][h]]
         )
         with pytest.raises(GroupoidValidationError) as exc:
             action_groupoid(grp, len(bad), bad)
@@ -637,9 +637,9 @@ def test_make_hom_refuses_planted_maps_like_the_dict_sweep():
     # on two points, the pair (a, b) going to the sign of ab
     s3, c2 = symmetric(3), cyclic(2)
     two_act = k_sectors(point_groupoid(s3), 2).groupoid.act
-    even = {s3.mul(h, h) for h in s3.elements()}
+    even = {s3.mult[h][h] for h in s3.elements()}
     sign = [0 if g in even else 1 for g in s3.elements()]
-    om = [sign[s3.mul(a, b)] for a in s3.elements() for b in s3.elements()]
+    om = [sign[s3.mult[a][b]] for a in s3.elements() for b in s3.elements()]
     inertia_c2 = (c2, [[0, 0], [1, 1]])
     rng = random.Random("uniform f")
     maps = [sign] + [[0] + [rng.randrange(2) for _ in range(5)] for _ in range(12)]
@@ -656,7 +656,7 @@ def test_make_hom_refuses_planted_maps_like_the_dict_sweep():
         rng = random.Random(seed)
         c = [rng.randrange(s3.order) for _ in one_act]
         am = [
-            s3.mul(s3.mul(s3.inverse(c[x]), g), c[y])
+            s3.mult[s3.mult[s3.inv[c[x]]][g]][c[y]]
             for x, row in enumerate(one_act)
             for g, y in enumerate(row)
         ]

@@ -85,11 +85,8 @@ UNCALLED_ALLOWED = {
     "untwisted_star": "oracle",
     "kclass_star": "oracle",
     "center_dimension": "oracle",
-    "make_twisted_algebra": "oracle",
     "mat_trace": "oracle",
     "regular_bundle": "fixture",
-    "kclass_add": "fixture",
-    "kclass_sub": "fixture",
     # the tests name sector objects and arrows through these
     "SectorGroupoid.obj_index": "fixture",
     "SectorGroupoid.arrow_index": "fixture",
@@ -224,12 +221,8 @@ FRACTION_ALLOWED = {
     "cyclotomic.Cyclotomic.from_rational": "boundary",
     "cyclotomic.Cyclotomic.rational_value": "boundary",
     "cyclotomic.phase": "boundary",
-    # the shift normalize_cocycle returns
-    "projrep.normalize_cocycle": "boundary",
     "smith.solve_mod1": "boundary",
     "fusion.kclass_star": "oracle",
-    # read by the center_dimension oracle
-    "projrep.TwoCocycleGroup.value": "oracle",
 }
 
 
