@@ -44,12 +44,13 @@ from .cochains import (
     write_cochain,
     zero_cochain,
 )
-from .fusion import FusionError, basis_bundles, fusion_table, make_context
+from .fusion import FusionError, basis_bundles, fork_map, fusion_table, make_context
 from .groupoids import inertia, k_sectors, point_groupoid
 from .groups import (
     FiniteGroup,
     GroupValidationError,
-    construct_group,
+    load_group_lines,
+    parse_group_spec,
 )
 from .projrep import BasisError, normalize_cocycle, twisted_rank
 
@@ -124,8 +125,8 @@ def resolve_group(spec: str) -> FiniteGroup:
                 lines = fh.read().splitlines()
         except OSError as e:
             raise InputError(f"cannot read group file {path}: {e}")
-        return construct_group(lines)
-    return construct_group(spec)
+        return load_group_lines(lines)
+    return parse_group_spec(spec)
 
 
 def check_twist_budget(command: str, group: FiniteGroup) -> None:
@@ -162,10 +163,10 @@ def _read_twist(group: FiniteGroup, args) -> Tuple[Cochain, str]:
     ]
     if len(picked) != 1:
         raise InputError("pick exactly one of --poly, --cocycle, --zero")
+    if args.bockstein and args.poly is None:
+        raise InputError("--bockstein needs --poly")
     gpd = point_groupoid(group)
     if args.zero:
-        if args.bockstein:
-            raise InputError("--bockstein needs --poly")
         return zero_cochain(gpd, 3), "zero"
     if args.poly is not None:
         n_vars = group.order.bit_length() - 1
@@ -184,8 +185,6 @@ def _read_twist(group: FiniteGroup, args) -> Tuple[Cochain, str]:
             phi = poly_to_cocycle(p, group)
             desc = f"halved cup of {args.poly}"
         return phi, desc
-    if args.bockstein:
-        raise InputError("--bockstein needs --poly")
     try:
         with open(args.cocycle, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -206,8 +205,6 @@ VERIFY_CHECKS = (
     "product-identity",
     "unit-pullback-triviality",
 )
-
-_VERIFY_STATE: Dict[str, object] = {}
 
 
 def _trial_cochains(state: Dict[str, object], t: int):
@@ -252,21 +249,12 @@ def _trial_sides(state: Dict[str, object], t: int):
     return sides
 
 
-def _verify_trial(t: int) -> Dict[str, Optional[Tuple[int, ...]]]:
-    sides = _trial_sides(_VERIFY_STATE, t)
+def _trial_failures(
+    state: Dict[str, object], t: int
+) -> Dict[str, Optional[Tuple[int, ...]]]:
+    """The first key where the two sides of each check differ in trial t."""
+    sides = _trial_sides(state, t)
     return {name: (a - b).first_key() for name, (a, b) in sides.items()}
-
-
-def _run_trials(state: Dict[str, object], trials: int, workers: int):
-    global _VERIFY_STATE
-    _VERIFY_STATE = state
-    size = min(workers, trials, os.cpu_count() or 1)
-    if size > 1:
-        import multiprocessing
-        # fork inherits the state dict; map keeps trial order
-        with multiprocessing.get_context("fork").Pool(size) as pool:
-            return pool.map(_verify_trial, range(trials))
-    return [_verify_trial(t) for t in range(trials)]
 
 
 def _parse_check_tuple(text: str) -> Tuple[str, int, Tuple[int, ...]]:
@@ -354,7 +342,9 @@ def cmd_verify(args) -> Report:
         _replay_tuple(state, report, args.check_tuple)
         return report
 
-    results = _run_trials(state, args.trials, args.workers)
+    results = fork_map(
+        lambda t: _trial_failures(state, t), range(args.trials), args.workers
+    )
     report.data["trials"] = args.trials
     for name in VERIFY_CHECKS:
         fails = [(t, res[name]) for t, res in enumerate(results) if res[name] is not None]
@@ -399,7 +389,8 @@ def cmd_transgress(args) -> Report:
     total = 0
     cocycle_failures = []
     for g in group.elements():
-        tg, zgrp, members = shuffle_transgression(group, phi, g)
+        tg, members = shuffle_transgression(phi, g)
+        zgrp = tg.groupoid.group
         try:
             tg = cocycle(tg)
             tc = normalize_cocycle(tg)
@@ -421,7 +412,7 @@ def cmd_transgress(args) -> Report:
             f" class {verdict}, twisted rank {rank}"
         )
         if zgrp.is_abelian():
-            pairing = commutator_pairing(zgrp, tg)
+            pairing = commutator_pairing(tg)
             nonzero = {k: v for k, v in pairing.items() if v}
             radical = [
                 members[a]

@@ -478,16 +478,17 @@ def unit_pullback_sides(
     return pullback(lam.unit, th), delta(pullback(two.unit, mu))
 
 
-def shuffle_transgression(
-    group: FiniteGroup, phi: Cochain, g: int
-) -> Tuple[Cochain, FiniteGroup, Tuple[int, ...]]:
+def shuffle_transgression(phi: Cochain, g: int) -> Tuple[Cochain, Tuple[int, ...]]:
     """Transgression at a single group element via the shuffle sum.
 
-    Returns (cochain on the one-object groupoid of the centralizer of g,
-    centralizer as a group, member list mapping its indices into the parent).
-    The value at (g_1..g_k) is the signed sum over the k+1 ways to interleave
-    g into the word, with sign (-1)^(k - insertion position).
+    phi lives on a group's one-object groupoid. Returns (cochain on the
+    one-object groupoid of the centralizer of g, member list mapping the
+    centralizer's indices into the group); the centralizer itself is
+    cochain.groupoid.group. The value at (g_1..g_k) is the signed sum over
+    the k+1 ways to interleave g into the word, with sign
+    (-1)^(k - insertion position).
     """
+    group = phi.groupoid.group
     if phi.groupoid is not point_groupoid(group):
         raise ValueError("shuffle transgression expects a cochain on the group groupoid")
     if phi.degree < 1:
@@ -498,7 +499,7 @@ def shuffle_transgression(
     n = phi.modulus
     v = phi.values
     if k == 0:
-        return _cochain(base, 0, n, [v[g]]), zgrp, members
+        return _cochain(base, 0, n, [v[g]]), members
     # phi lives on the one-object groupoid of the group: its key (b_0..b_k)
     # sits at the base-|G| number with those digits
     order = group.order
@@ -514,7 +515,7 @@ def shuffle_transgression(
             else:
                 total += v[p]
         out.append(total % n)
-    return _cochain(base, k, n, out), zgrp, members
+    return _cochain(base, k, n, out), members
 
 
 def coboundary_solve(c: Cochain) -> Optional[Cochain]:
@@ -769,16 +770,18 @@ def bockstein_lift(p: Poly2, group: FiniteGroup) -> Cochain:
     raise ValueError("lift implemented for homogeneous degree 3 and 4 only")
 
 
-def commutator_pairing(group: FiniteGroup, tau: Cochain) -> Dict[Tuple[int, int], Fraction]:
-    """Antisymmetrized values of a 2-cocycle on an abelian group.
+def commutator_pairing(tau: Cochain) -> Dict[Tuple[int, int], Fraction]:
+    """Antisymmetrized values of a 2-cocycle on an abelian group; tau is a
+    degree-2 cochain on the group's one-object groupoid.
 
     The table is unchanged under coboundary shifts, so it fingerprints the
     cohomology class.
     """
-    if not group.is_abelian():
-        raise ValueError("commutator pairing needs an abelian group")
+    group = tau.groupoid.group
     if tau.groupoid is not point_groupoid(group) or tau.degree != 2:
         raise ValueError("expected a degree-2 cochain on the group groupoid")
+    if not group.is_abelian():
+        raise ValueError("commutator pairing needs an abelian group")
     if not is_cocycle(tau):
         raise ValueError("commutator pairing needs a cocycle")
     n, v, order = tau.modulus, tau.values, group.order

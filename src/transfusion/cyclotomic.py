@@ -4,9 +4,9 @@ An element is a polynomial in zeta_N, reduced modulo the N-th cyclotomic
 polynomial and stored as integer numerators over one denominator; since
 that polynomial is monic, reduction and the field operations are integer
 arithmetic. Fraction appears only at the edges: the constructor's
-coefficients, `from_rational`, `coeffs`, `phase` and the value of a
-rational that is not an integer. Roots of unity inside the module are
-integer exponents over a modulus.
+coefficients, `from_rational`, `coeffs` and the value of a rational that
+is not an integer. Roots of unity are integer exponents over a modulus:
+`root(e, m)` is zeta_m^e.
 Binary operations promote both sides to the lcm conductor. This is enough
 field theory for unit-circle phases, characters, and the small exact linear
 algebra the fusion checks need.
@@ -219,27 +219,6 @@ class Cyclotomic:
         sign = 1 if c > 0 else -1
         return Cyclotomic._make(n, [x * norm.den * sign for x in rest.num], rest.den * abs(c))
 
-    def __truediv__(self, other):
-        o = Cyclotomic._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return Cyclotomic._coerce(other) * self.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Cyclotomic.from_rational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def _galois(self, k: int) -> "Cyclotomic":
         """The Galois conjugate zeta -> zeta^k, for k prime to N."""
         n = self.conductor
@@ -292,19 +271,14 @@ class Cyclotomic:
 
 
 @lru_cache(maxsize=8192)
-def _root(e: int, m: int) -> Cyclotomic:
-    """zeta_m^e at the conductor of its order, m / gcd(e, m)."""
+def root(e: int, m: int) -> Cyclotomic:
+    """zeta_m^e, exp(2 pi i e/m), at the conductor of its order,
+    m / gcd(e, m)."""
     g = gcd(e, m)
     e, m = e // g % (m // g), m // g
     big = [0] * m
     big[e] = 1
     return Cyclotomic(m, big)
-
-
-def phase(f: Rat) -> Cyclotomic:
-    """exp(2 pi i f) for rational f, exact."""
-    fr = Fraction(f)
-    return _root(fr.numerator, fr.denominator)
 
 
 # matrix helpers; a matrix is a tuple of row tuples of Cyclotomic
@@ -356,7 +330,7 @@ def mat_trace(a) -> Cyclotomic:
 @lru_cache(maxsize=64)
 def _root_exponents(m: int) -> Dict[Tuple[Tuple[int, ...], int], int]:
     """The key at conductor m of zeta_m^k, mapped to k."""
-    return {_root(k, m).key_at(m): k for k in range(m)}
+    return {root(k, m).key_at(m): k for k in range(m)}
 
 
 class MonomialMatrix:
@@ -484,7 +458,7 @@ class MonomialMatrix:
         rows = []
         for p, e in zip(self.perm, self.exps):
             row = [zero] * n
-            row[p] = _root(e, self.modulus)
+            row[p] = root(e, self.modulus)
             rows.append(tuple(row))
         return tuple(rows)
 

@@ -24,8 +24,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cochains import (
     Cochain,
@@ -41,7 +40,7 @@ from .cyclotomic import (
     MonomialMatrix,
     as_cyclotomic,
     mat_mul,
-    phase,
+    root,
     row_reduce,
 )
 from .groups import (
@@ -299,8 +298,8 @@ def star(a: TwistedBundle, b: TwistedBundle) -> TwistedBundle:
 
     The summand over (g1, g2) inside the fiber over g1*g2 is the tensor
     product of the two fibers; the conjugation map on it is the tensor
-    product of the two maps times phase(-mu(g1, g2; u)). The sign in the
-    exponent is forced: with it, the product identity turns the twisted
+    product of the two maps times exp(-2 pi i mu(g1, g2; u)). The sign in
+    the exponent is forced: with it, the product identity turns the twisted
     composition rules for a and b into the rule for the product.
 
     Every map of the product is written at one modulus, the lcm of mu's
@@ -448,7 +447,7 @@ def kclass_star(
     """Character-level product of two character tables over ctx.
 
     Only summands fixed by the conjugator contribute to a trace, so the
-    value at (g, u) sums phase(-mu(g1, g2; u)) x(g1, u) y(g2, u) over
+    value at (g, u) sums exp(-2 pi i mu(g1, g2; u)) x(g1, u) y(g2, u) over
     factorizations g1*g2 = g with g1 fixed by u (g2 is then fixed too).
     """
     group = ctx.group
@@ -460,8 +459,7 @@ def kclass_star(
             if group.conjugate(g1, u) != g1:
                 continue
             g2 = group.mult[group.inv[g1]][g]
-            mu = Fraction(-mu_t[g1][g2][u], m)
-            acc = acc + phase(mu) * x[(g1, u)] * y[(g2, u)]
+            acc = acc + root(-mu_t[g1][g2][u], m) * x[(g1, u)] * y[(g2, u)]
         table[(g, u)] = acc
     return table
 
@@ -725,18 +723,31 @@ def _pair(basis, solver, i: int, j: int):
     return [((i, j), ij), ((j, i), ji)], commutes
 
 
-# a fork worker's basis and solver, set by the pool initializer in the
-# worker process only; the fork hands them over without pickling
-_worker_args: tuple = ()
+# the task function of the running fork_map, set before its pool forks so
+# the workers inherit it, and all it refers to, without pickling
+_fork_task: Optional[Callable] = None
 
 
-def _init_worker(basis, solver) -> None:
-    global _worker_args
-    _worker_args = (basis, solver)
+def _run_fork_task(task):
+    return _fork_task(task)
 
 
-def _worker_pair(task: Tuple[int, int]):
-    return _pair(*_worker_args, *task)
+def fork_map(func: Callable, tasks: Sequence, workers: int) -> list:
+    """[func(t) for t in tasks], spread over a fork pool of
+    min(workers, len(tasks), cores) processes when that is more than one;
+    results come back in task order either way. func may be a closure:
+    only the tasks and the results are pickled."""
+    global _fork_task
+    size = min(workers, len(tasks), os.cpu_count() or 1)
+    if size <= 1:
+        return [func(t) for t in tasks]
+    import multiprocessing
+    _fork_task = func
+    try:
+        with multiprocessing.get_context("fork").Pool(size) as pool:
+            return pool.map(_run_fork_task, tasks)
+    finally:
+        _fork_task = None
 
 
 def fusion_table(
@@ -761,15 +772,7 @@ def fusion_table(
 
     n = len(basis)
     tasks = [(i, j) for i in range(n) for j in range(i, n)]
-    size = min(workers, len(tasks), os.cpu_count() or 1)
-    if size > 1:
-        import multiprocessing
-        with multiprocessing.get_context("fork").Pool(
-            size, initializer=_init_worker, initargs=(basis, solver)
-        ) as pool:
-            results = pool.map(_worker_pair, tasks)
-    else:
-        results = [_pair(basis, solver, i, j) for i, j in tasks]
+    results = fork_map(lambda task: _pair(basis, solver, *task), tasks, workers)
 
     constants: List[List[Optional[Tuple[int, ...]]]] = [[None] * n for _ in range(n)]
     table = FusionTable(constants=(), unit_candidates=unit_candidates)

@@ -2,12 +2,16 @@
 
 Index 0 is always the identity. Every constructor funnels through table
 validation, so downstream code can trust the axioms instead of rechecking.
+The one exception is subgroup_as_group, which cuts a subgroup out of an
+already validated group: it checks only that the members hold the identity
+and are closed, since a closed subset of a finite group is a subgroup and
+associativity is inherited from the parent.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 DEFAULT_ORDER_CAP = 64
@@ -26,9 +30,6 @@ class FiniteGroup:
     order: int
     mult: Tuple[Tuple[int, ...], ...]
     inv: Tuple[int, ...]
-    # presentation metadata; two groups with the same table are the same group
-    name: str = field(default="group", compare=False)
-    labels: Optional[Tuple[str, ...]] = field(default=None, compare=False)
 
     def elements(self) -> range:
         return range(self.order)
@@ -52,15 +53,9 @@ class FiniteGroup:
             for b in range(a + 1, self.order)
         )
 
-    def label(self, g: int) -> str:
-        if self.labels is not None:
-            return self.labels[g]
-        return str(g)
-
 
 @dataclass(frozen=True)
 class ConjugacyPartition:
-    group: FiniteGroup
     classes: Tuple[Tuple[int, ...], ...]
     # transporter[h] = v with h = v^-1 * rep * v for the rep of h's class
     transporter: Tuple[int, ...]
@@ -121,16 +116,9 @@ def _validate_table(
     return table, tuple(inv)
 
 
-def from_table(
-    mult: Sequence[Sequence[int]],
-    name: str = "table",
-    labels: Optional[Sequence[str]] = None,
-) -> FiniteGroup:
+def from_table(mult: Sequence[Sequence[int]]) -> FiniteGroup:
     table, inv = _validate_table(mult)
-    lab = tuple(labels) if labels is not None else None
-    if lab is not None and len(lab) != len(table):
-        raise GroupValidationError("labels length does not match order")
-    return FiniteGroup(order=len(table), mult=table, inv=inv, name=name, labels=lab)
+    return FiniteGroup(order=len(table), mult=table, inv=inv)
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -138,7 +126,7 @@ def cyclic(n: int) -> FiniteGroup:
         raise GroupValidationError("cyclic order must be positive")
     _check_order(n)
     mult = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return from_table(mult, name=f"cyclic:{n}")
+    return from_table(mult)
 
 
 def elementary_abelian(p: int, n: int) -> FiniteGroup:
@@ -163,15 +151,7 @@ def elementary_abelian(p: int, n: int) -> FiniteGroup:
         return out
 
     mult = [[add(a, b) for b in range(order)] for a in range(order)]
-    labels = []
-    for g in range(order):
-        digs = []
-        x = g
-        for _ in range(n):
-            digs.append(str(x % p))
-            x //= p
-        labels.append("".join(digs))
-    return from_table(mult, name=f"elemab:{p},{n}", labels=labels)
+    return from_table(mult)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -190,10 +170,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
         for x1 in range(a.order)
         for y1 in range(b.order)
     ]
-    labels = [
-        f"({a.label(x)},{b.label(y)})" for x in range(a.order) for y in range(b.order)
-    ]
-    return from_table(mult, name=f"product:{a.name},{b.name}", labels=labels)
+    return from_table(mult)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -207,8 +184,7 @@ def symmetric(n: int) -> FiniteGroup:
         return tuple(q[p[i]] for i in range(n))
 
     mult = [[index[compose(p, q)] for q in perms] for p in perms]
-    labels = ["".join(str(i) for i in p) for p in perms]
-    return from_table(mult, name=f"symmetric:{n}", labels=labels)
+    return from_table(mult)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -236,8 +212,7 @@ def dihedral(n: int) -> FiniteGroup:
             else:
                 row.append(enc(r1 - r2, 1 - f2))
         mult.append(row)
-    labels = [f"r{g % n}" if g < n else f"fr{g % n}" for g in range(order)]
-    return from_table(mult, name=f"dihedral:{n}", labels=labels)
+    return from_table(mult)
 
 
 def centralizer(group: FiniteGroup, g: int) -> Tuple[int, ...]:
@@ -267,7 +242,6 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyPartition:
             transporter[h] = v
         classes.append(tuple(sorted(orbit)))
     return ConjugacyPartition(
-        group=group,
         classes=tuple(classes),
         transporter=tuple(transporter),
         class_of=tuple(class_of),
@@ -298,10 +272,18 @@ def subgroup_as_group(
 ) -> Tuple[FiniteGroup, Tuple[int, ...]]:
     """Reindex a subgroup, given by its members, as a standalone group;
     returns it with the member list mapping new indices to parent indices
-    (identity first)."""
-    ordered = [0] + [m for m in sorted(members) if m != 0]
-    if set(ordered) != set(members):
+    (identity first).
+
+    Only the identity and closure are checked; the table is not validated
+    again. A closed subset of a finite group is a subgroup: the powers of
+    each member stay in it and return to the identity, so its inverse is
+    one of them and is read off the parent. Associativity is inherited from
+    the parent.
+    """
+    mset = set(members)
+    if 0 not in mset:
         raise GroupValidationError("subgroup does not contain the identity")
+    ordered = [0] + sorted(mset - {0})
     pos = {m: i for i, m in enumerate(ordered)}
     mult = []
     for a in ordered:
@@ -314,10 +296,9 @@ def subgroup_as_group(
                     witness=(a, b),
                 )
             row.append(pos[c])
-        mult.append(row)
-    labels = [parent.label(m) for m in ordered]
-    g = from_table(mult, name=f"sub{len(ordered)}of:{parent.name}", labels=labels)
-    return g, tuple(ordered)
+        mult.append(tuple(row))
+    inv = tuple(pos[parent.inv[m]] for m in ordered)
+    return FiniteGroup(order=len(ordered), mult=tuple(mult), inv=inv), tuple(ordered)
 
 
 def all_subgroups(group: FiniteGroup) -> List[Tuple[int, ...]]:
@@ -414,15 +395,3 @@ def load_group_lines(lines: Iterable[str]) -> FiniteGroup:
     if tokens:
         raise GroupValidationError(f"trailing tokens in group file: {tokens}")
     return group
-
-
-def construct_group(spec) -> FiniteGroup:
-    """Accepts a compact spec string, an iterable of file lines, or an
-    explicit multiplication table."""
-    if isinstance(spec, str):
-        if "\n" in spec:
-            return load_group_lines(spec.splitlines())
-        return parse_group_spec(spec)
-    if isinstance(spec, (list, tuple)) and spec and isinstance(spec[0], str):
-        return load_group_lines(spec)
-    return from_table(spec)

@@ -15,7 +15,7 @@ the 1-cochains on a subgroup whose coboundary is the cocycle there.
 
 Cocycles, characters and alpha-characters are integers over a modulus;
 this module builds no Fraction. The center_dimension oracle reads its
-phases through Cochain.value_at.
+phases as integers over tau.modulus.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .cyclotomic import (
     MonomialMatrix,
     as_cyclotomic,
     matrix_rank,
-    phase,
+    root,
 )
 from .groups import (
     FiniteGroup,
@@ -116,16 +116,16 @@ def center_dimension(tau: Cochain) -> int:
     """Dimension of the center of the group algebra twisted by a normalized
     2-cocycle, by solving z e_g = e_g z for all g.
 
-    The basis vector for g times the one for h is phase(tau(g,h)) times the
-    one for gh. Matching coefficients of the basis vector at m in
-    z e_g = e_g z gives one linear equation per (g, m) over the cyclotomic
-    field; the center is the kernel of the stacked system.
+    The basis vector for g times the one for h is exp(2 pi i tau(g,h))
+    times the one for gh. Matching coefficients of the basis vector at m
+    in z e_g = e_g z gives one linear equation per (g, m) over the
+    cyclotomic field; the center is the kernel of the stacked system.
     """
     group = _group_of(tau)
-    n = group.order
+    n, v, modulus = group.order, tau.values, tau.modulus
     if n > ALGEBRA_ORDER_CAP:
         raise ValueError(f"algebra oracle capped at order {ALGEBRA_ORDER_CAP}")
-    if any(tau.values[:n]) or any(tau.values[::n]):
+    if any(v[:n]) or any(v[::n]):
         raise ValueError("algebra expects a normalized cocycle")
     zero = as_cyclotomic(0)
     rows = []
@@ -135,8 +135,8 @@ def center_dimension(tau: Cochain) -> int:
             h1 = group.mult[m][ginv]
             h2 = group.mult[ginv][m]
             row = [zero] * n
-            row[h1] = row[h1] + phase(tau.value_at(h1 * n + g))
-            row[h2] = row[h2] - phase(tau.value_at(g * n + h2))
+            row[h1] = row[h1] + root(v[h1 * n + g], modulus)
+            row[h2] = row[h2] - root(v[g * n + h2], modulus)
             if not all(x.is_zero() for x in row):
                 rows.append(row)
     if not rows:

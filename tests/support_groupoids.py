@@ -550,7 +550,7 @@ def vertex_group(gpd: AnyGroupoid, x: int) -> Tuple[FiniteGroup, Tuple[int, ...]
     ]
     pos = {a: i for i, a in enumerate(members)}
     mult = [[pos[gpd.compose[(a, b)]] for b in members] for a in members]
-    return from_table(mult, name=f"vertex at {x}"), tuple(members)
+    return from_table(mult), tuple(members)
 
 
 def groupoids_isomorphic(

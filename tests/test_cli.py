@@ -11,7 +11,7 @@ import pytest
 from transfusion.cli import main
 from transfusion.cochains import Cochain, read_cochain, shuffle_transgression
 from transfusion.groupoids import point_groupoid
-from transfusion.groups import construct_group
+from transfusion.groups import parse_group_spec
 
 
 def run_main(capsys, *argv):
@@ -148,15 +148,15 @@ def test_transgress_out_files_roundtrip(tmp_path, capsys):
         str(tmp_path),
     )
     assert code == 0
-    group = construct_group("elemab:2,3")
+    group = parse_group_spec("elemab:2,3")
     from transfusion.cochains import bockstein_lift, parse_poly
 
     phi = bockstein_lift(parse_poly("xyz"), group)
     for g in group.elements():
         path = tmp_path / f"sector_{g:03d}.cochain"
         assert path.exists()
-        tg, zgrp, _ = shuffle_transgression(group, phi, g)
-        back = read_cochain(path.read_text().splitlines(), point_groupoid(zgrp))
+        tg, _ = shuffle_transgression(phi, g)
+        back = read_cochain(path.read_text().splitlines(), tg.groupoid)
         assert back == tg
 
 
@@ -199,7 +199,7 @@ def test_fusion_table_covers_twisted_nonabelian(tmp_path, capsys):
     from transfusion.cochains import cup_one_cochains, write_cochain
     from transfusion.projrep import linear_characters
 
-    s3 = construct_group("symmetric:3")
+    s3 = parse_group_spec("symmetric:3")
     L, chars = linear_characters(s3)
     sign = [2 * v // L for v in chars[1]]
     phi = cup_one_cochains(s3, [sign, sign, sign])
@@ -216,10 +216,8 @@ def test_fusion_table_covers_twisted_nonabelian(tmp_path, capsys):
 class _InlinePool:
     """Stands in for a fork pool: records its size and maps in this process."""
 
-    def __init__(self, sizes, size, initializer=None, initargs=()):
+    def __init__(self, sizes, size):
         sizes.append(size)
-        if initializer is not None:
-            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -232,8 +230,6 @@ class _InlinePool:
 
 
 def test_worker_pools_are_clamped(monkeypatch, capsys):
-    from transfusion import fusion
-
     sizes = []
 
     class ForkContext:
@@ -245,8 +241,6 @@ def test_worker_pools_are_clamped(monkeypatch, capsys):
         return ForkContext()
 
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    # the inline initializer sets the worker globals in this process
-    monkeypatch.setattr(fusion, "_worker_args", ())
     table = ["fusion-table", "--group", "cyclic:2", "--zero", "--workers"]
     verify = ["verify", "--group", "cyclic:2", "--trials", "3", "--seed", "0", "--workers"]
     _, table_out = run_main(capsys, *table, "1")
@@ -360,7 +354,7 @@ def test_fusion_table_dihedral_untwisted(capsys):
 def test_cocycle_file_input_matches_poly(tmp_path, capsys):
     from transfusion.cochains import bockstein_lift, parse_poly, write_cochain
 
-    group = construct_group("elemab:2,2")
+    group = parse_group_spec("elemab:2,2")
     phi = bockstein_lift(parse_poly("x4", 2), group)
     path = tmp_path / "phi.cochain"
     path.write_text("\n".join(write_cochain(phi)) + "\n")
@@ -453,7 +447,7 @@ def test_context_checks_refuse_a_bumped_cochain(monkeypatch, capsys, target, mes
         return _bumped_at_identity(real(phi, sectors), sectors, loops)
 
     monkeypatch.setattr(fusion, target, bumped)
-    group = construct_group("cyclic:2")
+    group = parse_group_spec("cyclic:2")
     with pytest.raises(fusion.FusionError, match=message):
         fusion.make_context(group, zero_cochain(point_groupoid(group), 3))
     code, out = run_main(capsys, "fusion-table", "--group", "cyclic:2", "--zero")

@@ -602,7 +602,8 @@ def test_shuffle_matches_loop_transgression_on_centralizer_words():
         th = inverse_transgression(phi, lam)
         k = deg - 1
         for g in s3.elements():
-            shuffled, zgrp, members = shuffle_transgression(s3, phi, g)
+            shuffled, members = shuffle_transgression(phi, g)
+            zgrp = shuffled.groupoid.group
             if k == 1:
                 words = [(t,) for t in range(zgrp.order)]
             else:
@@ -619,6 +620,10 @@ def test_shuffle_matches_loop_transgression_on_centralizer_words():
                     sector_word.append(arrow)
                     obj = lam.groupoid.target[arrow]
                 assert shuffled.value(word) == th.value(tuple(sector_word))
+    # the group is read from phi, which must live on a group's point groupoid
+    off_point = random_cochain(lam.groupoid, 2, random.Random("sh-off"))
+    with pytest.raises(ValueError, match="cochain on the group groupoid"):
+        shuffle_transgression(off_point, 1)
 
 
 def test_shuffle_frozen_values_on_rank_three_cube():
@@ -631,8 +636,8 @@ def test_shuffle_frozen_values_on_rank_three_cube():
     }
     results = {}
     for g in grp.elements():
-        th, zgrp, members = shuffle_transgression(grp, phi, g)
-        assert zgrp.order == 8 and members == tuple(range(8))
+        th, members = shuffle_transgression(phi, g)
+        assert th.groupoid.group.order == 8 and members == tuple(range(8))
         table = {}
         for u in grp.elements():
             for v in grp.elements():
@@ -674,9 +679,9 @@ def test_coboundary_solve_refuses_and_detects():
 
     grp = elementary_abelian(2, 3)
     phi = poly_to_cocycle(parse_poly("xyz"), grp)
-    th, _, _ = shuffle_transgression(grp, phi, 1)
+    th, _ = shuffle_transgression(phi, 1)
     assert coboundary_solve(th) is None
-    th0, _, _ = shuffle_transgression(grp, phi, 0)
+    th0, _ = shuffle_transgression(phi, 0)
     assert th0.is_zero() and coboundary_solve(th0) is not None
 
     s3 = symmetric(3)
@@ -822,15 +827,22 @@ def test_commutator_pairing():
     g4 = elementary_abelian(2, 2)
     fx, fy = dual_cochains(g4, 2)
     tau = cup_one_cochains(g4, [fx, fy])
-    beta = commutator_pairing(g4, tau)
+    beta = commutator_pairing(tau)
     assert beta[(1, 2)] == H and beta[(2, 1)] == H
     assert all(beta[(g, g)] == 0 for g in g4.elements())
     shift = delta(random_cochain(point_groupoid(g4), 1, random.Random("pairing")))
-    assert commutator_pairing(g4, tau + shift) == beta
-    with pytest.raises(ValueError):
-        commutator_pairing(symmetric(3), random_cochain(point_groupoid(symmetric(3)), 2, random.Random(1)))
-    with pytest.raises(ValueError):
-        commutator_pairing(g4, Cochain(point_groupoid(g4), 2, {(1, 2): F(1, 3)}))
+    assert commutator_pairing(tau + shift) == beta
+    with pytest.raises(ValueError, match="abelian"):
+        commutator_pairing(random_cochain(point_groupoid(symmetric(3)), 2, random.Random(1)))
+    with pytest.raises(ValueError, match="cocycle"):
+        commutator_pairing(Cochain(point_groupoid(g4), 2, {(1, 2): F(1, 3)}))
+    # the group is read from the cochain, which must be a degree-2 cochain
+    # on a group's one-object groupoid
+    wrong = "expected a degree-2 cochain on the group groupoid"
+    with pytest.raises(ValueError, match=wrong):
+        commutator_pairing(zero_cochain(point_groupoid(g4), 1))
+    with pytest.raises(ValueError, match=wrong):
+        commutator_pairing(zero_cochain(inertia(point_groupoid(g4)).groupoid, 2))
 
 
 def test_file_roundtrip():
@@ -991,7 +1003,7 @@ def test_cocycle_type_carries_one_sweep(monkeypatch):
     g4 = elementary_abelian(2, 2)
     fx, fy = dual_cochains(g4, 2)
     tau = cup_one_cochains(g4, [fx, fy])
-    assert commutator_pairing(g4, cocycle(tau)) == commutator_pairing(g4, tau)
+    assert commutator_pairing(cocycle(tau)) == commutator_pairing(tau)
     assert sweeps == [2, 2]
 
 

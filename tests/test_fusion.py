@@ -22,7 +22,7 @@ from transfusion.cyclotomic import (
     as_cyclotomic,
     mat_mul,
     mat_trace,
-    phase,
+    root,
     row_reduce,
 )
 from transfusion.fusion import (
@@ -135,7 +135,7 @@ def test_bundle_validator_negative_controls():
     # flip one map by a half phase: composition must fail and name a triple
     bad_maps = dict(reg.maps)
     bad_maps[(0, 3)] = MonomialMatrix.from_dense(
-        tuple(phase(Fraction(1, 2)) * x for x in row) for row in bad_maps[(0, 3)].dense()
+        tuple(root(1, 2) * x for x in row) for row in bad_maps[(0, 3)].dense()
     )
     bad = TwistedBundle(context=ctx, dims=reg.dims, maps=bad_maps)
     w = bundle_violation(bad)
@@ -308,9 +308,7 @@ def test_character_covariance_and_vanishing():
                     uv = group.conjugate(u, v)
                     lhs = ch[(gv, uv)]
                     tau_g = ctx.tau_table[g]
-                    rhs = phase(
-                        Fraction(tau_g[v][uv] - tau_g[u][v], ctx.tau.modulus)
-                    ) * ch[(g, u)]
+                    rhs = root(tau_g[v][uv] - tau_g[u][v], ctx.tau.modulus) * ch[(g, u)]
                     assert (lhs - rhs).is_zero()
     # on an abelian group that covariance forces vanishing off the radical
     ctx = cube_context()
@@ -539,7 +537,7 @@ def test_gram_solver_matches_subsystem_solver():
     ctx = s3_context()
     basis = basis_bundles(ctx)
     tables = [trace_table(v) for v in basis]
-    i = phase(Fraction(1, 4))
+    i = root(1, 4)
     tables[0] = {k: tables[0][k] + i * tables[1][k] for k in tables[0]}
     gram = fusion.character_gram(ctx, tables)[2]
     assert gram[0][1] == -6 * i and gram[1][0] == 6 * i

@@ -15,10 +15,10 @@ from transfusion.cochains import inverse_transgression, product_homotopy, random
 from transfusion.groups import (
     centralizer,
     conjugacy_classes,
-    construct_group,
     cyclic,
     dihedral,
     elementary_abelian,
+    parse_group_spec,
     symmetric,
 )
 from transfusion.groupoids import (
@@ -367,7 +367,7 @@ SECTOR_CASES = [
 
 @pytest.mark.parametrize("spec,k", SECTOR_CASES)
 def test_sector_groupoids_are_the_conjugation_action_groupoids(spec, k):
-    base = point_groupoid(construct_group(spec))
+    base = point_groupoid(parse_group_spec(spec))
     sect = k_sectors(base, k)
     gpd = sect.groupoid
     # the numberings are computed, and the identities, inverses and
@@ -518,7 +518,7 @@ def _composition_cases():
     grp = cyclic(5)
     yield "cyclic:5", grp, [[0] * 5], [("self", "self", [0], list(range(5)))]
     for spec in ("symmetric:3", "dihedral:4"):
-        grp = construct_group(spec)
+        grp = parse_group_spec(spec)
         base = point_groupoid(grp)
         for k in (1, 2, 3):
             sect = k_sectors(base, k)
@@ -728,7 +728,7 @@ def test_sector_numbering_pinned_by_cochains_and_replays(capsys):
         ),
     }
     for spec, (seed, lam_hash, two_hash) in frozen.items():
-        base = point_groupoid(construct_group(spec))
+        base = point_groupoid(parse_group_spec(spec))
         phi = random_cochain(base, 3, random.Random(seed))
         assert _digest(inverse_transgression(phi, inertia(base))) == lam_hash, spec
         assert _digest(product_homotopy(phi, k_sectors(base, 2))) == two_hash, spec

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from transfusion.groups import (
@@ -7,7 +9,6 @@ from transfusion.groups import (
     all_subgroups,
     centralizer,
     conjugacy_classes,
-    construct_group,
     cyclic,
     dihedral,
     direct_product,
@@ -21,6 +22,11 @@ from transfusion.groups import (
 )
 
 from support_groupoids import groups_isomorphic
+
+
+def _perm_index(*images):
+    """The index of a permutation in symmetric(n): its lex rank."""
+    return sorted(itertools.permutations(range(len(images)))).index(images)
 
 
 def _check_axioms(g):
@@ -81,12 +87,11 @@ def test_symmetric_three_facts():
     sizes = sorted(len(centralizer(g, c[0])) for c in part.classes)
     assert sizes == [2, 3, 6]
     # composition convention: (sigma then tau)
-    labels = [g.label(x) for x in g.elements()]
-    i_sigma = labels.index("102")  # swap first two letters
-    i_tau = labels.index("021")  # swap last two letters
+    i_sigma = _perm_index(1, 0, 2)  # swap first two letters
+    i_tau = _perm_index(0, 2, 1)  # swap last two letters
     composed = g.mult[i_sigma][i_tau]
     # sigma then tau: 0 ->1 ->2, 1 ->0 ->0, 2 ->2 ->1
-    assert labels[composed] == "201"
+    assert composed == _perm_index(2, 0, 1)
 
 
 def test_symmetric_four():
@@ -132,10 +137,9 @@ def test_elementary_abelian_classes_singletons():
 
 def test_subgroup_generated():
     g = symmetric(3)
-    labels = [g.label(x) for x in g.elements()]
-    rot = labels.index("120")
-    assert subgroup_generated(g, [rot]) == (0, rot, labels.index("201"))
-    swap = labels.index("102")
+    rot = _perm_index(1, 2, 0)
+    assert subgroup_generated(g, [rot]) == (0, rot, _perm_index(2, 0, 1))
+    swap = _perm_index(1, 0, 2)
     assert subgroup_generated(g, [rot, swap]) == tuple(g.elements())
     assert subgroup_generated(g, []) == (0,)
 
@@ -149,6 +153,29 @@ def test_subgroup_as_group():
     for i in range(h.order):
         for j in range(h.order):
             assert members[h.mult[i][j]] == g.mult[members[i]][members[j]]
+
+
+def test_subgroup_as_group_reads_inverses_off_the_parent():
+    for g in (dihedral(4), symmetric(4)):
+        for sub in all_subgroups(g):
+            h, members = subgroup_as_group(g, sub)
+            assert members == sub
+            assert all(members[h.inv[i]] == g.inv[members[i]] for i in h.elements())
+            assert h == from_table(h.mult)
+
+
+def test_subgroup_as_group_refuses_non_subgroups():
+    g = symmetric(3)
+    with pytest.raises(GroupValidationError, match="identity"):
+        subgroup_as_group(g, [1, 2])
+    # {e, (01), (12)}: (01) then (12) is a 3-cycle outside the set
+    s01, s12 = _perm_index(1, 0, 2), _perm_index(0, 2, 1)
+    with pytest.raises(GroupValidationError, match="not closed") as err:
+        subgroup_as_group(g, [0, s01, s12])
+    # the first failing product in row-major order of the sorted members
+    a, b = min(s01, s12), max(s01, s12)
+    assert err.value.witness == (a, b)
+    assert g.mult[a][b] not in (0, s01, s12)
 
 
 def test_all_subgroups_counts():
@@ -223,10 +250,3 @@ def test_load_group_lines():
     assert groups_isomorphic(load_group_lines(["dihedral 4"]), dihedral(4))
     with pytest.raises(GroupValidationError):
         load_group_lines(["order 2", "0 1"])
-
-
-def test_construct_group_dispatch():
-    assert construct_group("cyclic:5").order == 5
-    assert construct_group("order 2\n0 1\n1 0").order == 2
-    assert construct_group([[0, 1], [1, 0]]).order == 2
-    assert construct_group(["cyclic 3"]).order == 3

@@ -204,8 +204,8 @@ def test_every_public_definition_has_a_caller_or_a_reason():
 
 
 # the functions that build Fractions, each with its reason: an angle is an
-# integer over a modulus everywhere else, and crosses into or out of a
-# Fraction only at a boundary the README names, or inside an oracle
+# integer over a modulus everywhere else, oracles included, and crosses
+# into or out of a Fraction only at a boundary the README names
 FRACTION_ALLOWED = {
     # value(), the constructor's table and a solve's solution, the
     # right-hand side of a solve, report text and cochain files
@@ -215,14 +215,12 @@ FRACTION_ALLOWED = {
     "cochains.commutator_pairing": "boundary",
     "cochains.write_cochain": "boundary",
     "cochains.read_cochain": "boundary",
-    # rational coefficients in and out, and phase
+    # rational coefficients in and out
     "cyclotomic._common_denominator": "boundary",
     "cyclotomic.Cyclotomic.coeffs": "boundary",
     "cyclotomic.Cyclotomic.from_rational": "boundary",
     "cyclotomic.Cyclotomic.rational_value": "boundary",
-    "cyclotomic.phase": "boundary",
     "smith.solve_mod1": "boundary",
-    "fusion.kclass_star": "oracle",
 }
 
 
@@ -270,4 +268,4 @@ def test_fractions_are_built_only_at_the_boundaries_and_in_oracles():
     assert sorted(found - set(FRACTION_ALLOWED)) == []
     # a function that stops building Fractions leaves the list
     assert sorted(FRACTION_ALLOWED) == sorted(found)
-    assert set(FRACTION_ALLOWED.values()) == {"boundary", "oracle"}
+    assert set(FRACTION_ALLOWED.values()) == {"boundary"}

@@ -18,7 +18,7 @@ from transfusion.cochains import (
     shuffle_transgression,
 )
 from transfusion.groupoids import inertia, nerve, nerve_index, point_groupoid
-from transfusion.groups import all_subgroups, construct_group, dihedral, elementary_abelian, symmetric
+from transfusion.groups import all_subgroups, dihedral, elementary_abelian, parse_group_spec, symmetric
 from transfusion.smith import solve_mod1
 
 from support_groupoids import as_dict_groupoid
@@ -467,7 +467,8 @@ def test_sector_solves_match_the_oracle(group, monkeypatch):
     phi = cup_one_cochains(group, [fs[0], fs[-1], fs[0]])
     targets = []
     for g in group.elements():
-        tg, zgrp, _ = shuffle_transgression(group, phi, g)
+        tg, _ = shuffle_transgression(phi, g)
+        zgrp = tg.groupoid.group
         targets.append(tg)
         for f1, f2 in itertools.combinations(_half_homs(zgrp), 2):
             targets.append(tg + cup_one_cochains(zgrp, [f1, f2]))
@@ -493,14 +494,14 @@ def test_sector_solves_match_the_oracle(group, monkeypatch):
 
 @pytest.mark.parametrize("spec", ["cyclic:5", "symmetric:3", "elemab:2,3"])
 def test_coboundary_rows_match_the_nerve_walk(spec):
-    gpd = point_groupoid(construct_group(spec))
+    gpd = point_groupoid(parse_group_spec(spec))
     for k in (1, 2, 3):
         assert cochains._coboundary_rows(gpd, k) == _oracle_coboundary_rows(gpd, k)
 
 
 def test_coboundary_rows_at_high_degree():
     # each entry is one signed byte of a packed row, 32 bytes at degree 6
-    gpd = point_groupoid(construct_group("cyclic:2"))
+    gpd = point_groupoid(parse_group_spec("cyclic:2"))
     rows = cochains._coboundary_rows(gpd, 6)
     assert rows == _oracle_coboundary_rows(gpd, 6)
     assert set(itertools.chain.from_iterable(rows)) == {-1, 0, 1, 2}
@@ -517,7 +518,7 @@ def test_e16_sector_solves_match_the_oracle():
     phi = poly_to_cocycle(parse_poly("xyz", 4), group)
     outcomes = []
     for g in group.elements():
-        tg, _, _ = shuffle_transgression(group, phi, g)
+        tg, _ = shuffle_transgression(phi, g)
         got, want = coboundary_solve(tg), _oracle_coboundary_solve(tg)
         if want is None:
             assert got is None
@@ -540,7 +541,7 @@ def test_coboundary_solve_hands_solve_mod1_int_rows_and_angles(monkeypatch):
 
     monkeypatch.setattr(cochains, "solve_mod1", recorded)
     group = elementary_abelian(2, 3)
-    tg, _, _ = shuffle_transgression(group, poly_to_cocycle(parse_poly("xyz"), group), 1)
+    tg, _ = shuffle_transgression(poly_to_cocycle(parse_poly("xyz"), group), 1)
     assert coboundary_solve(tg) is None
     assert len(calls) == 1
     args, kwargs = calls[0]
