@@ -32,11 +32,11 @@ from .cochains import (
     cocycle,
     commutator_pairing,
     delta,
+    insertion_identity_sides,
     inverse_transgression,
     parse_poly,
     poly_to_cocycle,
     product_homotopy,
-    product_identity_sides,
     random_cochain,
     read_cochain,
     shuffle_transgression,
@@ -239,9 +239,9 @@ def _trial_sides(state: Dict[str, object], t: int):
     )
     th = trans(phi)
     dphi = delta(phi)
-    sides["transgression-chain-map"] = (delta(th), trans(dphi))
-    sides["product-identity"] = product_identity_sides(
-        th, product_homotopy(phi, two), two, mu_d=product_homotopy(dphi, two)
+    sides["transgression-chain-map"] = insertion_identity_sides(phi, th, lam, trans(dphi))
+    sides["product-identity"] = insertion_identity_sides(
+        th, product_homotopy(phi, two), two, product_homotopy(dphi, two)
     )
     sides["unit-pullback-triviality"] = unit_pullback_sides(
         trans(psi), product_homotopy(psi, two), lam, two

@@ -31,7 +31,7 @@ from .groupoids import (
     FiniteGroupoid,
     GroupoidHom,
     SectorGroupoid,
-    evaluation_hom,
+    face_hom,
     nerve,
     nerve_index,
     nerve_size,
@@ -363,11 +363,11 @@ def product_homotopy(phi: Cochain, two_sectors: SectorGroupoid) -> Cochain:
     placing the first loop (dragged i steps) after u_i and the second loop
     (dragged j steps) after u_j; the (0,0) term is phi(a, b, u_1..u_k). The
     whole sum carries a global (-1)^k: that parity is forced by requiring
-    the product identity
-        delta(mu(phi)) + mu(delta(phi))
-            = e1-pullback + e2-pullback - e12-pullback of the transgression
-    to hold in every degree at once (without it the two sides differ by
-    (-1)^k, so no fixed-sign variant works for both even and odd k).
+    the product identity, insertion_identity_sides at two loops,
+        delta(mu(phi)) + mu(delta(phi)) = (d_0* - d_1* + d_2*) tau
+    for tau the transgression, to hold in every degree at once (without it
+    the two sides differ by (-1)^k, so no fixed-sign variant works for both
+    even and odd k).
     The sweep is _insert_loops with two loops.
     """
     if two_sectors.k != 2:
@@ -449,23 +449,35 @@ def _insert_loops(phi: Cochain, sectors: SectorGroupoid) -> Cochain:
     return _cochain(gpd, k, n, out)
 
 
-def product_identity_sides(
-    th: Cochain, mu: Cochain, two: SectorGroupoid, mu_d: Optional[Cochain] = None
+def insertion_identity_sides(
+    lower: Cochain, top: Cochain, sectors: SectorGroupoid, top_d: Optional[Cochain] = None
 ) -> Tuple[Cochain, Cochain]:
-    """Both sides of the product identity
-        delta(mu(phi)) + mu(delta(phi)) = e1*th + e2*th - e12*th
-    for th the transgression of phi and mu = mu(phi) its product homotopy.
-    mu_d is mu(delta(phi)); a closed phi has no such term.
+    """Both sides of the loop-insertion identity between r = sectors.k and
+    r - 1 loops,
+
+        δL_r(φ) + (-1)^r L_r(δφ) = Σ_{i=0..r} (-1)^(r+i) d_i^* L_(r-1)(φ),
+
+    for top = L_r(φ), top_d = L_r(δφ) (None for a closed φ) and lower =
+    L_(r-1)(φ), which at r = 1 is φ on the base. L_r(δφ) sits on the side
+    where its sign is plus: r = 1 gives the chain map (δτ, τ(δφ)), r = 2
+    the product identity (δμ + μ(δφ), (d_0* - d_1* + d_2*) τ). Faces that
+    are one hom add their signs before any pullback: at r = 1, where d_0
+    is d_1, the sum is empty.
     """
-    lhs = delta(mu)
-    if mu_d is not None:
-        lhs = lhs + mu_d
-    rhs = (
-        pullback(evaluation_hom(two, "e1"), th)
-        + pullback(evaluation_hom(two, "e2"), th)
-        - pullback(evaluation_hom(two, "e12"), th)
-    )
-    return lhs, rhs
+    r = sectors.k
+    signs: Dict[GroupoidHom, int] = {}
+    for i in range(r + 1):
+        face = face_hom(sectors, i)
+        signs[face] = signs.get(face, 0) + (-1) ** (r + i)
+    lhs, rhs = delta(top), top_d if r % 2 else None
+    if top_d is not None and not r % 2:
+        lhs = lhs + top_d
+    # plus terms first: the signs add up to 0 or 1, so a sum starts with one
+    for face, sign in sorted(signs.items(), key=lambda item: -item[1]):
+        if sign:
+            term = pullback(face, lower)
+            rhs = term if rhs is None else (add if sign > 0 else sub)(rhs, term)
+    return lhs, zero_cochain(lhs.groupoid, lhs.degree) if rhs is None else rhs
 
 
 def unit_pullback_sides(

@@ -4,14 +4,15 @@ A degree-3 cocycle on a group induces, through transgression, a 2-cocycle
 on each loop sector; bundles graded by group elements carry projective
 centralizer actions against those sector cocycles. Multiplying supports
 gives a product on such bundles, with a correction phase on each summand
-taken from the product homotopy of the 3-cocycle. The identity
+taken from the product homotopy mu of the 3-cocycle. The identity
 
-    delta(mu) = e1-pullback + e2-pullback - e12-pullback of tau
+    delta(mu) = (d_0* - d_1* + d_2*) tau,
 
-is exactly what makes the corrected product land back in the same twisted
-category, makes the character-level product match the bundle-level one,
-and forces the sign of the correction phase; make_context verifies it
-before anything else runs.
+the faces d_0, d_2 of the 2-sectors dropping the first, the second loop
+and d_1 multiplying the two, is exactly what makes the corrected product
+land back in the same twisted category, makes the character-level product
+match the bundle-level one, and forces the sign of the correction phase;
+make_context verifies it before anything else runs.
 
 Matrices act on row vectors throughout, so a path "a then b" multiplies as
 R(a) @ R(b). Every bundle map is a MonomialMatrix: a permutation with a
@@ -28,11 +29,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cochains import (
     Cochain,
-    delta,
+    insertion_identity_sides,
     inverse_transgression,
     is_cocycle,
     product_homotopy,
-    product_identity_sides,
     pullback,
 )
 from .cyclotomic import (
@@ -155,8 +155,8 @@ def _cube(values: Sequence[int], n: int) -> Tuple[Tuple[Tuple[int, ...], ...], .
 def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
     """Validate a degree-3 cocycle and derive its fusion data.
 
-    Checks, exactly: phi is closed; the transgressed tau is closed; and the
-    product identity relating mu to the three evaluation pullbacks of tau,
+    Checks, exactly: phi is closed; then the loop-insertion identity at one
+    loop (tau is closed) and at two (the product identity of mu and tau),
     each swept over the full nerve.
     """
     base = point_groupoid(group)
@@ -170,9 +170,10 @@ def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
     two = k_sectors(base, 2)
     tau = inverse_transgression(phi, sectors)
     mu = product_homotopy(phi, two)
-    if not delta(tau).is_zero():
+    lhs, rhs = insertion_identity_sides(phi, tau, sectors)
+    if lhs != rhs:
         raise FusionError("transgressed cochain is not closed; transgression bug")
-    lhs, rhs = product_identity_sides(tau, mu, two)
+    lhs, rhs = insertion_identity_sides(tau, mu, two)
     if lhs != rhs:
         raise FusionError("product identity fails; homotopy bug")
 

@@ -13,14 +13,15 @@ Conventions used throughout:
   - the point groupoid of G is the action on one point, so its arrows are
     the elements of G and its identity is arrow 0
   - the k-sector groupoid of the point groupoid of G is the action
-    groupoid of G acting on G^k by simultaneous conjugation
+    groupoid of G acting on G^k by simultaneous conjugation; its faces
+    drop the first or the last loop or multiply two neighbours
   - make_hom checks composition a point at a time: with f_x(g) the element
     of the image of arrow x*|G| + g, a hom preserves it iff
     f_x(gh) = f_x(g) f_(x.g)(h). A hom that maps every point's arrows by
-    the same f (the sector evaluation and unit maps) does iff f is a group
+    the same f (the sector faces and unit maps) does iff f is a group
     homomorphism, which is checked at point 0 alone
-  - a SectorGroupoid stores its objects; object and arrow numbers are
-    computed from base-|G| digits
+  - a SectorGroupoid stores no objects: object i is the k-tuple of the
+    base-|G| digits of i, and arrow i*|G| + v conjugates it by v
   - nerve_index numbers the composable k-tuples in nerve order by
     arithmetic; cochains store one value per position
 """
@@ -215,42 +216,15 @@ class SectorGroupoid:
     """k-tuples of loops at the base's one object, conjugated simultaneously.
 
     The base is the point groupoid of G, so its loops are the elements of G.
-    objects[i] = (0, k-tuple of loops): the k base-|G| digits of i. Arrow
-    (i, v), from object i along base loop v, has index i*|G| + v and lands
-    on the tuple conjugated by v. Both numberings are computed: only
-    objects is stored.
+    Object i is the k-tuple of the base-|G| digits of i, computed, not
+    stored. Arrow (i, v), from object i along base loop v, has index
+    i*|G| + v and lands on the tuple conjugated by v.
     """
 
     base: FiniteGroupoid
     k: int
     groupoid: FiniteGroupoid
-    objects: Tuple[Tuple[int, Tuple[int, ...]], ...]
     unit: GroupoidHom = field(repr=False)
-
-    def obj_index(self, ob: Tuple[int, Tuple[int, ...]]) -> int:
-        """The index of object (0, loops); KeyError if there is none."""
-        x, loops = ob
-        order, i = self.base.n_arrows, 0
-        if x != 0 or len(loops) != self.k:
-            raise KeyError(ob)
-        for v in loops:
-            if v not in range(order):
-                raise KeyError(ob)
-            i = i * order + v
-        return i
-
-    def arrow_index(self, i: int, v: int) -> int:
-        """The index of arrow (i, v); KeyError if there is none."""
-        order = self.base.n_arrows
-        if v not in range(order) or not 0 <= i < len(self.objects):
-            raise KeyError((i, v))
-        return i * order + v
-
-    def arrow(self, j: int) -> Tuple[int, int]:
-        """(i, v) of arrow j: the inverse of arrow_index."""
-        if not 0 <= j < self.groupoid.n_arrows:
-            raise IndexError(f"arrow {j} out of range")
-        return divmod(j, self.base.n_arrows)
 
 
 def k_sectors(base: FiniteGroupoid, k: int) -> SectorGroupoid:
@@ -285,10 +259,9 @@ def k_sectors(base: FiniteGroupoid, k: int) -> SectorGroupoid:
         act = [[p * n + c for p, c in zip(row, crow)] for row in act for crow in conj]
     gpd = action_groupoid(group, len(act), act)
 
-    objects = tuple((0, tup) for tup in itertools.product(range(n), repeat=k))
     # the tuple of identity loops is point 0, and base loop v is its arrow v
     unit = make_hom(base, gpd, [0], range(n))
-    sect = SectorGroupoid(base=base, k=k, groupoid=gpd, objects=objects, unit=unit)
+    sect = SectorGroupoid(base=base, k=k, groupoid=gpd, unit=unit)
     base.cache[key] = sect
     return sect
 
@@ -297,40 +270,34 @@ def inertia(base: FiniteGroupoid) -> SectorGroupoid:
     return k_sectors(base, 1)
 
 
-def evaluation_hom(sectors: SectorGroupoid, which: str) -> GroupoidHom:
-    """Evaluation maps out of a k-sector groupoid.
-
-    "e<digits>" multiplies the loops named by the digit subset (strictly
-    increasing, 1-based) and lands in the 1-sector groupoid. Each map is
-    validated once and cached on the base, beside the sector groupoids.
+def face_hom(sectors: SectorGroupoid, i: int) -> GroupoidHom:
+    """The face d_i out of the k-sectors, 0 <= i <= k, into the
+    (k-1)-sectors: d_0 drops the first loop, d_k the last, and d_i for
+    0 < i < k multiplies loops i and i+1 (1-based). Arrow (x, e) goes to
+    (d_i(x), e). At k = 1 the faces land in the base, where d_0 and d_1 are
+    one map. Each face is validated once and cached on the base, beside
+    the sector groupoids.
     """
-    base = sectors.base
-    key = ("evaluation", sectors.k, which)
-    if key in base.cache:
-        return base.cache[key]
-    if not which.startswith("e") or not which[1:].isdigit():
-        raise ValueError(f"unknown evaluation name {which!r}")
-    digits = [int(c) for c in which[1:]]
-    if digits != sorted(set(digits)):
-        raise ValueError(f"evaluation subset {which!r} must be strictly increasing")
-    if digits[0] < 1 or digits[-1] > sectors.k:
-        raise ValueError(f"evaluation {which!r} out of range for {sectors.k}-sectors")
-    one = k_sectors(base, 1)
-    # point i of the k-sectors has its loops as its base-|G| digits, and
-    # point g of the 1-sectors is the element g, so
-    # point i goes to the product of the chosen digits and arrow i*|G| + e,
-    # conjugation by e, to arrow om[i]*|G| + e
-    order, mult = one.groupoid.order, one.groupoid.mult
-    om = []
-    for tup in itertools.product(range(order), repeat=sectors.k):
-        prod = 0
-        for d in digits:
-            prod = mult[prod][tup[d - 1]]
-        om.append(prod)
-    am = [y * order + e for y in om for e in range(order)]
-    hom = make_hom(sectors.groupoid, one.groupoid, om, am)
-    base.cache[key] = hom
-    return hom
+    k, base = sectors.k, sectors.base
+    if not 0 <= i <= k:
+        raise ValueError(f"face {i} out of range for {k}-sectors")
+    key = ("face", k, i if k > 1 else 0)
+    if key not in base.cache:
+        # point x is the base-|G| number of its loops: d_0 and d_k keep the
+        # low and the high k-1 digits, and d_i multiplies digits i and i+1
+        n, points = base.order, range(base.order**k)
+        if 0 < i < k:
+            low, mult = n ** (k - i - 1), base.mult
+            om = [
+                (x // (n * n * low) * n + mult[x // (n * low) % n][x // low % n]) * low + x % low
+                for x in points
+            ]
+        else:
+            om = [x // n if i else x % n ** (k - 1) for x in points]
+        target = base if k == 1 else k_sectors(base, k - 1).groupoid
+        am = [y * n + e for y in om for e in range(n)]
+        base.cache[key] = make_hom(sectors.groupoid, target, om, am)
+    return base.cache[key]
 
 
 # nerve enumeration

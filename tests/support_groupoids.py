@@ -27,7 +27,7 @@ from transfusion.groupoids import (
     GroupoidHom,
     GroupoidValidationError,
     SectorGroupoid,
-    evaluation_hom,
+    face_hom,
     k_sectors,
 )
 from transfusion.groups import FiniteGroup, conjugacy_classes, from_table, subgroup_generated
@@ -241,9 +241,9 @@ def explicit_sectors(base: AnyGroupoid, k: int) -> Dict[str, object]:
     for x in range(base.n_objects):
         for tup in itertools.product(base.loops[x], repeat=k):
             objects.append((x, tup))
-    obj_index = {ob: i for i, ob in enumerate(objects)}
+    object_number = {ob: i for i, ob in enumerate(objects)}
     arrows = [(i, v) for i, (x, _) in enumerate(objects) for v in base.out_arrows[x]]
-    arrow_index = {ar: j for j, ar in enumerate(arrows)}
+    arrow_number = {ar: j for j, ar in enumerate(arrows)}
 
     def conj(a, v):
         return base.compose[(base.compose[(base.inverse[v], a)], v)]
@@ -251,29 +251,27 @@ def explicit_sectors(base: AnyGroupoid, k: int) -> Dict[str, object]:
     source, target, inverse = [], [], []
     for i, v in arrows:
         _, tup = objects[i]
-        j = obj_index[(base.target[v], tuple(conj(a, v) for a in tup))]
+        j = object_number[(base.target[v], tuple(conj(a, v) for a in tup))]
         source.append(i)
         target.append(j)
-        inverse.append(arrow_index[(j, base.inverse[v])])
-    identity = [arrow_index[(i, base.identity[x])] for i, (x, _) in enumerate(objects)]
+        inverse.append(arrow_number[(j, base.inverse[v])])
+    identity = [arrow_number[(i, base.identity[x])] for i, (x, _) in enumerate(objects)]
     compose = {}
     for idx, (i, v) in enumerate(arrows):
         j = target[idx]
         for w in base.out_arrows[objects[j][0]]:
-            compose[(idx, arrow_index[(j, w)])] = arrow_index[(i, base.compose[(v, w)])]
+            compose[(idx, arrow_number[(j, w)])] = arrow_number[(i, base.compose[(v, w)])]
     out_arrows = [[] for _ in objects]
     loops = [[] for _ in objects]
     for a, (s, t) in enumerate(zip(source, target)):
         out_arrows[s].append(a)
         if s == t:
             loops[s].append(a)
-    unit_om = [obj_index[(x, (base.identity[x],) * k)] for x in range(base.n_objects)]
-    unit_am = [arrow_index[(unit_om[base.source[v]], v)] for v in range(base.n_arrows)]
+    unit_om = [object_number[(x, (base.identity[x],) * k)] for x in range(base.n_objects)]
+    unit_am = [arrow_number[(unit_om[base.source[v]], v)] for v in range(base.n_arrows)]
     return {
         "objects": tuple(objects),
-        "obj_index": obj_index,
         "arrows": tuple(arrows),
-        "arrow_index": arrow_index,
         "source": tuple(source),
         "target": tuple(target),
         "identity": tuple(identity),
@@ -318,7 +316,7 @@ def fibered_product(
         for u in C.out_arrows[f.object_map[y]]:
             for z in by_image[C.target[u]]:
                 objects.append((y, u, z))
-    obj_index = {ob: i for i, ob in enumerate(objects)}
+    object_number = {ob: i for i, ob in enumerate(objects)}
 
     n_arrows = sum(
         len(A.out_arrows[y]) * len(B.out_arrows[z]) for (y, _, z) in objects
@@ -338,8 +336,8 @@ def fibered_product(
                 arrows.append((i, alpha, beta))
                 source.append(i)
                 u2 = C.compose[(C.compose[(fa_inv, u)], g.arrow_map[beta])]
-                target.append(obj_index[(A.target[alpha], u2, B.target[beta])])
-    arrow_index = {ar: j for j, ar in enumerate(arrows)}
+                target.append(object_number[(A.target[alpha], u2, B.target[beta])])
+    arrow_number = {ar: j for j, ar in enumerate(arrows)}
 
     compose_entries = sum(
         len(A.out_arrows[objects[t][0]]) * len(B.out_arrows[objects[t][2]])
@@ -353,10 +351,10 @@ def fibered_product(
 
     identity = []
     for i, (y, u, z) in enumerate(objects):
-        identity.append(arrow_index[(i, A.identity[y], B.identity[z])])
+        identity.append(arrow_number[(i, A.identity[y], B.identity[z])])
     inverse = []
     for j, (i, alpha, beta) in enumerate(arrows):
-        inverse.append(arrow_index[(target[j], A.inverse[alpha], B.inverse[beta])])
+        inverse.append(arrow_number[(target[j], A.inverse[alpha], B.inverse[beta])])
     compose = {}
     for j, (i, alpha, beta) in enumerate(arrows):
         t = target[j]
@@ -365,7 +363,7 @@ def fibered_product(
         for alpha2 in A.out_arrows[ty]:
             ca = A.compose[(alpha, alpha2)]
             for beta2, cb in right:
-                compose[(j, arrow_index[(t, alpha2, beta2)])] = arrow_index[(i, ca, cb)]
+                compose[(j, arrow_number[(t, alpha2, beta2)])] = arrow_number[(i, ca, cb)]
 
     gpd = make_groupoid(
         len(objects), source, target, identity, inverse, compose, arrow_cap=arrow_cap
@@ -443,18 +441,21 @@ def sector_triple_product(
     """
     two = k_sectors(base, 2)
     three = k_sectors(base, 3)
-    e12 = evaluation_hom(two, "e12")
-    e1 = evaluation_hom(two, "e1")
+    # the product of the two loops, and the first loop
+    product, first = face_hom(two, 1), face_hom(two, 2)
+    # 2-sector object i is the loop pair divmod(i, |G|), and arrow (i, v)
+    # is i*|G| + v; the 3-sectors number their loop triples the same way
+    order = base.n_arrows
 
     by_first: Dict[int, List[int]] = {}
-    for j, _ in enumerate(two.objects):
-        by_first.setdefault(e1.object_map[j], []).append(j)
+    for j in range(two.groupoid.n_objects):
+        by_first.setdefault(first.object_map[j], []).append(j)
 
     objects: List[Tuple[int, int]] = []
-    for i, _ in enumerate(two.objects):
-        for j in by_first.get(e12.object_map[i], ()):
+    for i in range(two.groupoid.n_objects):
+        for j in by_first.get(product.object_map[i], ()):
             objects.append((i, j))
-    obj_index = {ob: n for n, ob in enumerate(objects)}
+    object_number = {ob: n for n, ob in enumerate(objects)}
 
     two_g = as_dict_groupoid(two.groupoid)
     n_arrows = sum(
@@ -472,45 +473,38 @@ def sector_triple_product(
     target: List[int] = []
     for n, (i, j) in enumerate(objects):
         for v in range(base.n_arrows):
-            alpha = two.arrow_index(i, v)
-            beta = two.arrow_index(j, v)
+            alpha = i * order + v
+            beta = j * order + v
             arrows.append((n, alpha, beta))
             source.append(n)
             target.append(
-                obj_index[(two_g.target[alpha], two_g.target[beta])]
+                object_number[(two_g.target[alpha], two_g.target[beta])]
             )
-    arrow_index = {ar: m for m, ar in enumerate(arrows)}
+    arrow_number = {ar: m for m, ar in enumerate(arrows)}
 
     identity = []
     for n, (i, j) in enumerate(objects):
-        identity.append(arrow_index[(n, two_g.identity[i], two_g.identity[j])])
+        identity.append(arrow_number[(n, two_g.identity[i], two_g.identity[j])])
     inverse = []
     for m, (n, alpha, beta) in enumerate(arrows):
         inverse.append(
-            arrow_index[(target[m], two_g.inverse[alpha], two_g.inverse[beta])]
+            arrow_number[(target[m], two_g.inverse[alpha], two_g.inverse[beta])]
         )
     compose = {}
     for m, (n, alpha, beta) in enumerate(arrows):
         t = target[m]
         ti, tj = objects[t]
         for v in range(base.n_arrows):
-            alpha2 = two.arrow_index(ti, v)
-            beta2 = two.arrow_index(tj, v)
-            compose[(m, arrow_index[(t, alpha2, beta2)])] = arrow_index[
+            alpha2 = ti * order + v
+            beta2 = tj * order + v
+            compose[(m, arrow_number[(t, alpha2, beta2)])] = arrow_number[
                 (n, two_g.compose[(alpha, alpha2)], two_g.compose[(beta, beta2)])
             ]
     gpd = make_groupoid(len(objects), source, target, identity, inverse, compose)
 
     # explicit isomorphism onto 3-sectors: ((a1,a2),(b1,b2)) -> (a1,a2,b2)
-    om = []
-    for i, j in objects:
-        x, (a1, a2) = two.objects[i]
-        _, (_, b2) = two.objects[j]
-        om.append(three.obj_index((x, (a1, a2, b2))))
-    am = []
-    for n, alpha, beta in arrows:
-        v = two.arrow(alpha)[1]
-        am.append(three.arrow_index(om[n], v))
+    om = [i * order + j % order for i, j in objects]
+    am = [om[n] * order + alpha % order for n, alpha, _ in arrows]
     iso = dict_make_hom(gpd, three.groupoid, om, am)
     if sorted(om) != list(range(three.groupoid.n_objects)):
         raise GroupoidValidationError("matching part is not bijective on 3-sector objects")

@@ -6,6 +6,7 @@ stdout so they show up even under capture.
 """
 
 import functools
+import itertools
 import random
 import subprocess
 import sys
@@ -18,12 +19,12 @@ from transfusion.cochains import (
     coboundary_solve,
     commutator_pairing,
     delta,
+    insertion_identity_sides,
     inverse_transgression,
     is_cocycle,
     parse_poly,
     poly_to_cocycle,
     product_homotopy,
-    product_identity_sides,
     pullback,
     random_cochain,
     shuffle_transgression,
@@ -40,7 +41,7 @@ from transfusion.fusion import (
     untwisted_star,
 )
 from transfusion.groupoids import (
-    evaluation_hom,
+    face_hom,
     inertia,
     k_sectors,
     make_hom,
@@ -113,9 +114,9 @@ def theta_sector(group, phi, g):
     th = inverse_transgression(phi, lam)
     zgrp, members = subgroup_as_group(group, centralizer(group, g))
     zbase = point_groupoid(zgrp)
-    obj = lam.obj_index((0, (g,)))
-    am = [lam.arrow_index(obj, members[u]) for u in zgrp.elements()]
-    hom = make_hom(zbase, lam.groupoid, [obj], am)
+    # object g is the loop g, and its arrow along u is g*|G| + u
+    am = [g * group.order + members[u] for u in zgrp.elements()]
+    hom = make_hom(zbase, lam.groupoid, [g], am)
     return pullback(hom, th), zgrp, members
 
 
@@ -159,7 +160,7 @@ def test_criterion_01_product_identity(four_groups, capsys):
             th = inverse_transgression(phi, lam)
             mu = product_homotopy(phi, two)
             mu_d = product_homotopy(delta(phi), two)
-            lhs, rhs = product_identity_sides(th, mu, two, mu_d=mu_d)
+            lhs, rhs = insertion_identity_sides(th, mu, two, mu_d)
             assert lhs == rhs
             for tup in nerve(two.groupoid, 2):
                 assert lhs.value(tup) == rhs.value(tup)
@@ -384,9 +385,8 @@ def test_criterion_11_structure_and_determinism(four_groups, capsys):
         base = point_groupoid(grp)
         two = k_sectors(base, 2)
         three = k_sectors(base, 3)
-        fp = fibered_product(
-            evaluation_hom(two, "e12"), evaluation_hom(two, "e1"), arrow_cap=2_000_000
-        )
+        # the faces d_1 (the product of the two loops) and d_2 (the first)
+        fp = fibered_product(face_hom(two, 1), face_hom(two, 2), arrow_cap=2_000_000)
         mid, _, _ = identity_middle_component(fp)
         assert groupoids_isomorphic(mid, three.groupoid)
         direct, _ = sector_triple_product(base)
@@ -403,7 +403,8 @@ def test_criterion_11_structure_and_determinism(four_groups, capsys):
     for _, grp in four_groups:
         for k in (1, 2):
             sect = k_sectors(point_groupoid(grp), k)
-            for i, (_, tup) in enumerate(sect.objects):
+            # object i is the k-tuple of the base-|G| digits of i
+            for i, tup in enumerate(itertools.product(grp.elements(), repeat=k)):
                 orbit = {
                     tuple(grp.conjugate(a, v) for a in tup) for v in grp.elements()
                 }

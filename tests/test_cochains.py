@@ -20,12 +20,12 @@ from transfusion.cochains import (
     delta,
     dual_cochains,
     group_cochain,
+    insertion_identity_sides,
     inverse_transgression,
     is_cocycle,
     parse_poly,
     poly_to_cocycle,
     product_homotopy,
-    product_identity_sides,
     pullback,
     random_cochain,
     read_cochain,
@@ -41,12 +41,13 @@ from transfusion.groups import (
     cyclic,
     dihedral,
     elementary_abelian,
+    parse_group_spec,
     subgroup_as_group,
     symmetric,
 )
 from transfusion.groupoids import (
     action_groupoid,
-    evaluation_hom,
+    face_hom,
     inertia,
     k_sectors,
     make_hom,
@@ -181,11 +182,13 @@ def _nerve_transgression(phi, sectors):
     """The nerve loop of inverse_transgression: (modulus, table), k >= 1."""
     k, lam, n, get = phi.degree - 1, sectors.groupoid, phi.modulus, phi.table.get
     lead_sign = 1 if k % 2 == 0 else -1
+    # object a is the loop a, and arrow t is (a, u) = divmod(t, |G|)
+    m = lam.order
     out = {}
     for tup in nerve(lam, k):
-        a0 = sectors.objects[sectors.arrow(tup[0])[0]][1][0]
-        us = tuple(sectors.arrow(t)[1] for t in tup)
-        dragged = tuple(sectors.objects[lam.target[t]][1][0] for t in tup)
+        a0 = tup[0] // m
+        us = tuple(t % m for t in tup)
+        dragged = tuple(lam.target[t] for t in tup)
         total = lead_sign * get((a0,) + us, 0)
         s = lead_sign
         for i in range(1, k + 1):
@@ -201,13 +204,16 @@ def _nerve_product_homotopy(phi, two):
     """The nerve loop of product_homotopy: (modulus, table), k >= 1."""
     k, gpd2, n, get = phi.degree - 2, two.groupoid, phi.modulus, phi.table.get
     parity = -1 if k % 2 else 1
+    # object i is the loop pair divmod(i, |G|), and arrow t is
+    # (i, u) = divmod(t, |G|)
+    m = gpd2.order
     out = {}
     for tup in nerve(gpd2, k):
-        us = tuple(two.arrow(t)[1] for t in tup)
-        a_at = [two.objects[two.arrow(tup[0])[0]][1][0]]
-        b_at = [two.objects[two.arrow(tup[0])[0]][1][1]]
+        us = tuple(t % m for t in tup)
+        a, b = divmod(tup[0] // m, m)
+        a_at, b_at = [a], [b]
         for t in tup:
-            _, (aj, bj) = two.objects[gpd2.target[t]]
+            aj, bj = divmod(gpd2.target[t], m)
             a_at.append(aj)
             b_at.append(bj)
         total = 0
@@ -290,7 +296,7 @@ def test_sector_sweeps_match_nerve_loops():
     ]
     for base, top in bases:
         lam, two = inertia(base), k_sectors(base, 2)
-        homs = [evaluation_hom(two, w) for w in ("e1", "e2", "e12")]
+        homs = [face_hom(two, i) for i in range(3)]
         homs += [lam.unit, two.unit]
         for den in (2, 4, 6, 12):
             for make in (random_cochain, _sparse_cochain):
@@ -330,7 +336,7 @@ def test_sector_sweeps_match_nerve_loops():
                 )
     base = point_groupoid(symmetric(3))
     two = k_sectors(base, 2)
-    e12 = evaluation_hom(two, "e12")
+    e12 = face_hom(two, 1)
     for k in (3, 4):
         c = random_cochain(inertia(base).groupoid, k, rng, 12)
         _check_sweep(pullback(e12, c), _nerve_pullback(e12, c), two.groupoid, k)
@@ -362,7 +368,7 @@ def test_no_cochain_sweep_walks_the_nerve(monkeypatch):
     rng = random.Random("nerve-guard")
     base = point_groupoid(symmetric(3))
     lam, two = inertia(base), k_sectors(base, 2)
-    e12 = evaluation_hom(two, "e12")
+    e12 = face_hom(two, 1)
     # inputs first: output degree k
     inputs = [
         (
@@ -464,8 +470,9 @@ def test_transgression_degree_one_input():
     phi = random_cochain(gpd, 1, random.Random("deg1"))
     th = inverse_transgression(phi, lam)
     assert th.degree == 0
-    for i, (_, (a,)) in enumerate(lam.objects):
-        assert th.value((i,)) == phi.value((a,))
+    # object a is the loop a
+    for a in z4.elements():
+        assert th.value((a,)) == phi.value((a,))
 
 
 def test_transgression_abelian_two_term_form():
@@ -475,8 +482,8 @@ def test_transgression_abelian_two_term_form():
     phi = random_cochain(gpd, 2, random.Random("ab2"))
     th = inverse_transgression(phi, lam)
     for t in nerve(lam.groupoid, 1):
-        obj, u = lam.arrow(t[0])
-        a = lam.objects[obj][1][0]
+        # arrow t runs from the loop a along u
+        a, u = divmod(t[0], g22.order)
         assert th.value(t) == (phi.value((u, a)) - phi.value((a, u))) % 1
 
 
@@ -487,9 +494,8 @@ def test_transgression_matches_hand_expansion_degree_three():
     phi = random_cochain(gpd, 3, random.Random("hand3"))
     th = inverse_transgression(phi, lam)
     for tup in nerve(lam.groupoid, 2):
-        obj, u1 = lam.arrow(tup[0])
-        a = lam.objects[obj][1][0]
-        u2 = lam.arrow(tup[1])[1]
+        a, u1 = divmod(tup[0], s3.order)
+        u2 = tup[1] % s3.order
         a1 = s3.conjugate(a, u1)
         a2 = s3.conjugate(a, s3.mult[u1][u2])
         want = (
@@ -507,9 +513,14 @@ def test_transgression_is_chain_map():
         lam = inertia(gpd)
         for deg in (1, 2, 3):
             phi = random_cochain(gpd, deg, rng)
-            lhs = delta(inverse_transgression(phi, lam))
+            th = inverse_transgression(phi, lam)
+            lhs = delta(th)
             rhs = inverse_transgression(delta(phi), lam)
             assert lhs == rhs
+            # the same sides from the loop-insertion identity at one loop,
+            # whose face terms cancel: its right side is the one passed in
+            sides = insertion_identity_sides(phi, th, lam, rhs)
+            assert sides == (lhs, rhs) and sides[1] is rhs
 
 
 def test_product_homotopy_small_expansions():
@@ -519,13 +530,14 @@ def test_product_homotopy_small_expansions():
         phi2 = random_cochain(gpd, 2, random.Random("mu0"))
         m0 = product_homotopy(phi2, two)
         assert m0.degree == 0
-        for i, (_, (a, b)) in enumerate(two.objects):
+        # object i is the loop pair of the base-|G| digits of i
+        for i, (a, b) in enumerate(itertools.product(grp.elements(), repeat=2)):
             assert m0.value((i,)) == phi2.value((a, b))
         phi3 = random_cochain(gpd, 3, random.Random("mu1"))
         m1 = product_homotopy(phi3, two)
         for t in nerve(two.groupoid, 1):
-            obj, u = two.arrow(t[0])
-            a, b = two.objects[obj][1]
+            obj, u = divmod(t[0], grp.order)
+            a, b = divmod(obj, grp.order)
             a1 = grp.conjugate(a, u)
             b1 = grp.conjugate(b, u)
             # insertion sum at k=1, times the odd-k global sign
@@ -539,7 +551,7 @@ def test_product_homotopy_small_expansions():
 
 def test_product_identity_for_transgression():
     # coboundary of the homotopy plus homotopy of the coboundary equals the
-    # three evaluation pullbacks of the transgression
+    # signed pullbacks of the transgression along the three faces
     for grp, seed in ((elementary_abelian(2, 2), "pid-a"), (symmetric(3), "pid-b")):
         gpd = point_groupoid(grp)
         lam = inertia(gpd)
@@ -548,18 +560,53 @@ def test_product_identity_for_transgression():
         th = inverse_transgression(phi, lam)
         mu = product_homotopy(phi, two)
         mu_d = product_homotopy(delta(phi), two)
-        lhs, rhs = product_identity_sides(th, mu, two, mu_d=mu_d)
+        lhs, rhs = insertion_identity_sides(th, mu, two, mu_d)
         assert lhs == rhs
         assert lhs == delta(mu) + mu_d
-        # the right side, read pointwise through the evaluation maps
-        e1, e2, e12 = (evaluation_hom(two, w).arrow_map for w in ("e1", "e2", "e12"))
+        # the right side, read pointwise through the faces: d_0 drops the
+        # first loop, d_1 multiplies the two, d_2 drops the second
+        d0, d1, d2 = (face_hom(two, i).arrow_map for i in range(3))
         for s1, s2 in nerve(two.groupoid, 2):
             want = (
-                th.value((e1[s1], e1[s2]))
-                + th.value((e2[s1], e2[s2]))
-                - th.value((e12[s1], e12[s2]))
+                th.value((d0[s1], d0[s2]))
+                - th.value((d1[s1], d1[s2]))
+                + th.value((d2[s1], d2[s2]))
             ) % 1
             assert rhs.value((s1, s2)) == want
+
+
+INSERTION_CASES = [
+    (spec, degree)
+    for spec in ("cyclic:3", "symmetric:3", "dihedral:4", "elemab:2,3")
+    for degree in (3, 4)
+]
+
+
+@pytest.mark.parametrize("spec,degree", INSERTION_CASES)
+def test_insertion_identity_at_three_loops(spec, degree):
+    # L_3 and L_2 are the loop insertions into three and two sectors, read
+    # through the private sweep that the two public transgressions share
+    base = point_groupoid(parse_group_spec(spec))
+    two, three = k_sectors(base, 2), k_sectors(base, 3)
+    phi = random_cochain(base, degree, random.Random(f"three-loops:{spec}:{degree}"))
+    lower = cochains._insert_loops(phi, two)
+    top = cochains._insert_loops(phi, three)
+    top_d = cochains._insert_loops(delta(phi), three)
+    lhs, rhs = insertion_identity_sides(lower, top, three, top_d)
+    assert lhs == rhs
+    assert lhs == delta(top)
+    # the control: the faces signed (-1)^i instead of (-1)^(3+i) must fail
+    control = top_d
+    for i in range(4):
+        term = pullback(face_hom(three, i), lower)
+        control = control - term if i % 2 else control + term
+    assert lhs != control
+    # a closed cochain has no L_3(δφ) term
+    psi = delta(random_cochain(base, degree - 1, random.Random(f"closed:{spec}:{degree}")))
+    lhs, rhs = insertion_identity_sides(
+        cochains._insert_loops(psi, two), cochains._insert_loops(psi, three), three
+    )
+    assert lhs == rhs
 
 
 def test_unit_pullback_identity_for_cocycles():
@@ -583,13 +630,12 @@ def test_unit_pullback_identity_for_cocycles():
         assert lhs == rhs
         assert rhs == delta(pullback(two.unit, mu))
         # the pullback along the unit section reads off values at the
-        # identity loop
-        unit_obj = lam.obj_index((0, (0,)))
+        # identity loop, object 0, whose arrow along u is arrow u
         for u in grp.elements():
             for v in grp.elements():
-                a1 = lam.arrow_index(unit_obj, u)
+                a1 = u
                 next_obj = lam.groupoid.target[a1]
-                a2 = lam.arrow_index(next_obj, v)
+                a2 = next_obj * grp.order + v
                 assert lhs.value((u, v)) == th.value((a1, a2))
 
 
@@ -613,10 +659,11 @@ def test_shuffle_matches_loop_transgression_on_centralizer_words():
                     for t2 in range(zgrp.order)
                 ]
             for word in words:
-                obj = lam.obj_index((0, (g,)))
+                # object g is the loop g, and arrow (g, u) is g*|G| + u
+                obj = g
                 sector_word = []
                 for t in word:
-                    arrow = lam.arrow_index(obj, members[t])
+                    arrow = obj * s3.order + members[t]
                     sector_word.append(arrow)
                     obj = lam.groupoid.target[arrow]
                 assert shuffled.value(word) == th.value(tuple(sector_word))

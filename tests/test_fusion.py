@@ -156,10 +156,11 @@ def test_bundle_validator_negative_controls():
 
 def _sector_tau(ctx, g, u1, u2):
     """tau at loop g against u1 then u2, read from the cochain itself."""
-    sec = ctx.sectors
-    a1 = sec.arrow_index(sec.obj_index((0, (g,))), u1)
+    # object g is the loop g, and its arrow along u is g*|G| + u
+    n = ctx.group.order
+    a1 = g * n + u1
     g1 = ctx.group.conjugate(g, u1)
-    a2 = sec.arrow_index(sec.obj_index((0, (g1,))), u2)
+    a2 = g1 * n + u2
     return ctx.tau.value((a1, a2))
 
 
@@ -167,7 +168,8 @@ def test_context_values_read_the_cochains_at_their_sector_arrows():
     for ctx in (cube_context(), s3_context(), d4_context()):
         two, n = ctx.two_sectors, ctx.group.order
         for g1, g2, u in itertools.product(range(n), repeat=3):
-            a = two.arrow_index(two.obj_index((0, (g1, g2))), u)
+            # the pair (g1, g2) is object g1*|G| + g2
+            a = (g1 * n + g2) * n + u
             assert Fraction(ctx.mu_table[g1][g2][u], ctx.mu.modulus) == ctx.mu.value((a,))
             assert Fraction(ctx.tau_table[g1][g2][u], ctx.tau.modulus) == _sector_tau(
                 ctx, g1, g2, u

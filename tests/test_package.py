@@ -87,10 +87,6 @@ UNCALLED_ALLOWED = {
     "center_dimension": "oracle",
     "mat_trace": "oracle",
     "regular_bundle": "fixture",
-    # the tests name sector objects and arrows through these
-    "SectorGroupoid.obj_index": "fixture",
-    "SectorGroupoid.arrow_index": "fixture",
-    "SectorGroupoid.arrow": "fixture",
 }
 
 
