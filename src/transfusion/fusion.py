@@ -665,9 +665,9 @@ class FusionTable:
     invalid holds (i, j, kind, witness) from bundle_violation, outside_span
     (i, j, keys where the expansion misses the character), non_integer
     (i, j) for products in the span with a coefficient that is not an
-    integer. non_commuting holds the pairs i < j whose two valid products
-    have different characters. nonassociative is the first failing triple
-    of a complete table. unit_candidates are the basis indices whose
+    integer. non_commuting holds the pairs i < j with constants[i][j] !=
+    constants[j][i] and nonassociative the first failing triple, both of a
+    complete table only. unit_candidates are the basis indices whose
     character equals the unit bundle's.
     """
 
@@ -696,32 +696,17 @@ class FusionTable:
 
 def _product(basis, solver, a: int, b: int):
     """Outcome (violation, integer coefficients, residual keys) of one
-    product, and its trace table when valid. At most one outcome entry is
-    set; none is when the product lies in the span with a coefficient that
-    is not an integer.
+    product. At most one entry is set; none is when the product lies in
+    the span with a coefficient that is not an integer.
     """
     prod = star(basis[a], basis[b])
     viol = bundle_violation(prod)
     if viol is not None:
-        return (viol, None, None), None
-    tab = trace_table(prod)
-    coeffs, bad = solver.expand(tab)
+        return viol, None, None
+    coeffs, bad = solver.expand(trace_table(prod))
     if coeffs is None:
-        return (None, None, bad), tab
-    return (None, integer_coefficients(coeffs), None), tab
-
-
-def _pair(basis, solver, i: int, j: int):
-    """((a, b), outcome) for both orders of the pair i <= j, and whether
-    their characters agree."""
-    ij, tab_ij = _product(basis, solver, i, j)
-    if i == j:
-        return [((i, j), ij)], True
-    ji, tab_ji = _product(basis, solver, j, i)
-    commutes = tab_ij is None or tab_ji is None or all(
-        tab_ij[k] == tab_ji[k] for k in tab_ij
-    )
-    return [((i, j), ij), ((j, i), ji)], commutes
+        return None, None, bad
+    return None, integer_coefficients(coeffs), None
 
 
 # the task function of the running fork_map, set before its pool forks so
@@ -759,12 +744,12 @@ def fusion_table(
     The basis is taken as validated, as basis_bundles returns it, with the
     trace tables cached there; its characters need only be independent.
     Each product is validated at the bundle level and its character solved
-    exactly over the basis characters. A product that is invalid, outside
-    the span or non-integral is recorded, never raised. Commutativity is
-    compared on characters; associativity and the unit are checked on the
-    integer table. With workers > 1 the unordered pairs are spread over a
-    fork pool with no more processes than workers, pairs or cores; the
-    result does not depend on the worker count.
+    exactly over the basis characters, re-checked at every key. A product
+    that is invalid, outside the span or non-integral is recorded, never
+    raised. Commutativity and associativity are read off a complete integer
+    table: the basis characters are independent, so two products'
+    characters agree exactly when their constants do. The products run
+    through fork_map in pair order; the result does not depend on workers.
     """
     tables = [v.traces for v in basis]
     solver = CharacterSolver(ctx, tables)
@@ -772,24 +757,25 @@ def fusion_table(
     unit_candidates = [k for k, t in enumerate(tables) if t == unit]
 
     n = len(basis)
-    tasks = [(i, j) for i in range(n) for j in range(i, n)]
-    results = fork_map(lambda task: _pair(basis, solver, *task), tasks, workers)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    tasks = [t for i, j in pairs for t in ([(i, j), (j, i)] if i < j else [(i, j)])]
+    results = fork_map(lambda task: _product(basis, solver, *task), tasks, workers)
 
     constants: List[List[Optional[Tuple[int, ...]]]] = [[None] * n for _ in range(n)]
     table = FusionTable(constants=(), unit_candidates=unit_candidates)
-    for (i, j), (sides, commutes) in zip(tasks, results):
-        for (a, b), (viol, ints, bad) in sides:
-            if viol is not None:
-                table.invalid.append((a, b, viol[0], viol[1]))
-            elif bad is not None:
-                table.outside_span.append((a, b, bad))
-            elif ints is None:
-                table.non_integer.append((a, b))
-            else:
-                constants[a][b] = tuple(ints)
-        if not commutes:
-            table.non_commuting.append((i, j))
-    table.constants = tuple(tuple(row) for row in constants)
+    for (a, b), (viol, ints, bad) in zip(tasks, results):
+        if viol is not None:
+            table.invalid.append((a, b, viol[0], viol[1]))
+        elif bad is not None:
+            table.outside_span.append((a, b, bad))
+        elif ints is None:
+            table.non_integer.append((a, b))
+        else:
+            constants[a][b] = tuple(ints)
+    table.constants = c = tuple(tuple(row) for row in constants)
     if table.complete():
-        table.nonassociative = associativity_violation(table.constants)
+        table.non_commuting = [
+            (i, j) for i in range(n) for j in range(i + 1, n) if c[i][j] != c[j][i]
+        ]
+        table.nonassociative = associativity_violation(c)
     return table

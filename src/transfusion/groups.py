@@ -133,25 +133,15 @@ def elementary_abelian(p: int, n: int) -> FiniteGroup:
     """(Z/p)^n with digit i of the element index as coordinate i.
 
     Generator i is the element with index p**i, so coordinates read off in
-    little-endian base p.
+    little-endian base p; each direct_product adds the highest digit.
     """
     if p < 2 or n < 1:
         raise GroupValidationError("need p >= 2 and n >= 1")
-    order = p**n
-    _check_order(order)
-
-    def add(a: int, b: int) -> int:
-        out = 0
-        scale = 1
-        for _ in range(n):
-            out += ((a + b) % p) * scale
-            a //= p
-            b //= p
-            scale *= p
-        return out
-
-    mult = [[add(a, b) for b in range(order)] for a in range(order)]
-    return from_table(mult)
+    _check_order(p**n)
+    group = factor = cyclic(p)
+    for _ in range(n - 1):
+        group = direct_product(factor, group)
+    return group
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -363,16 +353,16 @@ def parse_group_spec(spec: str) -> FiniteGroup:
 
 
 def load_group_lines(lines: Iterable[str]) -> FiniteGroup:
-    """Line format: either shorthand (cyclic N, elemab P N, symmetric N,
-    dihedral N, product <specA> <specB>) or an explicit table (order N plus
-    N rows)."""
+    """Line format: either one shorthand line, a compact spec as
+    parse_group_spec reads it with spaces allowed between its parts
+    (cyclic 4, elemab 2 3, product elemab:2,2 cyclic:3), or an explicit
+    table (order N plus N rows)."""
     rows = [ln.strip() for ln in lines]
     rows = [ln for ln in rows if ln and not ln.startswith("#")]
     if not rows:
         raise GroupValidationError("empty group file")
     head = rows[0].split()
-    kind = head[0]
-    if kind == "order":
+    if head[0] == "order":
         if len(head) != 2:
             raise GroupValidationError("the order header takes one integer")
         n = _take_int(head[1:])
@@ -382,16 +372,4 @@ def load_group_lines(lines: Iterable[str]) -> FiniteGroup:
         return from_table(mult)
     if len(rows) != 1:
         raise GroupValidationError("shorthand group files are a single line")
-    if kind == "product":
-        if len(head) != 3:
-            raise GroupValidationError("product shorthand takes two compact specs")
-        a = parse_group_spec(head[1])
-        b = parse_group_spec(head[2])
-        return direct_product(a, b)
-    if kind not in ("cyclic", "elemab", "symmetric", "dihedral"):
-        raise GroupValidationError(f"unknown group file kind {kind!r}")
-    tokens = list(head)
-    group = _parse_tokens(tokens)
-    if tokens:
-        raise GroupValidationError(f"trailing tokens in group file: {tokens}")
-    return group
+    return parse_group_spec(":".join(head))

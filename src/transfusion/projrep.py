@@ -164,8 +164,6 @@ def linear_characters(group: FiniteGroup) -> Tuple[int, List[Tuple[int, ...]]]:
         if g not in reached:
             gens.append(g)
             reached = set(subgroup_generated(group, gens))
-    if not gens:
-        return 1, [(0,)]
     orders = [group.element_order(g) for g in gens]
     # values are integers mod L, standing for v/L
     L = math.lcm(*orders)

@@ -246,8 +246,8 @@ def test_worker_pools_are_clamped(monkeypatch, capsys):
     _, table_out = run_main(capsys, *table, "1")
     _, verify_out = run_main(capsys, *verify, "1")
     assert sizes == []
-    # 10 unordered pairs of 4 basis bundles, 3 trials
-    for cores, want in ((64, [10, 3]), (4, [4, 3]), (None, [])):
+    # 16 ordered products of 4 basis bundles, 3 trials
+    for cores, want in ((64, [16, 3]), (4, [4, 3]), (None, [])):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         sizes.clear()
         assert run_main(capsys, *table, "5000") == (0, table_out)
@@ -288,6 +288,120 @@ def test_fusion_table_reports_non_integer_products(monkeypatch, capsys):
     assert code2 == 1 and out2 == out
 
 
+def _plant_products(monkeypatch, planted, basis_of=None):
+    """Replace fusion.star so that the product basis[i] * basis[j] for each
+    (i, j) in planted is make(star, basis[i], basis[j]) with make =
+    planted[(i, j)]; every other product is the real one. basis_of, if
+    given, turns the real basis into the one fusion-table multiplies."""
+    from transfusion import cli, fusion
+
+    real_star, real_basis = fusion.star, cli.basis_bundles
+    index = {}
+
+    def basis_bundles(ctx):
+        basis = real_basis(ctx)
+        if basis_of is not None:
+            basis = basis_of(basis)
+        index.update({id(v): k for k, v in enumerate(basis)})
+        return basis
+
+    def star(a, b):
+        make = planted.get((index.get(id(a)), index.get(id(b))))
+        return real_star(a, b) if make is None else make(real_star, a, b)
+
+    monkeypatch.setattr(cli, "basis_bundles", basis_bundles)
+    monkeypatch.setattr(fusion, "star", star)
+
+
+def _negated(star, a, b):
+    """The product with every map scaled by -1: its identity maps fail."""
+    from transfusion.fusion import TwistedBundle
+
+    v = star(a, b)
+    maps = {key: m.scale(1, 2) for key, m in v.maps.items()}
+    return TwistedBundle(context=v.context, dims=v.dims, maps=maps)
+
+
+def _left_squared(star, a, b):
+    return star(a, a)
+
+
+def _unit_plus_sign(basis):
+    """The basis of Z/2 with its unit line replaced by unit + sign: still
+    a basis of the integer span, with no unit among its characters."""
+    from transfusion.cyclotomic import MonomialMatrix
+    from transfusion.fusion import TwistedBundle
+
+    u = basis[0]
+    maps = {(0, 0): MonomialMatrix.identity(2), (0, 1): MonomialMatrix(range(2), (0, 1), 2)}
+    return [TwistedBundle(context=u.context, dims=(2, 0), maps=maps)] + basis[1:]
+
+
+@pytest.mark.parametrize(
+    "planted, basis_of, lines",
+    [
+        (
+            {(2, 1): _negated},
+            None,
+            [
+                "check product-validity: FAIL (1 of 16 products invalid,"
+                " first (2,1): identity-map at (1,))",
+                "check integer-expansion: FAIL (skipped; invalid products above)",
+                "check commutativity: FAIL (skipped; table incomplete)",
+                "check associativity: FAIL (skipped; table incomplete)",
+            ],
+        ),
+        (
+            {},
+            lambda basis: basis[1:],
+            [
+                "check product-validity: pass (all 9 products validated)",
+                "check integer-expansion: FAIL (3 products outside the basis span,"
+                " first (0,0) with residual at 2 keys, first key (0, 0))",
+                "check unit-row: FAIL (skipped; table incomplete)",
+            ],
+        ),
+        (
+            {(2, 1): _left_squared},
+            None,
+            [
+                "check integer-expansion: pass (all 16 products expand integrally)",
+                "check commutativity: FAIL (1 pairs differ, first (1,2))",
+                "check unit-row: pass (basis 0 is the unit)",
+                "2 1 -> 1 0 0 0",
+            ],
+        ),
+        (
+            {(1, 2): _left_squared, (2, 1): _left_squared},
+            None,
+            [
+                "check commutativity: pass (10 unordered pairs)",
+                "check associativity: FAIL (first failing triple (1, 1, 2))",
+                "check unit-row: pass (basis 0 is the unit)",
+            ],
+        ),
+        (
+            {},
+            _unit_plus_sign,
+            [
+                "check commutativity: pass (10 unordered pairs)",
+                "check associativity: pass (all 64 triples)",
+                "check unit-row: FAIL (0 basis characters match the unit)",
+            ],
+        ),
+    ],
+    ids=["invalid", "outside-span", "non-commuting", "non-associative", "no-unit"],
+)
+def test_fusion_table_reports_planted_failures(monkeypatch, capsys, planted, basis_of, lines):
+    _plant_products(monkeypatch, planted, basis_of)
+    args = ["fusion-table", "--group", "cyclic:2", "--zero"]
+    code, out = run_main(capsys, *args, "--workers", "1")
+    assert code == 1 and out.endswith("result: fail\n")
+    for line in lines:
+        assert line in out.splitlines()
+    assert run_main(capsys, *args, "--workers", "2") == (1, out)
+
+
 def test_group_file_specs(tmp_path, capsys):
     table = tmp_path / "klein.grp"
     table.write_text("# klein four\norder 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n")
@@ -300,6 +414,19 @@ def test_group_file_specs(tmp_path, capsys):
     short.write_text("product cyclic:2 cyclic:2\n")
     code, out = run_main(capsys, "verify", "--group", f"@{short}", "--trials", "2")
     assert code == 0 and "(order 4)" in out
+
+    unknown = tmp_path / "unknown.grp"
+    unknown.write_text("frobnicate 3\n")
+    code = main(["verify", "--group", f"@{unknown}", "--trials", "1"])
+    assert code == 2
+    assert "unknown group spec head 'frobnicate'" in capsys.readouterr().err
+
+
+def test_fusion_table_trivial_group(capsys):
+    code, out = run_main(capsys, "fusion-table", "--group", "cyclic:1", "--zero")
+    assert code == 0
+    assert "basis: 1 bundles" in out
+    assert "0 0 -> 1" in out.splitlines()
 
 
 @pytest.mark.parametrize(

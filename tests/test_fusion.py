@@ -462,7 +462,38 @@ def test_fusion_table_reports_products_outside_the_span():
     assert table.unit_candidates == []
     assert not table.invalid and not table.non_integer
     assert not table.complete() and table.nonassociative is None
+    assert table.non_commuting == []
     assert table.constants[1][2] == (1, 0, 0)
+
+
+def test_commutativity_is_read_off_a_complete_integer_table(monkeypatch):
+    # basis[2] * basis[1] is replaced by basis[2] * basis[2]: a valid
+    # product whose character differs from basis[1] * basis[2], found on
+    # the constants of the complete table; once another product is
+    # invalid, the table is incomplete and neither check is run
+    ctx = z2_context()
+    basis = basis_bundles(ctx)
+    real = fusion.star
+
+    def planted(negate):
+        def fake(a, b):
+            if a is basis[2] and b is basis[1]:
+                return real(a, a)
+            v = real(a, b)
+            if negate and a is basis[1] and b is basis[0]:
+                maps = {key: m.scale(1, 2) for key, m in v.maps.items()}
+                return TwistedBundle(context=ctx, dims=v.dims, maps=maps)
+            return v
+        return fake
+
+    monkeypatch.setattr(fusion, "star", planted(False))
+    table = fusion_table(ctx, basis)
+    assert table.complete() and table.non_commuting == [(1, 2)]
+    assert character(real(basis[1], basis[2])) != character(real(basis[2], basis[2]))
+    monkeypatch.setattr(fusion, "star", planted(True))
+    table = fusion_table(ctx, basis)
+    assert [w[:2] for w in table.invalid] == [(1, 0)]
+    assert table.non_commuting == [] and table.nonassociative is None
 
 
 class _SubsystemSolver:

@@ -63,6 +63,19 @@ def test_elementary_abelian_digits():
     assert all(g.element_order(x) == 2 for x in range(1, 8))
 
 
+def test_elementary_abelian_is_digitwise_addition():
+    # coordinate i is digit i of the index, little-endian in base p
+    for p, n in [(2, k) for k in range(1, 7)] + [
+        (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2), (7, 2)
+    ]:
+        digits = [[a // p**i % p for i in range(n)] for a in range(p**n)]
+        mult = [
+            [sum((x + y) % p * p**i for i, (x, y) in enumerate(zip(da, db))) for db in digits]
+            for da in digits
+        ]
+        assert elementary_abelian(p, n) == from_table(mult), (p, n)
+
+
 def test_direct_product_encoding():
     a = cyclic(4)
     b = cyclic(2)
@@ -248,5 +261,12 @@ def test_load_group_lines():
     h = load_group_lines(["product cyclic:2 cyclic:3"])
     assert groups_isomorphic(h, cyclic(6))
     assert groups_isomorphic(load_group_lines(["dihedral 4"]), dihedral(4))
+    # one grammar: a shorthand line is a compact spec with spaces
+    assert load_group_lines(["elemab 2 3"]) == elementary_abelian(2, 3)
+    assert load_group_lines(["product elemab:2,2 cyclic:3"]) == direct_product(
+        elementary_abelian(2, 2), cyclic(3)
+    )
+    with pytest.raises(GroupValidationError, match="unknown group spec head"):
+        load_group_lines(["frobnicate 3"])
     with pytest.raises(GroupValidationError):
         load_group_lines(["order 2", "0 1"])

@@ -1,7 +1,7 @@
-"""Package surface: the README example runs, no module (nor the tests'
-groupoid support module) carries an import it never uses, every public
-function, class or method of a class has a caller in the package or a
-stated reason to stay, and Fractions are built only where a stated reason
+"""Package surface: the README example runs, no module of the package or
+of its tests carries an import it never uses, every public function,
+class or method of a class has a caller in the package or a stated
+reason to stay, and Fractions are built only where a stated reason
 allows."""
 
 import ast
@@ -69,9 +69,9 @@ def test_unused_import_detector_on_a_sample():
 
 
 def test_library_modules_have_no_unused_imports():
-    # the tests' groupoid support module is held to the same rule
+    # every test module is held to the same rule
     found = []
-    for path in sorted(PACKAGE.glob("*.py")) + [ROOT / "tests" / "support_groupoids.py"]:
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
         if path.name == "__init__.py":
             continue
         for line, name in unused_imports(path.read_text(encoding="utf-8")):

@@ -30,6 +30,7 @@ from transfusion.groups import (
 from transfusion.groupoids import inertia, nerve, point_groupoid
 from transfusion.projrep import (
     center_dimension,
+    linear_characters,
     normalize_cocycle,
     tau_regular_classes,
     twisted_rank,
@@ -99,6 +100,12 @@ def test_trivial_cocycle_counts_classes():
         assert twisted_rank(tc) == classes
         assert tau_regular_classes(tc) == sorted(tau_regular_classes(tc))
         assert center_dimension(tc) == classes
+
+
+def test_linear_characters_of_small_cyclic_groups():
+    # the trivial group has no generators and one character, the zero one
+    assert linear_characters(cyclic(1)) == (1, [(0,)])
+    assert linear_characters(cyclic(3)) == (3, [(0, 0, 0), (0, 1, 2), (0, 2, 1)])
 
 
 def test_schur_class_on_klein_group():
