@@ -46,12 +46,7 @@ from .cochains import (
 )
 from .fusion import FusionError, basis_bundles, fork_map, fusion_table, make_context
 from .groupoids import inertia, k_sectors, point_groupoid
-from .groups import (
-    FiniteGroup,
-    GroupValidationError,
-    load_group_lines,
-    parse_group_spec,
-)
+from .groups import FiniteGroup, load_group_lines, parse_group_spec
 from .projrep import BasisError, normalize_cocycle, twisted_rank
 
 # verify refuses, before building any groupoid, a group whose largest sweep
@@ -207,54 +202,29 @@ VERIFY_CHECKS = (
 )
 
 
-def _trial_cochains(state: Dict[str, object], t: int):
-    """The three seeded inputs of trial t. Draw order is fixed, so every
-    worker layout sees the same cochains."""
-    rng = random.Random(f"{state['seed']}:{t}")
-    base = state["base"]
-    d = state["degree"]
-    b = random_cochain(base, d - 1, rng)
-    phi = random_cochain(base, d, rng)
-    psi = delta(random_cochain(base, d - 1, rng))
-    return b, phi, psi
+def _trial_sides(base, lam, two, degree: int, seed: str, t: int):
+    """Left and right cochain of each verify check in trial t.
 
-
-def _trial_sides(state: Dict[str, object], t: int):
-    """Left and right cochain of each verify check for trial t."""
-    base = state["base"]
-    lam = state["lam"]
-    two = state["two"]
-    flip = state["flip"]
-    b, phi, psi = _trial_cochains(state, t)
-
-    def trans(c: Cochain) -> Cochain:
-        th = inverse_transgression(c, lam)
-        return -th if flip else th
-
-    d = state["degree"]
-    sides = {}
-    sides["coboundary-squares-to-zero"] = (
-        delta(delta(b)),
-        zero_cochain(base, d + 1),
-    )
-    th = trans(phi)
+    The trial draws b, phi and psi from its own rng stream in a fixed
+    order, so every worker layout sees the same cochains."""
+    rng = random.Random(f"{seed}:{t}")
+    b = random_cochain(base, degree - 1, rng)
+    phi = random_cochain(base, degree, rng)
+    psi = delta(random_cochain(base, degree - 1, rng))
+    th = inverse_transgression(phi, lam)
     dphi = delta(phi)
-    sides["transgression-chain-map"] = insertion_identity_sides(phi, th, lam, trans(dphi))
-    sides["product-identity"] = insertion_identity_sides(
-        th, product_homotopy(phi, two), two, product_homotopy(dphi, two)
-    )
-    sides["unit-pullback-triviality"] = unit_pullback_sides(
-        trans(psi), product_homotopy(psi, two), lam, two
-    )
-    return sides
-
-
-def _trial_failures(
-    state: Dict[str, object], t: int
-) -> Dict[str, Optional[Tuple[int, ...]]]:
-    """The first key where the two sides of each check differ in trial t."""
-    sides = _trial_sides(state, t)
-    return {name: (a - b).first_key() for name, (a, b) in sides.items()}
+    return {
+        "coboundary-squares-to-zero": (delta(delta(b)), zero_cochain(base, degree + 1)),
+        "transgression-chain-map": insertion_identity_sides(
+            phi, th, lam, inverse_transgression(dphi, lam)
+        ),
+        "product-identity": insertion_identity_sides(
+            th, product_homotopy(phi, two), two, product_homotopy(dphi, two)
+        ),
+        "unit-pullback-triviality": unit_pullback_sides(
+            inverse_transgression(psi, lam), product_homotopy(psi, two), lam, two
+        ),
+    }
 
 
 def _parse_check_tuple(text: str) -> Tuple[str, int, Tuple[int, ...]]:
@@ -274,10 +244,9 @@ def _parse_check_tuple(text: str) -> Tuple[str, int, Tuple[int, ...]]:
     return name, trial, key
 
 
-def _replay_tuple(state: Dict[str, object], report: Report, spec: str) -> None:
+def _replay_tuple(sides, report: Report, spec: str) -> None:
     name, trial, key = _parse_check_tuple(spec)
-    sides = _trial_sides(state, trial)
-    lhs, rhs = sides[name]
+    lhs, rhs = sides(trial)[name]
     lv, rv = lhs.value(key), rhs.value(key)
     report.body.append(f"replay {name} trial {trial} key ({','.join(map(str, key))})")
     report.body.append(f"lhs: {frac_str(lv)}")
@@ -320,30 +289,27 @@ def cmd_verify(args) -> Report:
             f" 2-sector groupoid, over the cap {VERIFY_SWEEP_CAP}"
         )
     base = point_groupoid(group)
-    state = {
-        "base": base,
-        "lam": inertia(base),
-        "two": k_sectors(base, 2),
-        "degree": args.degree,
-        "seed": args.seed,
-        "flip": args.debug_flip_transgression_sign,
-    }
+    lam, two = inertia(base), k_sectors(base, 2)
+
+    def sides(t: int):
+        return _trial_sides(base, lam, two, args.degree, args.seed, t)
+
     echo = (
         f"verify --group {args.group} --degree {args.degree}"
         f" --trials {args.trials} --seed {args.seed}"
     )
-    if args.debug_flip_transgression_sign:
-        echo += " --debug-flip-transgression-sign"
     report = Report(command=echo)
     report.body.append(f"group: {args.group} (order {group.order})")
     report.data["group"] = {"spec": args.group, "order": group.order}
 
     if args.check_tuple is not None:
-        _replay_tuple(state, report, args.check_tuple)
+        _replay_tuple(sides, report, args.check_tuple)
         return report
 
     results = fork_map(
-        lambda t: _trial_failures(state, t), range(args.trials), args.workers
+        lambda t: {name: (a - b).first_key() for name, (a, b) in sides(t).items()},
+        range(args.trials),
+        args.workers,
     )
     report.data["trials"] = args.trials
     for name in VERIFY_CHECKS:
@@ -621,11 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME:TRIAL:K1,K2",
         help="re-evaluate one reported witness and print both sides",
     )
-    v.add_argument(
-        "--debug-flip-transgression-sign",
-        action="store_true",
-        help=argparse.SUPPRESS,
-    )
 
     t = sub.add_parser(
         "transgress", help="transgress a 3-cocycle to every loop sector"
@@ -655,7 +616,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = cmd_transgress(args)
         else:
             report = cmd_fusion_table(args)
-    except (InputError, GroupValidationError, CocycleError, BasisError, ValueError) as e:
+    except (BasisError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

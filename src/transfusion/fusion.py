@@ -77,7 +77,6 @@ class TwistContext:
 
     group: FiniteGroup
     sectors: SectorGroupoid
-    two_sectors: SectorGroupoid
     tau: Cochain
     mu: Cochain
 
@@ -177,7 +176,7 @@ def make_context(group: FiniteGroup, phi: Cochain) -> TwistContext:
     if lhs != rhs:
         raise FusionError("product identity fails; homotopy bug")
 
-    return TwistContext(group=group, sectors=sectors, two_sectors=two, tau=tau, mu=mu)
+    return TwistContext(group=group, sectors=sectors, tau=tau, mu=mu)
 
 
 @dataclass(eq=False)
@@ -571,26 +570,20 @@ def basis_bundles(ctx: TwistContext) -> List[TwistedBundle]:
 class CharacterSolver:
     """Exact expansion of character tables over a fixed basis.
 
-    The Gram matrix of the basis characters is inverted once, which gives
-    the left inverse Gram^-1 R^H of the character matrix R. Each expansion
-    is that matrix times the table, re-checked against every key, so a
-    table outside the span is always detected, never silently projected.
+    One elimination of [Gram | R^H] leaves [I | Gram^-1 R^H], the left
+    inverse of the character matrix R. Each expansion is that matrix times
+    the table, re-checked against every key, so a table outside the span is
+    always detected, never silently projected.
     """
 
     def __init__(self, ctx: TwistContext, tables: Sequence[Dict[Tuple[int, int], Cyclotomic]]):
         self.keys = ctx.char_keys
         rows, adjoint, gram = character_gram(ctx, tables)
         m = len(tables)
-        one = as_cyclotomic(1)
-        zero = as_cyclotomic(0)
-        aug = [
-            list(row) + [one if j == i else zero for j in range(m)]
-            for i, row in enumerate(gram)
-        ]
-        red, pivots = row_reduce(aug)
+        red, pivots = row_reduce([list(g) + list(a) for g, a in zip(gram, adjoint)])
         if pivots != list(range(m)):
             raise BasisError("basis characters are linearly dependent")
-        self._left = mat_mul([row[m:] for row in red], adjoint)
+        self._left = [row[m:] for row in red]
         self._rows = rows
 
     def expand(

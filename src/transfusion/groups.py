@@ -342,6 +342,13 @@ def _take_int(tokens: List[str]) -> int:
         raise GroupValidationError(f"expected integer in group spec, got {tok!r}")
 
 
+def _table_int(row: int, tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise GroupValidationError(f"expected integer in group table row {row}, got {tok!r}")
+
+
 def parse_group_spec(spec: str) -> FiniteGroup:
     """Parse compact specs like cyclic:4, elemab:2,3, dihedral:4,
     product:cyclic:4,cyclic:2."""
@@ -368,7 +375,7 @@ def load_group_lines(lines: Iterable[str]) -> FiniteGroup:
         n = _take_int(head[1:])
         if len(rows) != n + 1:
             raise GroupValidationError(f"expected {n} table rows, found {len(rows) - 1}")
-        mult = [[int(x) for x in row.split()] for row in rows[1:]]
+        mult = [[_table_int(i, x) for x in row.split()] for i, row in enumerate(rows[1:])]
         return from_table(mult)
     if len(rows) != 1:
         raise GroupValidationError("shorthand group files are a single line")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from transfusion import cli
 from transfusion.cli import main
 from transfusion.cochains import Cochain, read_cochain, shuffle_transgression
 from transfusion.groupoids import point_groupoid
@@ -47,17 +49,11 @@ def test_verify_deterministic_across_worker_counts(capsys):
     assert out_other == out1 and code == 0
 
 
-def test_flip_control_fails_with_replayable_witness(capsys):
-    base = [
-        "verify",
-        "--group",
-        "elemab:2,2",
-        "--trials",
-        "2",
-        "--seed",
-        "5",
-        "--debug-flip-transgression-sign",
-    ]
+def test_flip_control_fails_with_replayable_witness(capsys, monkeypatch):
+    base = ["verify", "--group", "elemab:2,2", "--trials", "2", "--seed", "5"]
+    # plant the sign-flip control: every transgression verify takes is negated
+    real = cli.inverse_transgression
+    monkeypatch.setattr(cli, "inverse_transgression", lambda c, s: -real(c, s))
     code, out = run_main(capsys, *base)
     assert code == 1
     assert "check product-identity: FAIL" in out
@@ -73,9 +69,25 @@ def test_flip_control_fails_with_replayable_witness(capsys):
     rhs = re.search(r"rhs: (\S+)", out).group(1)
     assert lhs != rhs
     # same tuple without the flip evaluates equal
-    code, out = run_main(capsys, *base[:-1], "--check-tuple", replay)
+    monkeypatch.undo()
+    code, out = run_main(capsys, *base, "--check-tuple", replay)
     assert code == 0
     assert "pass (replayed trial" in out
+
+
+def test_cli_has_no_hidden_option(capsys):
+    parser = cli.build_parser()
+    subparsers = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert subparsers
+    for name, sub in subparsers[0].choices.items():
+        for action in sub._actions:
+            assert action.help != argparse.SUPPRESS, (name, action.option_strings)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--group", "cyclic:2", "--debug-flip-transgression-sign"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_input_errors_exit_two(capsys):
@@ -420,6 +432,16 @@ def test_group_file_specs(tmp_path, capsys):
     code = main(["verify", "--group", f"@{unknown}", "--trials", "1"])
     assert code == 2
     assert "unknown group spec head 'frobnicate'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["x", "1.5"])
+def test_group_table_non_integer_cell_exits_two(tmp_path, capsys, cell):
+    path = tmp_path / "bad.grp"
+    path.write_text(f"order 2\n0 {cell}\n1 0\n")
+    code = main(["verify", "--group", f"@{path}", "--trials", "1"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: expected integer in group table row 0, got {cell!r}"]
 
 
 def test_fusion_table_trivial_group(capsys):

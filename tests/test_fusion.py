@@ -166,7 +166,7 @@ def _sector_tau(ctx, g, u1, u2):
 
 def test_context_values_read_the_cochains_at_their_sector_arrows():
     for ctx in (cube_context(), s3_context(), d4_context()):
-        two, n = ctx.two_sectors, ctx.group.order
+        n = ctx.group.order
         for g1, g2, u in itertools.product(range(n), repeat=3):
             # the pair (g1, g2) is object g1*|G| + g2
             a = (g1 * n + g2) * n + u

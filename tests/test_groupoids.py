@@ -713,7 +713,7 @@ def _digest(c):
     return hashlib.sha256(repr((c.modulus, sorted(c.table.items()))).encode()).hexdigest()
 
 
-def test_sector_numbering_pinned_by_cochains_and_replays(capsys):
+def test_sector_numbering_pinned_by_cochains_and_replays(capsys, monkeypatch):
     # frozen from the arrow-by-arrow construction; verify witnesses and
     # --check-tuple replays name sector arrows by these indices
     frozen = {
@@ -734,7 +734,10 @@ def test_sector_numbering_pinned_by_cochains_and_replays(capsys):
         assert _digest(inverse_transgression(phi, inertia(base))) == lam_hash, spec
         assert _digest(product_homotopy(phi, k_sectors(base, 2))) == two_hash, spec
     argv = ["verify", "--group", "symmetric:3", "--degree", "3", "--trials", "2"]
-    argv += ["--seed", "7", "--debug-flip-transgression-sign"]
+    argv += ["--seed", "7"]
+    # plant the sign-flip control: every transgression verify takes is negated
+    real = cli.inverse_transgression
+    monkeypatch.setattr(cli, "inverse_transgression", lambda c, s: -real(c, s))
     code = main(argv)
     replays = re.findall(r'--check-tuple "([^"]+)"', capsys.readouterr().out)
     assert code == 1
@@ -774,8 +777,7 @@ FLIP_REPORT_S3 = {
             "witness": {"key": [1, 1], "trial": 0},
         },
     ],
-    "command": "verify --group symmetric:3 --degree 3 --trials 2 --seed 7"
-    " --debug-flip-transgression-sign",
+    "command": "verify --group symmetric:3 --degree 3 --trials 2 --seed 7",
     "group": {"order": 6, "spec": "symmetric:3"},
     "result": "fail",
     "trials": 2,
