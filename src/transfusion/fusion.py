@@ -40,7 +40,6 @@ from .cyclotomic import (
     MonomialMatrix,
     as_cyclotomic,
     mat_mul,
-    root,
     row_reduce,
 )
 from .groups import (
@@ -439,31 +438,6 @@ def character(v: TwistedBundle) -> Dict[Tuple[int, int], Cyclotomic]:
     return trace_table(v)
 
 
-def kclass_star(
-    ctx: TwistContext,
-    x: Dict[Tuple[int, int], Cyclotomic],
-    y: Dict[Tuple[int, int], Cyclotomic],
-) -> Dict[Tuple[int, int], Cyclotomic]:
-    """Character-level product of two character tables over ctx.
-
-    Only summands fixed by the conjugator contribute to a trace, so the
-    value at (g, u) sums exp(-2 pi i mu(g1, g2; u)) x(g1, u) y(g2, u) over
-    factorizations g1*g2 = g with g1 fixed by u (g2 is then fixed too).
-    """
-    group = ctx.group
-    mu_t, m = ctx.mu_table, ctx.mu.modulus
-    table = {}
-    for g, u in ctx.char_keys:
-        acc = as_cyclotomic(0)
-        for g1 in group.elements():
-            if group.conjugate(g1, u) != g1:
-                continue
-            g2 = group.mult[group.inv[g1]][g]
-            acc = acc + root(-mu_t[g1][g2][u], m) * x[(g1, u)] * y[(g2, u)]
-        table[(g, u)] = acc
-    return table
-
-
 # basis construction and integer structure constants
 
 
@@ -567,13 +541,28 @@ def basis_bundles(ctx: TwistContext) -> List[TwistedBundle]:
     return out
 
 
+def _combine(columns, weights: Dict[int, Cyclotomic]) -> Dict[int, Cyclotomic]:
+    """The sum over the nonzero weights w_i of w_i times columns[i], where
+    each column lists its nonzero (index, value) entries; the result maps
+    each index some term touched to its value."""
+    out: Dict[int, Cyclotomic] = {}
+    for i, w in weights.items():
+        if not w.is_zero():
+            for j, x in columns[i]:
+                out[j] = out[j] + x * w if j in out else x * w
+    return out
+
+
 class CharacterSolver:
     """Exact expansion of character tables over a fixed basis.
 
     One elimination of [Gram | R^H] leaves [I | Gram^-1 R^H], the left
-    inverse of the character matrix R. Each expansion is that matrix times
-    the table, re-checked against every key, so a table outside the span is
-    always detected, never silently projected.
+    inverse of the character matrix R. It is kept by key and R by basis
+    table, each as the nonzero entries of its columns, so an expansion runs
+    over the nonzero entries of the table and of its coefficients only. The
+    table is re-checked against R times its coefficients at every key where
+    either side is nonzero, so a table outside the span is always detected,
+    never silently projected.
     """
 
     def __init__(self, ctx: TwistContext, tables: Sequence[Dict[Tuple[int, int], Cyclotomic]]):
@@ -583,8 +572,11 @@ class CharacterSolver:
         red, pivots = row_reduce([list(g) + list(a) for g, a in zip(gram, adjoint)])
         if pivots != list(range(m)):
             raise BasisError("basis characters are linearly dependent")
-        self._left = [row[m:] for row in red]
-        self._rows = rows
+        self._left = [
+            [(j, row[m + r]) for j, row in enumerate(red) if not row[m + r].is_zero()]
+            for r in range(len(self.keys))
+        ]
+        self._cols = [[(r, x) for r, x in enumerate(col) if not x.is_zero()] for col in zip(*rows)]
 
     def expand(
         self, table: Dict[Tuple[int, int], Cyclotomic]
@@ -593,15 +585,20 @@ class CharacterSolver:
 
         Returns (coeffs, []) when the table lies in the span; otherwise
         (None, the keys where the table differs from its orthogonal
-        projection onto the span).
+        projection onto the span, in ctx.char_keys order).
         """
-        vec = [table[k] for k in self.keys]
-        coeffs = [row[0] for row in mat_mul(self._left, [[x] for x in vec])]
-        back = mat_mul(self._rows, [[c] for c in coeffs])
-        bad = [self.keys[r] for r, row in enumerate(back) if row[0] != vec[r]]
+        vec = {r: x for r, x in enumerate(table[k] for k in self.keys) if not x.is_zero()}
+        coeffs = _combine(self._left, vec)
+        back = _combine(self._cols, coeffs)
+        zero = as_cyclotomic(0)
+        bad = [
+            self.keys[r]
+            for r in sorted(vec.keys() | back.keys())
+            if back.get(r, zero) != vec.get(r, zero)
+        ]
         if bad:
             return None, bad
-        return coeffs, []
+        return [coeffs.get(j, zero) for j in range(len(self._cols))], []
 
 
 def integer_coefficients(coeffs: Sequence[Cyclotomic]) -> Optional[List[int]]:
@@ -737,7 +734,9 @@ def fusion_table(
     The basis is taken as validated, as basis_bundles returns it, with the
     trace tables cached there; its characters need only be independent.
     Each product is validated at the bundle level and its character solved
-    exactly over the basis characters, re-checked at every key. A product
+    exactly over the basis characters, through the nonzero entries of the
+    character and of its coefficients only, then re-checked at every key
+    where either the character or its expansion can be nonzero. A product
     that is invalid, outside the span or non-integral is recorded, never
     raised. Commutativity and associativity are read off a complete integer
     table: the basis characters are independent, so two products'

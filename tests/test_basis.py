@@ -27,7 +27,6 @@ from transfusion.fusion import (
     basis_bundles,
     bundle_violation,
     fusion_table,
-    kclass_star,
     make_context,
     sector_cocycle,
     star,
@@ -51,6 +50,7 @@ from transfusion.projrep import (
     projective_irreducibles,
     twisted_rank,
 )
+from support_fusion import kclass_star
 
 
 # oracle: the abelian and the untwisted constructions that one construction

@@ -32,7 +32,6 @@ from transfusion.fusion import (
     bundle_violation,
     character,
     fusion_table,
-    kclass_star,
     make_context,
     regular_bundle,
     star,
@@ -49,7 +48,7 @@ from transfusion.groups import (
     symmetric,
 )
 from transfusion.projrep import BasisError, linear_characters
-from support_fusion import stacked_star
+from support_fusion import DenseCharacterSolver, kclass_star, stacked_star
 
 _CTX = {}
 
@@ -596,6 +595,53 @@ def test_gram_solver_matches_subsystem_solver():
     square = trace_table(star(basis[0], basis[0]))
     assert CharacterSolver(z2, tables).expand(square) == (None, [(0, 0), (0, 1)])
     assert _SubsystemSolver(z2, tables).expand(square) == (None, [(0, 1)])
+
+
+def test_support_indexed_solver_matches_dense_solver():
+    z2, s3, cube = z2_context(), s3_context(), cube_context()
+    cases = [(ctx, basis_bundles(ctx)) for ctx in (z2, s3, d4_context(), cube)]
+    cases.append((z2, [_doubled_line(z2)] + basis_bundles(z2)[1:]))
+    # outside the span: the residual keys must match too
+    cases += [(ctx, basis_bundles(ctx)[1:]) for ctx in (z2, cube)]
+    seen_bad = 0
+    for ctx, basis in cases:
+        tables = [trace_table(v) for v in basis]
+        solver, oracle = CharacterSolver(ctx, tables), DenseCharacterSolver(ctx, tables)
+        for tab in _product_tables(basis):
+            got = solver.expand(tab)
+            assert got == oracle.expand(tab)
+            seen_bad += bool(got[1])
+    assert seen_bad
+
+    # the non-orthogonal S3 basis, first character plus i times the second
+    basis = basis_bundles(s3)
+    tables = [trace_table(v) for v in basis]
+    tables[0] = {k: tables[0][k] + root(1, 4) * tables[1][k] for k in tables[0]}
+    solver, oracle = CharacterSolver(s3, tables), DenseCharacterSolver(s3, tables)
+    for tab in _product_tables(basis):
+        assert solver.expand(tab) == oracle.expand(tab)
+
+    # planted tables: a basis character with one supported key zeroed, and
+    # a basis character with a value added at a key over an element outside
+    # its support; some of each miss the span at the planted key, where
+    # only R c (the zeroed key) or only the table (the added key) is nonzero
+    zero, one = as_cyclotomic(0), as_cyclotomic(1)
+    missed = {"zeroed": 0, "added": 0}
+    for ctx in (s3, cube):
+        tables = [trace_table(v) for v in basis_bundles(ctx)]
+        solver, oracle = CharacterSolver(ctx, tables), DenseCharacterSolver(ctx, tables)
+        for t in tables:
+            support = {g for (g, _), x in t.items() if not x.is_zero()}
+            outside = next(k for k in ctx.char_keys if k[0] not in support)
+            planted = [("added", outside, one)]
+            planted += [("zeroed", k, zero) for k, x in t.items() if not x.is_zero()]
+            for kind, k, x in planted:
+                tab = dict(t)
+                tab[k] = x
+                got = solver.expand(tab)
+                assert got == oracle.expand(tab)
+                missed[kind] += k in got[1]
+    assert missed["zeroed"] and missed["added"]
 
 
 def test_orthonormality_check_refuses_planted_bases(monkeypatch):

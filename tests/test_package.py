@@ -83,7 +83,6 @@ def test_library_modules_have_no_unused_imports():
 # with the reason it stays
 UNCALLED_ALLOWED = {
     "untwisted_star": "oracle",
-    "kclass_star": "oracle",
     "center_dimension": "oracle",
     "mat_trace": "oracle",
     "regular_bundle": "fixture",
